@@ -8,12 +8,20 @@ expressions is fine; gradients only flow to taped inputs.
 
 Every primitive validates shapes/precision up front and checks that its
 output is finite; NaN/Inf raises ``NonFiniteError`` instead of silently
-propagating. A Tape is single-use: run the forward pass again to
-differentiate again.
+propagating. The check is one reduction: a finite sum proves every element
+finite, and only a non-finite sum (a NaN/Inf element, or finite values whose
+sum overflows) pays for the full element scan that decides.
+
+A Tape is single-use: run the forward pass again to differentiate again.
+``backward`` pops each record as it replays it, so the tape no longer
+reaches the graph afterwards and the step's intermediates are freed by
+reference counting as soon as the caller drops them, without waiting for
+the cyclic garbage collector.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -59,7 +67,9 @@ class NonFiniteError(ArithmeticError):
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    # A finite sum proves every element finite; a NaN/Inf sum may still come
+    # from finite values that overflow, so only then does the full scan decide.
+    if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{op}: non-finite value in result")
 
 
@@ -81,6 +91,19 @@ class Tensor:
         self.data = arr
         self.tape = None
         self.node = None
+
+    @staticmethod
+    def view(arr: np.ndarray, what: str = "Tensor") -> "Tensor":
+        """A read-only Tensor sharing ``arr``'s memory, finite-checked now.
+
+        In-place writes to ``arr`` show through the view. No later check
+        runs on the view itself: the primitives that consume it check their
+        outputs, which is where a non-finite value written afterwards shows.
+        """
+        if arr.dtype not in (np.float32, np.float64) or not arr.flags.c_contiguous:
+            raise ValueError(f"{what}: a view needs a C-contiguous f32/f64 array, got {arr.dtype} {arr.shape}")
+        _check_finite(arr, what)
+        return Tensor._wrap(arr.view())
 
     # Internal: wrap a freshly computed array without copying.
     @staticmethod
@@ -204,23 +227,28 @@ class Tape:
         """Reverse-mode gradients of a scalar loss for every leaf.
 
         Leaves that the loss does not depend on get exact zeros. The tape
-        is consumed: a second backward() raises.
+        is consumed: it drops its records and leaves, and a second
+        backward() raises.
         """
         if self._consumed:
             raise RuntimeError("tape already consumed; rerun the forward pass")
         if loss.data.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.shape}")
+        if loss.tape is not None and loss.tape is not self:
+            raise ValueError("loss was not produced on this tape")
+        # Each record's vjp closure holds Tensors that point back at this
+        # tape; dropping the records here breaks that cycle.
+        self._consumed = True
+        records, self._records = self._records, []
+        leaves, self._leaves = self._leaves, {}
         if loss.tape is None:
             # constant loss: depends on no leaf, so every gradient is zero
-            self._consumed = True
-            return {nid: Tensor._wrap(np.zeros_like(leaf.data)) for nid, leaf in self._leaves.items()}
-        if loss.tape is not self:
-            raise ValueError("loss was not produced on this tape")
-        self._consumed = True
+            return {nid: Tensor._wrap(np.zeros_like(leaf.data)) for nid, leaf in leaves.items()}
 
         grads: list[np.ndarray | None] = [None] * self._n_nodes
         grads[loss.node] = np.ones_like(loss.data)
-        for rec in reversed(self._records):
+        while records:
+            rec = records.pop()
             g = grads[rec.out]
             if g is None:
                 continue
@@ -234,7 +262,7 @@ class Tape:
             grads[rec.out] = None  # free as we go
 
         out: dict[int, Tensor] = {}
-        for nid, leaf in self._leaves.items():
+        for nid, leaf in leaves.items():
             g = grads[nid]
             if g is None:
                 g = np.zeros_like(leaf.data)

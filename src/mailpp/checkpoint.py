@@ -14,13 +14,19 @@ Layout (all integers little-endian):
   config  u32 length + UTF-8 JSON document
 
 Round trips are bitwise: tensors are stored exactly and the config
-document is serialized canonically (sorted keys).
+document is serialized canonically (sorted keys). A save writes a temp file
+in the destination directory and renames it over the destination, so the
+path holds either its old bytes or the complete new file, never a partial
+one. Loading rejects any malformed file with ``CheckpointError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
+import uuid
 from typing import Mapping
 
 import numpy as np
@@ -68,8 +74,17 @@ def save_checkpoint(path, tensors: Mapping[str, np.ndarray], config_doc: dict) -
     cfg = config_bytes(config_doc)
     parts.append(struct.pack("<I", len(cfg)))
     parts.append(cfg)
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    blob = b"".join(parts)
+    path = os.fspath(path)
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"  # same directory, so the rename stays on one filesystem
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 class _Reader:
@@ -108,7 +123,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     tensors: dict[str, np.ndarray] = {}
     for i in range(count):
         name_len = r.u16(f"name length of tensor {i}")
-        name = r.take(name_len, f"name of tensor {i}").decode("utf-8")
+        try:
+            name = r.take(name_len, f"name of tensor {i}").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"name of tensor {i} is not UTF-8: {e}") from e
         if name in tensors:
             raise CheckpointError(f"duplicate tensor name {name!r}")
         tag = r.u8(f"dtype of tensor {name!r}")
@@ -117,9 +135,14 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         rank = r.u8(f"rank of tensor {name!r}")
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank, f"dims of tensor {name!r}"))
         dtype = _TAG_DTYPES[tag]
-        n_bytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
-        raw = r.take(n_bytes, f"values of tensor {name!r}")
-        arr = np.frombuffer(raw, dtype=dtype).reshape(dims).astype(dtype.newbyteorder("="), copy=True)
+        # Python ints: a size from a corrupt header cannot wrap around, so
+        # take() compares the true size with the bytes that remain.
+        raw = r.take(math.prod(dims) * dtype.itemsize, f"values of tensor {name!r}")
+        try:
+            arr = np.frombuffer(raw, dtype=dtype).reshape(dims)
+        except ValueError as e:  # e.g. more axes than numpy supports
+            raise CheckpointError(f"tensor {name!r} has unsupported shape: {e}") from e
+        arr = arr.astype(dtype.newbyteorder("="), copy=True)
         tensors[name] = arr
     cfg_len = r.u32("config length")
     cfg_raw = r.take(cfg_len, "config document")
@@ -129,4 +152,6 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         doc = json.loads(cfg_raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"corrupt embedded config: {e}") from e
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"embedded config is a JSON {type(doc).__name__}, not an object")
     return tensors, doc

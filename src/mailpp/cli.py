@@ -172,14 +172,17 @@ def cmd_fuse(args) -> int:
     report = check_fusion_equivalence(
         restored.model, restored.sites, n_inputs=8, tol=tol, seed=restored.seed, fused=fused
     )
+    print(report.human_line())
+    if not report.passed:
+        print(f"error: fused model failed the equivalence check; {args.out} not written", file=sys.stderr)
+        return 1
     ck_tensors, ck_doc = pack_state(
         fused, None, None, restored.run_cfg, restored.seed, step=restored.step, fused=True
     )
     _ensure_parent(args.out)
     save_checkpoint(args.out, ck_tensors, ck_doc)
-    print(report.human_line())
     print(f"wrote fused checkpoint {args.out}")
-    return 0 if report.passed else 1
+    return 0
 
 
 def cmd_eval(args) -> int:

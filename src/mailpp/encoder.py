@@ -16,12 +16,19 @@ Agent hooks can be attached at five positions:
   5   after the final projection
 
 Weights are frozen: they are plain numpy arrays, never registered on a
-tape, and never receive gradients.
+tape, and never receive gradients. The weight dataclasses are frozen too,
+so a field cannot be rebound. Each ``EncoderWeights`` wraps its arrays as
+Tensors once (``EncoderWeights.tensors``): read-only, zero-copy views,
+finite-checked when first built, that the forward passes index instead of
+copying and checking every weight on every call. An in-place write to a
+weight array shows through its view; a non-finite value written that way
+is caught by the finite check on the output of the primitive that reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Literal
 
 import numpy as np
@@ -97,19 +104,19 @@ class EncoderConfig:
         return self.width(modality)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerNormParams:
     gamma: np.ndarray
     beta: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearParams:
     w: np.ndarray  # (d_out, d_in)
     b: np.ndarray  # (d_out,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttentionParams:
     w_q: LinearParams
     w_k: LinearParams
@@ -117,13 +124,13 @@ class AttentionParams:
     w_o: LinearParams
 
 
-@dataclass
+@dataclass(frozen=True)
 class MlpParams:
     fc1: LinearParams
     fc2: LinearParams
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockWeights:
     ln1: LayerNormParams
     attn: AttentionParams
@@ -131,7 +138,7 @@ class BlockWeights:
     mlp: MlpParams
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderWeights:
     """Frozen parameters for one modality."""
 
@@ -139,9 +146,17 @@ class EncoderWeights:
     embed: np.ndarray | None  # text: (vocab, d_t); image: None (patches arrive pre-tokenized)
     pos: np.ndarray  # text: (N_t, d_t); image: (N_v + 1, d_v)
     cls_token: np.ndarray | None  # image only, (d_v,)
-    blocks: list[BlockWeights]
+    blocks: tuple[BlockWeights, ...]
     final_ln: LayerNormParams
     proj: LinearParams
+
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(self.blocks))  # no item rebinding either
+
+    @cached_property
+    def tensors(self) -> dict[str, Tensor]:
+        """``named_tensors()`` as read-only Tensor views, built and checked once."""
+        return {name: Tensor.view(arr, name) for name, arr in self.named_tensors()}
 
     def named_tensors(self) -> Iterator[tuple[str, np.ndarray]]:
         m = self.modality
@@ -194,7 +209,7 @@ class EncoderWeights:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualEncoder:
     """The frozen model: config plus one EncoderWeights per modality."""
 
@@ -361,21 +376,23 @@ def _blocks_forward(
 ) -> Tensor:
     m = weights.modality
     eps = cfg.eps
-    for i, blk in enumerate(weights.blocks):
-        h = ad.layernorm(x, Tensor(blk.ln1.gamma), Tensor(blk.ln1.beta), eps)
+    t = weights.tensors
+    for i in range(len(weights.blocks)):
+        p = f"frozen/{m}/block{i}/"
+        h = ad.layernorm(x, t[p + "ln1/gamma"], t[p + "ln1/beta"], eps)
         h = _apply_hook(h, (m, i, "1a"), hooks, scalings)
-        q = ad.linear(h, Tensor(blk.attn.w_q.w), Tensor(blk.attn.w_q.b))
-        k = ad.linear(h, Tensor(blk.attn.w_k.w), Tensor(blk.attn.w_k.b))
-        v = ad.linear(h, Tensor(blk.attn.w_v.w), Tensor(blk.attn.w_v.b))
+        q = ad.linear(h, t[p + "attn/q/w"], t[p + "attn/q/b"])
+        k = ad.linear(h, t[p + "attn/k/w"], t[p + "attn/k/b"])
+        v = ad.linear(h, t[p + "attn/v/w"], t[p + "attn/v/b"])
         ctx = ad.attention_core(q, k, v, cfg.n_heads, mask)
-        o = ad.linear(ctx, Tensor(blk.attn.w_o.w), Tensor(blk.attn.w_o.b))
+        o = ad.linear(ctx, t[p + "attn/o/w"], t[p + "attn/o/b"])
         o = _apply_hook(o, (m, i, "2"), hooks, scalings)
         x = ad.add(x, o)
-        h2 = ad.layernorm(x, Tensor(blk.ln2.gamma), Tensor(blk.ln2.beta), eps)
+        h2 = ad.layernorm(x, t[p + "ln2/gamma"], t[p + "ln2/beta"], eps)
         h2 = _apply_hook(h2, (m, i, "1b"), hooks, scalings)
-        u = ad.linear(h2, Tensor(blk.mlp.fc1.w), Tensor(blk.mlp.fc1.b))
+        u = ad.linear(h2, t[p + "mlp/fc1/w"], t[p + "mlp/fc1/b"])
         u = ad.gelu(u)
-        u = ad.linear(u, Tensor(blk.mlp.fc2.w), Tensor(blk.mlp.fc2.b))
+        u = ad.linear(u, t[p + "mlp/fc2/w"], t[p + "mlp/fc2/b"])
         u = _apply_hook(u, (m, i, "3"), hooks, scalings)
         x = ad.add(x, u)
     return x
@@ -390,10 +407,12 @@ def _readout(
     scalings: ScalingMap | None,
 ) -> Tensor:
     m = weights.modality
+    t = weights.tensors
+    p = f"frozen/{m}/"
     feat = ad.row(x, index)
-    feat = ad.layernorm(feat, Tensor(weights.final_ln.gamma), Tensor(weights.final_ln.beta), cfg.eps)
+    feat = ad.layernorm(feat, t[p + "final_ln/gamma"], t[p + "final_ln/beta"], cfg.eps)
     feat = _apply_hook(feat, (m, None, "4"), hooks, scalings)
-    feat = ad.linear(feat, Tensor(weights.proj.w), Tensor(weights.proj.b))
+    feat = ad.linear(feat, t[p + "proj/w"], t[p + "proj/b"])
     feat = _apply_hook(feat, (m, None, "5"), hooks, scalings)
     return feat
 

@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mailpp import autodiff as ad
 from mailpp.autodiff import NonFiniteError, Tape, Tensor
@@ -98,6 +102,66 @@ def test_nonfinite_is_reported():
         ad.log(t64([0.0, 1.0]))
 
 
+def _check_raises(arr) -> bool:
+    try:
+        ad._check_finite(arr, "probe")
+    except NonFiniteError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "values, dtype",
+    [
+        ([3e38, 3e38], np.float32),  # finite elements whose sum overflows
+        ([-3e38, -3e38, 1.0], np.float32),
+        ([1.7e308, 1.7e308], np.float64),
+        ([np.nan], np.float32),
+        ([1.0, np.inf], np.float64),
+        ([-np.inf, 2.0], np.float32),
+        ([np.inf, -np.inf], np.float64),  # the sum is NaN, not Inf
+        (2.5, np.float64),
+        (np.nan, np.float32),
+        ([], np.float32),
+        (np.zeros((0, 3)), np.float64),
+    ],
+)
+def test_finite_check_examples(values, dtype):
+    arr = np.asarray(values, dtype=dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _check_raises(arr) == (not np.all(np.isfinite(arr)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_finite_check_raises_exactly_on_a_non_finite_element(data):
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    big = float(np.finfo(dtype).max)
+    width = 32 if dtype == np.float32 else 64
+    elements = st.one_of(
+        st.floats(width=width, allow_nan=True, allow_infinity=True),
+        st.sampled_from([big, -big, big / 2, np.nan, np.inf, -np.inf, 0.0]),
+    )
+    shape = data.draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    arr = data.draw(hnp.arrays(dtype, shape, elements=elements))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _check_raises(arr) == (not np.all(np.isfinite(arr)))
+
+
+def test_view_shares_memory_read_only_and_checks_once():
+    arr = np.arange(6.0).reshape(2, 3)
+    t = Tensor.view(arr, "w")
+    arr[0, 0] = 7.0
+    assert t.data[0, 0] == 7.0
+    assert not t.data.flags.writeable and arr.flags.writeable
+    with pytest.raises(ValueError, match="C-contiguous"):
+        Tensor.view(arr.T)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        Tensor.view(np.arange(3))
+    with pytest.raises(NonFiniteError, match="w"):
+        Tensor.view(np.array([1.0, np.nan]), "w")
+
+
 # ------------------------------------------------------------------
 # backward basics
 
@@ -116,6 +180,28 @@ def test_backward_constant_loss_gives_zeros():
     loss = Tensor(np.asarray(3.0))
     grads = tape.backward(loss)
     assert np.array_equal(grads[w.node].data, np.zeros(2))
+
+
+def test_backward_frees_the_graph_without_the_cycle_collector():
+    def step():
+        tape = Tape()
+        w = tape.leaf(np.array([1.0, -2.0, 0.5]))
+        h = ad.layernorm(ad.mul(w, w), t64([1.0, 2.0, 3.0]), w, 1e-5)
+        watched = weakref.ref(h.data)
+        loss = ad.reduce_sum(ad.add(ad.gelu(h), w))
+        grads = tape.backward(loss)
+        assert watched() is not None  # still held by the local h
+        return watched, grads[w.node]
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        watched, grad = step()
+        assert watched() is None  # freed by reference counting alone
+        assert grad.shape == (3,)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_backward_unused_leaf_is_exactly_zero():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,8 +78,6 @@ def test_bad_magic(tmp_path):
 
 def test_newer_version_refused(tmp_path):
     path = tmp_path / "v.bin"
-    import struct
-
     path.write_bytes(MAGIC + struct.pack("<II", 99, 0) + struct.pack("<I", 2) + b"{}")
     with pytest.raises(CheckpointError, match="version 99"):
         load_checkpoint(path)
@@ -104,6 +104,72 @@ def test_trailing_garbage_rejected(tmp_path):
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(CheckpointError, match="dtype"):
         save_checkpoint(tmp_path / "t.bin", {"x": np.ones(2, dtype=np.int32)}, {})
+
+
+def test_header_size_that_overflows_int64_is_a_checkpoint_error(tmp_path):
+    # (2**32-1)**2 * 4 bytes wraps negative in int64 arithmetic
+    blob = (
+        MAGIC
+        + struct.pack("<II", 1, 1)
+        + struct.pack("<H", 4)
+        + b"huge"
+        + struct.pack("<BB", 0, 2)
+        + struct.pack("<II", 2**32 - 1, 2**32 - 1)
+        + b"\x00" * 16
+        + struct.pack("<I", 2)
+        + b"{}"
+    )
+    path = tmp_path / "huge.bin"
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointError, match="truncated.*huge"):
+        load_checkpoint(path)
+
+
+def _fuzz_seed_blob(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("fuzz") / "seed.bin"
+    tensors = {
+        "w": np.arange(6, dtype=np.float32).reshape(2, 3),
+        "s": np.asarray(1.5),
+        "v": np.linspace(-1.0, 1.0, 4),
+    }
+    save_checkpoint(path, tensors, {"kind": "test", "n": 1})
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_or_truncated_files_raise_only_checkpoint_error(tmp_path_factory, data):
+    blob = _fuzz_seed_blob(tmp_path_factory)
+    byte = st.one_of(st.sampled_from([0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF]), st.integers(0, 255))
+    edits = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1), byte), max_size=4))
+    cut = data.draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob))))
+    mutated = bytearray(blob)
+    for i, value in edits:
+        mutated[i] = value
+    path = tmp_path_factory.mktemp("fuzz") / "mutated.bin"
+    path.write_bytes(bytes(mutated[:cut]))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert cut == len(blob), "a truncated file loaded"
+
+
+def test_failed_save_leaves_the_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    import mailpp.checkpoint
+
+    path = tmp_path / "t.bin"
+    save_checkpoint(path, {"x": np.ones(2)}, {"v": 1})
+    old = path.read_bytes()
+
+    def broken_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(mailpp.checkpoint.os, "replace", broken_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, {"x": np.zeros(3)}, {"v": 2})
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["t.bin"]
 
 
 # ------------------------------------------------------------------

@@ -192,3 +192,34 @@ def test_fuse_refuses_already_fused(workdir, capsys):
     run(["fuse", "--ckpt", ckpt, "--out", fused])
     assert run(["fuse", "--ckpt", fused, "--out", str(tmp / "g.ckpt")]) == 1
     assert "already fused" in capsys.readouterr().err
+
+
+def test_fuse_writes_nothing_when_the_check_fails(workdir, capsys, monkeypatch):
+    import mailpp.cli
+
+    tmp, cfg = workdir
+    data = str(tmp / "d.bin")
+    ckpt = str(tmp / "c.ckpt")
+    out = tmp / "fused.ckpt"
+    run(["gen-data", "--config", cfg, "--out", data])
+    run(["train", "--config", cfg, "--data", data, "--out", ckpt])
+    real_fuse = mailpp.cli.fuse_model
+
+    def corrupted_fuse(model, sites):
+        fused = real_fuse(model, sites)
+        fused.image.proj.w[0, 0] += 0.5  # deliberate corruption
+        return fused
+
+    monkeypatch.setattr(mailpp.cli, "fuse_model", corrupted_fuse)
+    capsys.readouterr()
+    assert run(["fuse", "--ckpt", ckpt, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAIL  fusion_equivalence")
+    assert "not written" in captured.err
+    assert not out.exists()
+
+    out.write_bytes(b"an earlier artifact")
+    listing = sorted(p.name for p in tmp.iterdir())
+    assert run(["fuse", "--ckpt", ckpt, "--out", str(out)]) == 1
+    assert out.read_bytes() == b"an earlier artifact"
+    assert sorted(p.name for p in tmp.iterdir()) == listing

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mailpp import rng
 from mailpp.agents import CouplingMode, build_scaling_map, build_sites, hook_set
-from mailpp.autodiff import Tensor
-from mailpp.encoder import EncoderConfig, classify, image_forward, text_forward
+from mailpp.autodiff import NonFiniteError, Tensor
+from mailpp.encoder import EncoderConfig, classify, image_forward, init_dual_encoder, text_forward
 from mailpp.verify import random_toy_model
 
 
@@ -89,6 +91,79 @@ def test_feature_norm_finite_nonzero_over_seeds():
         ):
             norm = np.linalg.norm(feat)
             assert np.isfinite(norm) and norm > 0
+
+
+# ------------------------------------------------------------------
+# frozen weights: wrapped once per model, still live and checked
+
+
+def _features(model, tokens, patches):
+    return (
+        text_forward(tokens, model.cfg, model.text).data,
+        image_forward(patches, model.cfg, model.image).data,
+    )
+
+
+def _edit_in_place(model):
+    model.text.blocks[0].mlp.fc2.w[0, 0] += 0.5
+    model.text.final_ln.gamma[1] *= -2.0
+    model.text.embed[3] += 0.25
+    model.image.blocks[1].attn.w_q.b[2] -= 0.75
+    model.image.proj.w[0] *= 1.5
+    model.image.cls_token[0] += 1.0
+
+
+def test_in_place_weight_edit_after_a_forward_pass_shows_through(tiny_cfg):
+    gen = rng.derive(12, "inputs")
+    tokens = [1, 3, 5]
+    patches = gen.standard_normal((tiny_cfg.N_v, tiny_cfg.d_v))
+    model = init_dual_encoder(tiny_cfg, rng.derive(11, "tiny-model"), np.float64)
+    before = _features(model, tokens, patches)
+    _edit_in_place(model)
+    after = _features(model, tokens, patches)
+    fresh = init_dual_encoder(tiny_cfg, rng.derive(11, "tiny-model"), np.float64)
+    _edit_in_place(fresh)  # edited before any forward pass
+    for old, new, ref in zip(before, after, _features(fresh, tokens, patches)):
+        assert not np.array_equal(old, new)
+        assert np.array_equal(new, ref)
+
+
+@pytest.mark.parametrize("modality", ["text", "image"])
+def test_nan_written_into_a_weight_after_a_forward_pass_raises(tiny_cfg, modality):
+    model = init_dual_encoder(tiny_cfg, rng.derive(11, "tiny-model"), np.float32)
+    tokens = [1, 3, 5]
+    patches = rng.derive(12, "inputs").standard_normal((tiny_cfg.N_v, tiny_cfg.d_v))
+    _features(model, tokens, patches)
+    getattr(model, modality).blocks[1].attn.w_v.b[0] = np.nan
+    with pytest.raises(NonFiniteError):
+        _features(model, tokens, patches)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "text",
+        "image.proj",
+        "text.blocks",
+        "text.blocks.0.ln1",
+        "text.blocks.0.ln1.gamma",
+        "image.blocks.1.attn.w_o",
+        "image.blocks.1.attn.w_o.w",
+        "image.blocks.0.mlp.fc1",
+    ],
+)
+def test_weight_fields_cannot_be_rebound(tiny_model, path):
+    *parents, field = path.split(".")
+    obj = tiny_model
+    for part in parents:
+        obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, field, getattr(obj, field))
+
+
+def test_blocks_cannot_be_replaced_item_by_item(tiny_model):
+    with pytest.raises(TypeError):
+        tiny_model.text.blocks[0] = tiny_model.text.blocks[1]
 
 
 # ------------------------------------------------------------------
