@@ -12,6 +12,14 @@ propagating. The check is one reduction: a finite sum proves every element
 finite, and only a non-finite sum (a NaN/Inf element, or finite values whose
 sum overflows) pays for the full element scan that decides.
 
+Primitives that act on the last axis (``linear``, ``layernorm``,
+``affine``, ``gelu``, ``add``) take any leading axes, ``attention_core``
+takes (..., n, d) with one (n, n) mask for every item, and ``row`` reads
+axis -2, one index for all items or one per item. That is how a whole
+batch runs as one chain of primitives. On 1-D and 2-D inputs each
+primitive runs the same numpy operations it always has, so per-row results
+are unchanged bit for bit.
+
 A Tape is single-use: run the forward pass again to differentiate again.
 ``backward`` pops each record as it replays it, so the tape no longer
 reaches the graph afterwards and the step's intermediates are freed by
@@ -452,9 +460,9 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x @ w.T + bias for x of shape (d_in,) or (n, d_in), w of shape (d_out, d_in)."""
+    """x @ w.T + bias for x of shape (..., d_in), w of shape (d_out, d_in)."""
     _same_precision("linear", x, w, *(() if bias is None else (bias,)))
-    if w.ndim != 2 or x.ndim not in (1, 2) or x.shape[-1] != w.shape[1]:
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[1]:
         raise ValueError(f"linear: x {x.shape} incompatible with weight {w.shape}")
     if bias is not None and bias.shape != (w.shape[0],):
         raise ValueError(f"linear: bias {bias.shape} incompatible with weight {w.shape}")
@@ -465,11 +473,16 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def vjp(g):
         dx = g @ wd
-        dw = np.outer(g, xd) if xd.ndim == 1 else g.T @ xd
-        db = None
-        if bias is not None:
-            db = g if g.ndim == 1 else g.sum(axis=0)
-        return (dx, dw, db) if bias is not None else (dx, dw)
+        if xd.ndim == 1:
+            dw = np.outer(g, xd)
+            rows = g
+        else:
+            # fold any leading axes into one row axis for the weight gradients
+            rows = g if g.ndim == 2 else g.reshape(-1, g.shape[-1])
+            dw = rows.T @ (xd if xd.ndim == 2 else xd.reshape(-1, xd.shape[-1]))
+        if bias is None:
+            return dx, dw
+        return dx, dw, rows if rows.ndim == 1 else rows.sum(axis=0)
 
     inputs = (x, w) if bias is None else (x, w, bias)
     return _emit("linear", out, inputs, vjp)
@@ -533,14 +546,15 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention over column-split heads.
 
-    q, k, v: (n, d) with d divisible by n_heads; mask: additive (n, n)
-    constant (0 where attention is allowed, a large negative value where
-    it is not). Gradients flow to q, k, v.
+    q, k, v: (..., n, d) with d divisible by n_heads; any leading axes are
+    independent items. mask: additive (n, n) constant (0 where attention is
+    allowed, a large negative value where it is not), shared by every item.
+    Gradients flow to q, k, v.
     """
     _same_precision("attention_core", q, k, v)
-    if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
+    if q.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
         raise ValueError(f"attention_core: q/k/v shapes {q.shape}/{k.shape}/{v.shape} must match")
-    n, d = q.shape
+    n, d = q.shape[-2:]
     if d % n_heads != 0:
         raise ValueError(f"attention_core: width {d} not divisible by {n_heads} heads")
     if mask is not None and mask.shape != (n, n):
@@ -553,12 +567,12 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarr
     out = np.empty_like(qd)
     for h in range(n_heads):
         s = slice(h * dh, (h + 1) * dh)
-        scores = (qd[:, s] @ kd[:, s].T) * sc
+        scores = (qd[..., s] @ kd[..., s].swapaxes(-1, -2)) * sc
         if mask is not None:
             scores = scores + mask
         p = _softmax_forward(scores, -1)
         probs.append(p)
-        out[:, s] = p @ vd[:, s]
+        out[..., s] = p @ vd[..., s]
 
     def vjp(g):
         dq = np.empty_like(qd)
@@ -567,12 +581,12 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarr
         for h in range(n_heads):
             s = slice(h * dh, (h + 1) * dh)
             p = probs[h]
-            go = g[:, s]
-            dv[:, s] = p.T @ go
-            dp = go @ vd[:, s].T
+            go = g[..., s]
+            dv[..., s] = p.swapaxes(-1, -2) @ go
+            dp = go @ vd[..., s].swapaxes(-1, -2)
             ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p
-            dq[:, s] = (ds @ kd[:, s]) * sc
-            dk[:, s] = (ds.T @ qd[:, s]) * sc
+            dq[..., s] = (ds @ kd[..., s]) * sc
+            dk[..., s] = (ds.swapaxes(-1, -2) @ qd[..., s]) * sc
         return dq, dk, dv
 
     return _emit("attention_core", out, (q, k, v), vjp)
@@ -656,17 +670,32 @@ def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
 # structural primitives
 
 
-def row(a: Tensor, i: int) -> Tensor:
-    if a.ndim != 2:
-        raise ValueError("row: expected a matrix")
-    if not 0 <= i < a.shape[0]:
-        raise ValueError(f"row: index {i} out of range for {a.shape[0]} rows")
-    out = np.ascontiguousarray(a.data[i])
+def row(a: Tensor, i: int | np.ndarray) -> Tensor:
+    """Select row ``i`` along axis -2: (..., n, d) -> (..., d).
+
+    ``i`` is one int for every item, or an integer array of shape
+    ``a.shape[:-2]`` that gives each item its own row.
+    """
+    if a.ndim < 2:
+        raise ValueError("row: expected a matrix or a stack of matrices")
+    n = a.shape[-2]
     ashape = a.shape
+    if isinstance(i, (int, np.integer)):
+        if not 0 <= i < n:
+            raise ValueError(f"row: index {i} out of range for {n} rows")
+        sel = (Ellipsis, i, slice(None))
+    else:
+        idx = np.asarray(i)
+        if idx.dtype.kind not in "iu" or idx.shape != ashape[:-2]:
+            raise ValueError(f"row: need an int or one integer index per item of {ashape[:-2]}, got {idx.shape}")
+        if np.any(idx < 0) or np.any(idx >= n):
+            raise ValueError(f"row: index out of range for {n} rows")
+        sel = (*np.indices(idx.shape, sparse=True), idx, slice(None))
+    out = np.ascontiguousarray(a.data[sel])
 
     def vjp(g):
         da = np.zeros(ashape, dtype=g.dtype)
-        da[i] = g
+        da[sel] = g
         return (da,)
 
     return _emit("row", out, (a,), vjp)

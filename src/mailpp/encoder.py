@@ -15,6 +15,11 @@ Agent hooks can be attached at five positions:
   4   after the final LayerNorm
   5   after the final projection
 
+Both forward passes take one input or a batch: (N_v, d_v) patches or a
+(B, N_v, d_v) batch, one id sequence or a list of them. A text batch is
+right-padded to its longest sequence and each row is read at its own last
+token; the causal mask makes this exact (see ``text_forward``).
+
 Weights are frozen: they are plain numpy arrays, never registered on a
 tape, and never receive gradients. The weight dataclasses are frozen too,
 so a field cannot be rebound. Each ``EncoderWeights`` wraps its arrays as
@@ -56,6 +61,7 @@ __all__ = [
     "HookSet",
     "init_encoder_weights",
     "init_dual_encoder",
+    "weight_shapes",
     "text_forward",
     "image_forward",
     "classify",
@@ -67,6 +73,8 @@ Position = str
 BLOCK_POSITIONS: tuple[Position, ...] = ("1a", "1b", "2", "3")
 FINAL_POSITIONS: tuple[Position, ...] = ("4", "5")
 ALL_POSITIONS: tuple[Position, ...] = BLOCK_POSITIONS + FINAL_POSITIONS
+
+PAD_ID = 0  # right-padding id for shorter sequences in a text batch
 
 
 @dataclass(frozen=True)
@@ -354,6 +362,34 @@ def init_encoder_weights(
     )
 
 
+def weight_shapes(cfg: EncoderConfig, modality: Modality) -> dict[str, tuple[int, ...]]:
+    """The shape of every frozen tensor of one modality, keyed and ordered as ``named_tensors``."""
+    m, d, hidden = modality, cfg.width(modality), cfg.mlp_ratio * cfg.width(modality)
+    shapes: dict[str, tuple[int, ...]] = {}
+    if modality == "text":
+        shapes[f"frozen/{m}/embed"] = (cfg.vocab_size, d)
+        shapes[f"frozen/{m}/pos"] = (cfg.N_t, d)
+    else:
+        shapes[f"frozen/{m}/pos"] = (cfg.N_v + 1, d)
+        shapes[f"frozen/{m}/cls"] = (d,)
+
+    def lin(prefix: str, d_out: int, d_in: int) -> None:
+        shapes[f"{prefix}/w"] = (d_out, d_in)
+        shapes[f"{prefix}/b"] = (d_out,)
+
+    for i in range(cfg.L):
+        p = f"frozen/{m}/block{i}"
+        shapes[f"{p}/ln1/gamma"] = shapes[f"{p}/ln1/beta"] = (d,)
+        for tag in ("q", "k", "v", "o"):
+            lin(f"{p}/attn/{tag}", d, d)
+        shapes[f"{p}/ln2/gamma"] = shapes[f"{p}/ln2/beta"] = (d,)
+        lin(f"{p}/mlp/fc1", hidden, d)
+        lin(f"{p}/mlp/fc2", d, hidden)
+    shapes[f"frozen/{m}/final_ln/gamma"] = shapes[f"frozen/{m}/final_ln/beta"] = (d,)
+    lin(f"frozen/{m}/proj", cfg.d_t, d)
+    return shapes
+
+
 def init_dual_encoder(cfg: EncoderConfig, rng: np.random.Generator, dtype=np.float32) -> DualEncoder:
     return DualEncoder(
         cfg=cfg,
@@ -400,7 +436,7 @@ def _blocks_forward(
 
 def _readout(
     x: Tensor,
-    index: int,
+    index: int | np.ndarray,
     cfg: EncoderConfig,
     weights: EncoderWeights,
     hooks: HookSet | None,
@@ -417,6 +453,26 @@ def _readout(
     return feat
 
 
+def _token_rows(tokens, cfg: EncoderConfig) -> tuple[list[np.ndarray], bool]:
+    """Validated id rows, and whether ``tokens`` was a batch of sequences."""
+    if isinstance(tokens, np.ndarray):
+        batched = tokens.ndim == 2
+    else:
+        tokens = list(tokens)
+        batched = bool(tokens) and np.ndim(tokens[0]) == 1
+    rows = [np.asarray(t, dtype=np.int64) for t in tokens] if batched else [np.asarray(tokens, dtype=np.int64)]
+    if not rows:
+        raise ValueError("text_forward: empty batch of sequences")
+    for toks in rows:
+        if toks.ndim != 1 or toks.size == 0:
+            raise ValueError("text_forward: tokens must be a non-empty 1-D sequence")
+        if toks.size > cfg.N_t:
+            raise ValueError(f"text_forward: sequence length {toks.size} exceeds N_t={cfg.N_t}")
+        if np.any(toks < 0) or np.any(toks >= cfg.vocab_size):
+            raise ValueError("text_forward: token id out of vocabulary")
+    return rows, batched
+
+
 def text_forward(
     tokens,
     cfg: EncoderConfig,
@@ -424,21 +480,30 @@ def text_forward(
     hooks: HookSet | None = None,
     scalings: ScalingMap | None = None,
 ) -> Tensor:
-    """Encode a token sequence to a d_t feature (read from the last token)."""
+    """Encode token sequences to d_t features, each read from its last token.
+
+    One 1-D sequence gives a (d_t,) feature. A batch (a list of sequences,
+    lengths may differ, or a 2-D id array) gives (B, d_t) in one pass:
+    shorter rows are right-padded with ``PAD_ID`` and row i is read at
+    n_i - 1. Padding is exact, because the causal mask lets no position up
+    to n_i - 1 see a later one: its -1e9 makes every padded probability
+    exactly 0.
+    """
     if weights.modality != "text":
         raise ValueError("text_forward: weights are not text weights")
-    toks = np.asarray(tokens, dtype=np.int64)
-    if toks.ndim != 1 or toks.size == 0:
-        raise ValueError("text_forward: tokens must be a non-empty 1-D sequence")
-    n = toks.size
-    if n > cfg.N_t:
-        raise ValueError(f"text_forward: sequence length {n} exceeds N_t={cfg.N_t}")
-    if np.any(toks < 0) or np.any(toks >= cfg.vocab_size):
-        raise ValueError("text_forward: token id out of vocabulary")
+    rows, batched = _token_rows(tokens, cfg)
+    n = max(r.size for r in rows)
+    if batched:
+        toks = np.full((len(rows), n), PAD_ID, dtype=np.int64)
+        for i, r in enumerate(rows):
+            toks[i, : r.size] = r
+        last = np.array([r.size - 1 for r in rows])
+    else:
+        toks, last = rows[0], n - 1
     x = Tensor(weights.embed[toks] + weights.pos[:n])
     mask = ad.causal_mask(n, weights.pos.dtype)
     x = _blocks_forward(x, cfg, weights, mask, hooks, scalings)
-    return _readout(x, n - 1, cfg, weights, hooks, scalings)
+    return _readout(x, last, cfg, weights, hooks, scalings)
 
 
 def image_forward(
@@ -448,14 +513,25 @@ def image_forward(
     hooks: HookSet | None = None,
     scalings: ScalingMap | None = None,
 ) -> Tensor:
-    """Encode pre-tokenized patches to a d_t feature (read from the class token)."""
+    """Encode pre-tokenized patches to d_t features, read from the class token.
+
+    (N_v, d_v) patches give a (d_t,) feature; a (B, N_v, d_v) batch gives
+    (B, d_t) in one pass.
+    """
     if weights.modality != "image":
         raise ValueError("image_forward: weights are not image weights")
     patches = patch_tokens.data if isinstance(patch_tokens, Tensor) else np.asarray(patch_tokens)
-    if patches.shape != (cfg.N_v, cfg.d_v):
-        raise ValueError(f"image_forward: patch tokens must have shape ({cfg.N_v}, {cfg.d_v}), got {patches.shape}")
-    stacked = np.concatenate([weights.cls_token[None, :], patches.astype(weights.pos.dtype)], axis=0)
-    x = Tensor(stacked + weights.pos)
+    if patches.ndim not in (2, 3) or patches.shape[-2:] != (cfg.N_v, cfg.d_v):
+        raise ValueError(
+            f"image_forward: patch tokens must have shape ([B,] {cfg.N_v}, {cfg.d_v}), got {patches.shape}"
+        )
+    if patches.ndim == 3 and patches.shape[0] == 0:
+        raise ValueError("image_forward: empty batch of images")
+    stacked = np.empty(patches.shape[:-2] + weights.pos.shape, dtype=weights.pos.dtype)
+    stacked[..., 0, :] = weights.cls_token
+    stacked[..., 1:, :] = patches
+    stacked += weights.pos
+    x = Tensor(stacked)
     x = _blocks_forward(x, cfg, weights, None, hooks, scalings)
     return _readout(x, 0, cfg, weights, hooks, scalings)
 

@@ -26,6 +26,7 @@ from .encoder import (
     LinearParams,
     Modality,
     MlpParams,
+    weight_shapes,
 )
 from .training import AdamState, SyntheticDataset
 
@@ -128,26 +129,37 @@ def _encoder_from_tensors(cfg: EncoderConfig, modality: Modality, tensors: dict[
     )
 
 
+def _check_layout(tensors: dict[str, np.ndarray], expected: dict[str, tuple[int, ...]], dtype: np.dtype) -> None:
+    """Every expected tensor present with its shape and dtype, and no other; reads no data."""
+    for name, shape in expected.items():
+        arr = _fetch(tensors, name)
+        if arr.shape != shape:
+            raise CheckpointError(f"tensor {name!r} has shape {arr.shape}; the config needs {shape}")
+        if arr.dtype != dtype:
+            raise CheckpointError(f"tensor {name!r} is {arr.dtype}; the config's precision needs {dtype}")
+    unknown = [name for name in tensors if name not in expected]
+    if unknown:
+        raise CheckpointError(f"checkpoint has tensor {unknown[0]!r}, which the config does not define")
+
+
 def unpack_state(tensors: dict[str, np.ndarray], doc: dict) -> RestoredState:
+    """Rebuild the run state, after checking every tensor's name, shape and dtype against the config."""
     if doc.get("kind") != "checkpoint":
         raise CheckpointError(f"not a checkpoint container (kind={doc.get('kind')!r})")
     run_cfg = parse_config_doc(doc["run_config"])
     seed = int(doc.get("seed", 0))
     step = int(doc.get("step", 0))
     fused = bool(doc.get("fused", False))
-    model = DualEncoder(
-        cfg=run_cfg.encoder,
-        text=_encoder_from_tensors(run_cfg.encoder, "text", tensors),
-        image=_encoder_from_tensors(run_cfg.encoder, "image", tensors),
-    )
+    enc = run_cfg.encoder
+    dtype = np.dtype(np.float64 if run_cfg.precision == "f64" else np.float32)
 
+    expected = {**weight_shapes(enc, "text"), **weight_shapes(enc, "image")}
     sites: dict[SiteKey, CoupledAgentSite] | None = None
-    opt_state: AdamState | None = None
+    has_opt = False
     if not fused:
         t = run_cfg.training
-        dtype = model.dtype
         sites = build_sites(
-            run_cfg.encoder,
+            enc,
             t.mode,
             t.rank,
             t.d_m,
@@ -156,19 +168,30 @@ def unpack_state(tensors: dict[str, np.ndarray], doc: dict) -> RestoredState:
             t.bridge_shift,
             t.positions,
         )
+        params = {f"{key}/{local}": arr.shape for key, site in sites.items() for local, arr in site.params()}
+        expected.update({f"agent/{pname}": shape for pname, shape in params.items()})
+        has_opt = any(n.startswith("opt/") for n in tensors)
+        if has_opt:
+            for moment in ("m", "v"):
+                expected.update({f"opt/{moment}/{pname}": shape for pname, shape in params.items()})
+    _check_layout(tensors, expected, dtype)
+
+    model = DualEncoder(
+        cfg=enc,
+        text=_encoder_from_tensors(enc, "text", tensors),
+        image=_encoder_from_tensors(enc, "image", tensors),
+    )
+    opt_state: AdamState | None = None
+    if sites is not None:
         for key, site in sites.items():
             for local, _ in list(site.params()):
-                site.set_param(local, _fetch(tensors, f"agent/{key}/{local}"))
-        has_opt = any(n.startswith("opt/m/") for n in tensors)
+                site.set_param(local, tensors[f"agent/{key}/{local}"])
         if has_opt:
-            m = {}
-            v = {}
-            for key, site in sites.items():
-                for local, _ in site.params():
-                    pname = f"{key}/{local}"
-                    m[pname] = _fetch(tensors, f"opt/m/{pname}")
-                    v[pname] = _fetch(tensors, f"opt/v/{pname}")
-            opt_state = AdamState(step=int(doc.get("opt_step", 0)), m=m, v=v)
+            opt_state = AdamState(
+                step=int(doc.get("opt_step", 0)),
+                m={pname: tensors[f"opt/m/{pname}"] for pname in params},
+                v={pname: tensors[f"opt/v/{pname}"] for pname in params},
+            )
     return RestoredState(
         run_cfg=run_cfg,
         model=model,

@@ -156,6 +156,15 @@ def random_inputs(cfg: EncoderConfig, gen: np.random.Generator, dtype) -> tuple[
     return tokens, patches
 
 
+def _random_batch(
+    cfg: EncoderConfig, gen: np.random.Generator, dtype, n: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """``n`` draws of ``random_inputs``, in draw order, as one text and one image batch."""
+    draws = [random_inputs(cfg, gen, dtype) for _ in range(n)]
+    patches = np.stack([p for _, p in draws]) if draws else np.empty((0, cfg.N_v, cfg.d_v), dtype=dtype)
+    return [t for t, _ in draws], patches
+
+
 def randomize_sites(sites: Mapping[SiteKey, CoupledAgentSite], gen: np.random.Generator, spread: float = 0.2) -> None:
     """Perturb every trainable array in place (W_up included, so bridges are active)."""
     for site in sites.values():
@@ -194,20 +203,21 @@ def check_identity_at_init(
         )
         hooks = hook_set(sites)
         scalings = build_scaling_map(sites)
-        for _ in range(n_inputs):
-            tokens, patches = random_inputs(model.cfg, gen, model.dtype)
-            plain_t = text_forward(tokens, model.cfg, model.text).data
-            hooked_t = text_forward(tokens, model.cfg, model.text, hooks, scalings).data
-            plain_v = image_forward(patches, model.cfg, model.image).data
-            hooked_v = image_forward(patches, model.cfg, model.image, hooks, scalings).data
-            err = max(
-                float(np.max(np.abs(plain_t - hooked_t))),
-                float(np.max(np.abs(plain_v - hooked_v))),
-            )
-            trials += 1
-            if err > worst:
-                worst = err
-                detail = f"mode={CouplingMode(mode).value}"
+        tokens, patches = _random_batch(model.cfg, gen, model.dtype, n_inputs)
+        if not tokens:
+            continue
+        plain_t = text_forward(tokens, model.cfg, model.text).data
+        hooked_t = text_forward(tokens, model.cfg, model.text, hooks, scalings).data
+        plain_v = image_forward(patches, model.cfg, model.image).data
+        hooked_v = image_forward(patches, model.cfg, model.image, hooks, scalings).data
+        err = max(
+            float(np.max(np.abs(plain_t - hooked_t))),
+            float(np.max(np.abs(plain_v - hooked_v))),
+        )
+        trials += n_inputs
+        if err > worst:
+            worst = err
+            detail = f"mode={CouplingMode(mode).value}"
     report = CheckReport(
         name="identity_at_init",
         worst_error=worst,
@@ -245,17 +255,15 @@ def check_fusion_equivalence(
     target = fused if fused is not None else reference
     hooks = hook_set(sites)
     scalings = build_scaling_map(sites)
-    gen = rngmod.derive(seed, "fusion-inputs")
+    tokens, patches = _random_batch(model.cfg, rngmod.derive(seed, "fusion-inputs"), model.dtype, n_inputs)
     worst = 0.0
     detail = ""
-    for _ in range(n_inputs):
-        tokens, patches = random_inputs(model.cfg, gen, model.dtype)
+    if tokens:
         hooked_t = text_forward(tokens, model.cfg, model.text, hooks, scalings).data
         fused_t = text_forward(tokens, target.cfg, target.text).data
         hooked_v = image_forward(patches, model.cfg, model.image, hooks, scalings).data
         fused_v = image_forward(patches, target.cfg, target.image).data
-        err = max(relative_error(hooked_t, fused_t), relative_error(hooked_v, fused_v))
-        worst = max(worst, err)
+        worst = max(relative_error(hooked_t, fused_t), relative_error(hooked_v, fused_v))
     if worst > tol and fused is not None:
         bad = _locate_fused_mismatch(reference, fused)
         if bad:

@@ -327,6 +327,27 @@ def _build_linear(gen):
     return (3, 4), lambda x: ad.linear(x, Tensor(w), Tensor(b))
 
 
+@_case("linear_batched")
+def _build_linear_batched(gen):
+    w = gen.standard_normal((5, 4))
+    b = gen.standard_normal(5)
+    return (2, 3, 4), lambda x: ad.linear(x, Tensor(w), Tensor(b))
+
+
+@_case("linear_batched_weight")
+def _build_linear_batched_weight(gen):
+    x = gen.standard_normal((2, 3, 4))
+    b = gen.standard_normal(5)
+    return (5, 4), lambda w: ad.linear(Tensor(x), w, Tensor(b))
+
+
+@_case("linear_batched_bias")
+def _build_linear_batched_bias(gen):
+    x = gen.standard_normal((2, 3, 4))
+    w = gen.standard_normal((5, 4))
+    return (5,), lambda b: ad.linear(Tensor(x), Tensor(w), b)
+
+
 @_case("layernorm")
 def _build_layernorm(gen):
     g = 1.0 + 0.2 * gen.standard_normal(5)
@@ -358,6 +379,20 @@ def _build_attention_kv(gen):
     return (4, 6), lambda x: ad.attention_core(Tensor(q), x, ad.scale(x, 0.5), n_heads=3)
 
 
+@_case("attention_core_batched")
+def _build_attention_batched(gen):
+    k = gen.standard_normal((3, 4, 6))
+    v = gen.standard_normal((3, 4, 6))
+    mask = ad.causal_mask(4, np.dtype(np.float64))
+    return (3, 4, 6), lambda x: ad.attention_core(x, Tensor(k), Tensor(v), n_heads=2, mask=mask)
+
+
+@_case("attention_core_batched_kv")
+def _build_attention_batched_kv(gen):
+    q = gen.standard_normal((2, 4, 6))
+    return (2, 4, 6), lambda x: ad.attention_core(Tensor(q), x, ad.scale(x, 0.5), n_heads=3)
+
+
 @_case("l2_normalize")
 def _build_l2n(gen):
     return (3, 4), lambda x: ad.l2_normalize(x)
@@ -387,6 +422,12 @@ def _build_mean(gen):
 @_case("row_stack")
 def _build_row_stack(gen):
     return (3, 4), lambda x: ad.stack_rows([ad.row(x, 2), ad.row(x, 0)])
+
+
+@_case("row_batched")
+def _build_row_batched(gen):
+    idx = np.asarray([2, 0, 3])
+    return (3, 4, 5), lambda x: ad.stack_rows([ad.row(ad.row(x, idx), 1), ad.row(ad.row(x, 3), 0)])
 
 
 @_case("pick")
@@ -454,6 +495,32 @@ def test_layernorm_gamma_beta_gradients():
         analytic = tape.backward(loss)[leaf.node].data
         numeric = finite_diff_grad(f, (g0 if which == "gamma" else b0).copy(), 1e-5)
         assert relative_error(analytic, numeric) <= 1e-4
+
+
+def test_batched_primitives_equal_their_per_item_calls():
+    gen = np.random.default_rng(5)
+    x = gen.standard_normal((3, 4, 6))
+    w, b = Tensor(gen.standard_normal((5, 6))), Tensor(gen.standard_normal(5))
+    mask = ad.causal_mask(4, np.dtype(np.float64))
+    lin = ad.linear(Tensor(x), w, b).data
+    att = ad.attention_core(Tensor(x), Tensor(x), Tensor(x), 2, mask).data
+    idx = np.asarray([3, 0, 2])
+    picked = ad.row(Tensor(x), idx).data
+    for i in range(3):
+        xi = Tensor(x[i])
+        assert np.allclose(lin[i], ad.linear(xi, w, b).data, rtol=0, atol=1e-12)
+        assert np.allclose(att[i], ad.attention_core(xi, xi, xi, 2, mask).data, rtol=0, atol=1e-12)
+        assert np.array_equal(picked[i], x[i, idx[i]])
+    assert np.array_equal(ad.row(Tensor(x), 1).data, x[:, 1])
+
+
+def test_row_contract():
+    x = Tensor(np.zeros((3, 4, 5)))
+    for bad in (np.asarray([0, 1]), np.asarray([[0, 1, 2]]), np.asarray([0, 4, 1]), np.asarray([0.0, 1.0, 2.0]), 4):
+        with pytest.raises(ValueError, match="row"):
+            ad.row(x, bad)
+    with pytest.raises(ValueError, match="row"):
+        ad.row(Tensor(np.zeros(5)), 0)
 
 
 def test_tensor_immutability():

@@ -224,6 +224,63 @@ def test_fused_state_round_trip(tmp_path):
     save_checkpoint(path, tensors, doc)
     restored = unpack_state(*load_checkpoint(path))
     assert restored.fused and restored.sites is None and restored.opt_state is None
+    for (name, a), (name2, b) in zip(fused.named_tensors(), restored.model.named_tensors()):
+        assert name == name2 and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _first(tensors, prefix):
+    return next(n for n in tensors if n.startswith(prefix))
+
+
+# each edit returns the tensor name the error must give
+_LAYOUT_FAULTS = {
+    "f64 agent tensor in an f32 checkpoint": lambda t: _retype(t, _first(t, "agent/"), np.float64),
+    "misshapen frozen weight": lambda t: _replace(t, "frozen/image/block0/attn/q/w", np.zeros((3, 3), np.float32)),
+    "unknown agent tensor": lambda t: _replace(t, "agent/bogus", np.zeros(2, np.float32)),
+    "f64 frozen position table": lambda t: _retype(t, "frozen/text/pos", np.float64),
+    "misshapen optimizer moment": lambda t: _replace(t, _first(t, "opt/v/"), np.zeros((1, 1), np.float32)),
+    "missing optimizer moment": lambda t: _drop(t, _first(t, "opt/v/")),
+    "unknown optimizer tensor": lambda t: _replace(t, "opt/m/bogus", np.zeros(2, np.float32)),
+}
+
+
+def _retype(tensors, name, dtype):
+    tensors[name] = tensors[name].astype(dtype)
+    return name
+
+
+def _drop(tensors, name):
+    del tensors[name]
+    return name
+
+
+def _replace(tensors, name, arr):
+    tensors[name] = arr
+    return name
+
+
+@pytest.mark.parametrize("fault", sorted(_LAYOUT_FAULTS))
+def test_unpack_rejects_a_tensor_the_config_does_not_define(tmp_path, fault):
+    run_cfg, model, sites, opt = _full_state()
+    tensors, doc = pack_state(model, sites, opt, run_cfg, seed=0)
+    tensors = dict(tensors)
+    name = _LAYOUT_FAULTS[fault](tensors)
+    path = tmp_path / "bad.bin"
+    save_checkpoint(path, tensors, doc)
+    with pytest.raises(CheckpointError, match=name.replace("[", ".").replace("]", ".")):
+        unpack_state(*load_checkpoint(path))
+
+
+def test_fused_checkpoint_with_agent_tensors_is_rejected(tmp_path):
+    from mailpp.agents import fuse_model
+
+    run_cfg, model, sites, _ = _full_state()
+    tensors, doc = pack_state(fuse_model(model, sites), None, None, run_cfg, seed=1, fused=True)
+    agent, _ = pack_state(model, sites, None, run_cfg, seed=1)
+    name = _first(agent, "agent/")
+    tensors[name] = agent[name]
+    with pytest.raises(CheckpointError, match=name.replace("[", ".").replace("]", ".")):
+        unpack_state(tensors, doc)
 
 
 def test_missing_tensor_is_named(tmp_path):

@@ -167,6 +167,117 @@ def test_blocks_cannot_be_replaced_item_by_item(tiny_model):
 
 
 # ------------------------------------------------------------------
+# batched forward passes: one call per batch equals the stacked per-row calls
+
+_BATCH_TOL = {np.float64: 1e-10, np.float32: 1e-5}
+
+
+def _paths(seed, dtype):
+    """The config and (name, model, hooks, scalings) for a hooked random model and its fused model."""
+    from mailpp.agents import fuse_model
+    from mailpp.verify import randomize_sites
+
+    model = random_toy_model(seed, dtype)
+    sites = build_sites(model.cfg, CouplingMode.BIDIRECTIONAL, 2, 4, rng.derive(seed, "batch-sites"), dtype)
+    randomize_sites(sites, rng.derive(seed, "batch-perturb"))
+    fused = fuse_model(model, sites)
+    return model.cfg, [("hooked", model, hook_set(sites), build_scaling_map(sites)), ("fused", fused, None, None)]
+
+
+def _mixed_batch(cfg, gen, b, dtype):
+    lengths = [1, cfg.N_t] + [int(n) for n in gen.integers(1, cfg.N_t + 1, size=max(b - 2, 0))]
+    tokens = [gen.integers(0, cfg.vocab_size, size=n) for n in lengths[:b]]
+    patches = gen.standard_normal((b, cfg.N_v, cfg.d_v)).astype(dtype)
+    return tokens, patches
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("seed", range(6))
+def test_batch_forward_equals_stacked_rows(seed, dtype):
+    from mailpp.verify import relative_error
+
+    cfg, paths = _paths(seed, dtype)
+    gen = rng.derive(seed, "batch-inputs")
+    for b in (1, 2, 7):
+        tokens, patches = _mixed_batch(cfg, gen, b, dtype)
+        for name, model, hooks, scalings in paths:
+            txt = text_forward(tokens, cfg, model.text, hooks, scalings).data
+            img = image_forward(patches, cfg, model.image, hooks, scalings).data
+            rows_t = np.stack([text_forward(t, cfg, model.text, hooks, scalings).data for t in tokens])
+            rows_v = np.stack([image_forward(p, cfg, model.image, hooks, scalings).data for p in patches])
+            assert txt.shape == rows_t.shape == (b, cfg.d_t) and txt.dtype == dtype
+            assert img.shape == rows_v.shape == (b, cfg.d_t) and img.dtype == dtype
+            assert relative_error(txt, rows_t) <= _BATCH_TOL[dtype], (name, b)
+            assert relative_error(img, rows_v) <= _BATCH_TOL[dtype], (name, b)
+
+
+def test_text_batch_accepts_a_2d_id_array(tiny_cfg, tiny_model):
+    ids = rng.derive(13, "ids").integers(0, tiny_cfg.vocab_size, size=(3, 4))
+    assert np.array_equal(
+        text_forward(ids, tiny_cfg, tiny_model.text).data,
+        text_forward([list(r) for r in ids], tiny_cfg, tiny_model.text).data,
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_batched_hooks_at_init_are_bitwise_identity(dtype):
+    for seed in range(4):
+        model = random_toy_model(seed, dtype)
+        tokens, patches = _mixed_batch(model.cfg, rng.derive(seed, "id-inputs"), 5, dtype)
+        plain_t = text_forward(tokens, model.cfg, model.text).data
+        plain_v = image_forward(patches, model.cfg, model.image).data
+        for mode in CouplingMode:
+            sites = build_sites(model.cfg, mode, 2, 4, rng.derive(seed, "id-sites", mode.value), dtype)
+            hooks, scalings = hook_set(sites), build_scaling_map(sites)
+            assert np.array_equal(plain_t, text_forward(tokens, model.cfg, model.text, hooks, scalings).data)
+            assert np.array_equal(plain_v, image_forward(patches, model.cfg, model.image, hooks, scalings).data)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_pad_id_does_not_reach_the_features(monkeypatch, dtype):
+    import mailpp.encoder
+
+    for seed in range(3):
+        cfg, paths = _paths(seed, dtype)
+        tokens, _ = _mixed_batch(cfg, rng.derive(seed, "pad-inputs"), 6, dtype)
+        for _, model, hooks, scalings in paths:
+            feats = []
+            for pad in (0, cfg.vocab_size - 1):
+                monkeypatch.setattr(mailpp.encoder, "PAD_ID", pad)
+                feats.append(text_forward(tokens, cfg, model.text, hooks, scalings).data)
+            assert feats[0].tobytes() == feats[1].tobytes()
+
+
+def test_batch_contract(tiny_cfg, tiny_model):
+    from mailpp.training import evaluate
+
+    with pytest.raises(ValueError, match="empty batch"):
+        text_forward(np.empty((0, 3), dtype=np.int64), tiny_cfg, tiny_model.text)
+    with pytest.raises(ValueError, match="non-empty"):
+        text_forward([[1, 2], []], tiny_cfg, tiny_model.text)
+    with pytest.raises(ValueError, match="exceeds N_t"):
+        text_forward([[1, 2], list(range(tiny_cfg.N_t + 1))], tiny_cfg, tiny_model.text)
+    with pytest.raises(ValueError, match="vocabulary"):
+        text_forward([[1, 2], [tiny_cfg.vocab_size]], tiny_cfg, tiny_model.text)
+    with pytest.raises(ValueError, match="non-empty 1-D"):
+        text_forward(np.zeros((2, 2, 2), dtype=np.int64), tiny_cfg, tiny_model.text)
+    with pytest.raises(ValueError, match="empty batch"):
+        image_forward(np.empty((0, tiny_cfg.N_v, tiny_cfg.d_v)), tiny_cfg, tiny_model.image)
+    for shape in (
+        (2, tiny_cfg.N_v, tiny_cfg.d_v + 1),
+        (2, tiny_cfg.N_v + 1, tiny_cfg.d_v),
+        (1, 2, tiny_cfg.N_v, tiny_cfg.d_v),
+        (tiny_cfg.d_v,),
+    ):
+        with pytest.raises(ValueError, match="patch tokens"):
+            image_forward(np.ones(shape), tiny_cfg, tiny_model.image)
+    with pytest.raises(ValueError, match="non-empty"):
+        evaluate(tiny_model, None, np.empty((0, tiny_cfg.N_v, tiny_cfg.d_v)), np.empty(0, dtype=np.int64), [[1, 2]])
+    with pytest.raises(ValueError, match="batch"):
+        evaluate(tiny_model, None, np.ones((tiny_cfg.N_v, tiny_cfg.d_v)), np.zeros(1, dtype=np.int64), [[1, 2]])
+
+
+# ------------------------------------------------------------------
 # classify
 
 

@@ -284,3 +284,27 @@ def test_evaluate_matches_train_accuracy_field():
     st = train(model, sites, tcfg, ep, seed=0)
     acc = evaluate(model, sites, ep.train_images, ep.train_labels, ep.base_tokens)
     assert acc == pytest.approx(st.final_train_accuracy)
+
+
+@pytest.mark.parametrize("eval_batch", [1, 7, 32, 1000])
+def test_evaluate_in_any_batch_size_matches_per_row_features(monkeypatch, eval_batch):
+    import mailpp.training
+    from mailpp.agents import build_scaling_map, hook_set
+    from mailpp.training import _accuracy, _feats_image, _feats_text
+    from mailpp.verify import randomize_sites
+
+    model, sites, _, _ = _episode_setup()
+    model = model.astype(np.float64)
+    sites = build_sites(model.cfg, CouplingMode.BIDIRECTIONAL, 2, 4, rng.derive(1, "s"), np.float64)
+    randomize_sites(sites, rng.derive(2, "p"), spread=0.5)
+    gen = rng.derive(3, "pool")
+    images = gen.standard_normal((70, model.cfg.N_v, model.cfg.d_v))
+    tokens = [[1, 2 + c] * (1 + c % 3) for c in range(5)]
+    labels = gen.integers(0, len(tokens), size=70)
+    hooks, scalings = hook_set(sites), build_scaling_map(sites)
+    txt = _feats_text(model, tokens, hooks, scalings).data
+    img = _feats_image(model, images, hooks, scalings).data
+    want = _accuracy(img, txt, labels)
+    assert 0.0 < want < 1.0
+    monkeypatch.setattr(mailpp.training, "EVAL_BATCH", eval_batch)
+    assert evaluate(model, sites, images, labels, tokens) == want
