@@ -15,15 +15,13 @@ from .agents import (
     SiteKey,
     bridge_norm,
     build_sites,
-    effective_scalings,
     fuse_layernorm,
     fuse_linear,
     fuse_model,
-    hook_set,
 )
 from .autodiff import NonFiniteError, Tape, Tensor
 from .config import ConfigError, RunConfig, parse_config
-from .encoder import DualEncoder, EncoderConfig, classify, image_forward, init_dual_encoder, text_forward
+from .encoder import DualEncoder, EncoderConfig, image_forward, init_dual_encoder, text_forward
 from .training import (
     Episode,
     SyntheticDataset,

@@ -13,18 +13,24 @@ and a meta-scaling vector:
                   a_t_eff = a_t + W_up_t . W_down_t . a_m
 
 Bridges start at zero output (W_up = 0), so every mode is exactly
-transparent at initialization. ``bridge_shift`` mirrors the same rule
-onto the shifting vectors with separate bridges (and a separate meta
-shift vector in bidirectional mode); it is off by default.
+transparent at initialization. ``bridge_shift`` applies the same rule
+(``_BRIDGES``) to the shifting vectors with separate bridges (and a
+separate meta shift vector in bidirectional mode); it is off by default.
 
-After training, agents fold exactly into the frozen parameters:
-LayerNorm gamma' = gamma * a, beta' = beta * a + b; linear rows scale
-as W'[i] = a[i] * W[i], bias' = bias * a + b.
+The encoders see the sites only through ``build_scaling_map``: one
+(a_eff, b_eff) pair per hook key, (modality, block | None, position).
+
+After training, agents fold exactly into the frozen parameters, the
+re-parameterisation of SSF (Lian et al., NeurIPS 2022). ``_FOLDS`` maps
+each position to the frozen tensors it folds into (1a -> ln1, 1b -> ln2,
+2 -> attn/o, 3 -> mlp/fc2, 4 -> final_ln, 5 -> proj): LayerNorm
+gamma' = gamma * a, beta' = beta * a + b; linear rows scale as
+W'[i] = a[i] * W[i], bias' = bias * a + b.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping
 
@@ -36,15 +42,9 @@ from .encoder import (
     ALL_POSITIONS,
     BLOCK_POSITIONS,
     FINAL_POSITIONS,
-    AttentionParams,
-    BlockWeights,
     DualEncoder,
     EncoderConfig,
     EncoderWeights,
-    HookSet,
-    LayerNormParams,
-    LinearParams,
-    MlpParams,
     Modality,
     Position,
     ScalingMap,
@@ -58,9 +58,6 @@ __all__ = [
     "SiteKey",
     "CoupledAgentSite",
     "build_sites",
-    "hook_set",
-    "agent_apply",
-    "effective_scalings",
     "build_scaling_map",
     "fuse_layernorm",
     "fuse_linear",
@@ -149,13 +146,12 @@ class MetaScalingVector:
         return self.a_m.shape[0]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class SiteKey:
     """Insertion position: (block index, pos) for in-block sites, (None, pos) for final ones."""
 
-    sort_index: tuple = field(init=False, repr=False, compare=True)
-    block: int | None = field(compare=False, default=None)
-    pos: Position = field(compare=False, default="4")
+    block: int | None = None
+    pos: Position = "4"
 
     def __post_init__(self):
         if self.pos in BLOCK_POSITIONS:
@@ -166,12 +162,6 @@ class SiteKey:
                 raise ValueError(f"position {self.pos} takes no block index")
         else:
             raise ValueError(f"unknown position {self.pos!r}")
-        order = (0, self.block, BLOCK_POSITIONS.index(self.pos)) if self.block is not None else (
-            1,
-            0,
-            FINAL_POSITIONS.index(self.pos),
-        )
-        object.__setattr__(self, "sort_index", order)
 
     def __str__(self) -> str:
         return f"block{self.block}.{self.pos}" if self.block is not None else f"final.{self.pos}"
@@ -184,6 +174,23 @@ class SiteKey:
         if head.startswith("block"):
             return cls(block=int(head[5:]), pos=pos)
         raise ValueError(f"bad site key {text!r}")
+
+
+# The coupling rule: each mode's bridges, as (field, side it adds to, vector
+# it reads). The scales couple through (bridge_v, bridge_t, meta/a_m); with
+# bridge_shift the shifts couple by the same rule through (shift_bridge_v,
+# shift_bridge_t, shift_meta/b_m). A meta vector exists where a bridge reads it.
+_BRIDGES: dict[CouplingMode, tuple[tuple[str, Modality, str], ...]] = {
+    CouplingMode.IVLU: (),
+    CouplingMode.TEXT_TO_IMAGE: (("bridge_v", "image", "text"),),
+    CouplingMode.IMAGE_TO_TEXT: (("bridge_t", "text", "image"),),
+    CouplingMode.BIDIRECTIONAL: (("bridge_v", "image", "meta"), ("bridge_t", "text", "meta")),
+}
+_COUPLED_PAIRS = (("", "meta/a_m"), ("shift_", "shift_meta/b_m"))  # (field prefix, meta parameter name)
+
+
+def _has_meta(mode: CouplingMode) -> bool:
+    return any(source == "meta" for _, _, source in _BRIDGES[mode])
 
 
 @dataclass
@@ -203,41 +210,26 @@ class CoupledAgentSite:
     shift_meta: MetaScalingVector | None = None
 
     def __post_init__(self):
-        m = self.mode
-        if m == CouplingMode.IVLU:
-            if self.bridge_v or self.bridge_t or self.meta:
-                raise ValueError("ivlu sites carry no bridges and no meta vector")
-            if self.bridge_shift:
-                raise ValueError("bridge_shift requires a coupled mode")
-        elif m == CouplingMode.TEXT_TO_IMAGE:
-            if self.bridge_v is None or self.bridge_t is not None or self.meta is not None:
-                raise ValueError("text_to_image sites need exactly bridge_v")
-            self._check_bridge(self.bridge_v, self.text_agent.dim, self.image_agent.dim)
-        elif m == CouplingMode.IMAGE_TO_TEXT:
-            if self.bridge_t is None or self.bridge_v is not None or self.meta is not None:
-                raise ValueError("image_to_text sites need exactly bridge_t")
-            self._check_bridge(self.bridge_t, self.image_agent.dim, self.text_agent.dim)
-        else:  # bidirectional
-            if self.bridge_v is None or self.bridge_t is None or self.meta is None:
-                raise ValueError("bidirectional sites need bridge_v, bridge_t and a meta vector")
-            self._check_bridge(self.bridge_v, self.meta.dim, self.image_agent.dim)
-            self._check_bridge(self.bridge_t, self.meta.dim, self.text_agent.dim)
-        if self.bridge_shift:
-            if m == CouplingMode.TEXT_TO_IMAGE and self.shift_bridge_v is None:
-                raise ValueError("bridge_shift on text_to_image needs shift_bridge_v")
-            if m == CouplingMode.IMAGE_TO_TEXT and self.shift_bridge_t is None:
-                raise ValueError("bridge_shift on image_to_text needs shift_bridge_t")
-            if m == CouplingMode.BIDIRECTIONAL and (
-                self.shift_bridge_v is None or self.shift_bridge_t is None or self.shift_meta is None
-            ):
-                raise ValueError("bridge_shift on bidirectional needs both shift bridges and a shift meta")
-
-    @staticmethod
-    def _check_bridge(bridge: BridgeFunction, in_dim: int, out_dim: int) -> None:
-        if bridge.in_dim != in_dim or bridge.out_dim != out_dim:
-            raise ValueError(
-                f"bridge dims ({bridge.in_dim} -> {bridge.out_dim}) do not match site ({in_dim} -> {out_dim})"
-            )
+        if self.bridge_shift and self.mode == CouplingMode.IVLU:
+            raise ValueError("bridge_shift requires a coupled mode")
+        for prefix, _ in _COUPLED_PAIRS:
+            bridges = _BRIDGES[self.mode] if self.bridge_shift or not prefix else ()
+            want = {prefix + field for field, _, _ in bridges}
+            if bridges and _has_meta(self.mode):
+                want.add(prefix + "meta")
+            fields = (prefix + "bridge_v", prefix + "bridge_t", prefix + "meta")
+            have = {f for f in fields if getattr(self, f) is not None}
+            if have != want:
+                raise ValueError(f"{self.mode.value} sites need exactly {sorted(want)}, got {sorted(have)}")
+            meta = getattr(self, prefix + "meta")
+            dims = {"image": self.image_agent.dim, "text": self.text_agent.dim, "meta": meta and meta.dim}
+            for field, side, source in bridges:
+                bridge = getattr(self, prefix + field)
+                if bridge.in_dim != dims[source] or bridge.out_dim != dims[side]:
+                    raise ValueError(
+                        f"bridge dims ({bridge.in_dim} -> {bridge.out_dim}) do not match site "
+                        f"({dims[source]} -> {dims[side]})"
+                    )
 
     # ---- trainable parameter registry -------------------------------
 
@@ -247,22 +239,14 @@ class CoupledAgentSite:
         yield "image/b", self.image_agent.b
         yield "text/a", self.text_agent.a
         yield "text/b", self.text_agent.b
-        if self.meta is not None:
-            yield "meta/a_m", self.meta.a_m
-        if self.bridge_v is not None:
-            yield "bridge_v/w_up", self.bridge_v.w_up
-            yield "bridge_v/w_down", self.bridge_v.w_down
-        if self.bridge_t is not None:
-            yield "bridge_t/w_up", self.bridge_t.w_up
-            yield "bridge_t/w_down", self.bridge_t.w_down
-        if self.shift_meta is not None:
-            yield "shift_meta/b_m", self.shift_meta.a_m
-        if self.shift_bridge_v is not None:
-            yield "shift_bridge_v/w_up", self.shift_bridge_v.w_up
-            yield "shift_bridge_v/w_down", self.shift_bridge_v.w_down
-        if self.shift_bridge_t is not None:
-            yield "shift_bridge_t/w_up", self.shift_bridge_t.w_up
-            yield "shift_bridge_t/w_down", self.shift_bridge_t.w_down
+        for prefix, meta_name in _COUPLED_PAIRS:  # the shift fields are None without bridge_shift
+            if getattr(self, prefix + "meta") is not None:
+                yield meta_name, getattr(self, prefix + "meta").a_m
+            for field in (prefix + "bridge_v", prefix + "bridge_t"):
+                bridge = getattr(self, field)
+                if bridge is not None:
+                    yield f"{field}/w_up", bridge.w_up
+                    yield f"{field}/w_down", bridge.w_down
 
     def set_param(self, local_name: str, value: np.ndarray) -> None:
         holder, _, leafname = local_name.partition("/")
@@ -294,47 +278,31 @@ class CoupledAgentSite:
                 return values[full]
         return Tensor(raw)
 
+    def _couple(
+        self, values: Mapping[str, Tensor] | None, v: Tensor, t: Tensor, prefix: str, meta_name: str
+    ) -> tuple[Tensor, Tensor]:
+        """One (image, text) vector pair after the mode's bridges (``_BRIDGES``)."""
+        vectors = {"image": v, "text": t}
+        if _has_meta(self.mode):
+            vectors["meta"] = self._value(values, meta_name, getattr(self, prefix + "meta").a_m)
+        out = {"image": v, "text": t}
+        for field, side, source in _BRIDGES[self.mode]:
+            bridge = getattr(self, prefix + field)
+            w_up = self._value(values, f"{prefix}{field}/w_up", bridge.w_up)
+            w_down = self._value(values, f"{prefix}{field}/w_down", bridge.w_down)
+            out[side] = ad.add(out[side], ad.matmul(w_up, ad.matmul(w_down, vectors[source])))
+        return out["image"], out["text"]
+
     def effective(self, values: Mapping[str, Tensor] | None = None) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         """(a_v_eff, a_t_eff, b_v_eff, b_t_eff), on the tape if values are leaves."""
         a_v = self._value(values, "image/a", self.image_agent.a)
         a_t = self._value(values, "text/a", self.text_agent.a)
         b_v = self._value(values, "image/b", self.image_agent.b)
         b_t = self._value(values, "text/b", self.text_agent.b)
-
-        def through(bridge: BridgeFunction, prefix: str, source: Tensor) -> Tensor:
-            w_up = self._value(values, f"{prefix}/w_up", bridge.w_up)
-            w_down = self._value(values, f"{prefix}/w_down", bridge.w_down)
-            return ad.matmul(w_up, ad.matmul(w_down, source))
-
-        if self.mode == CouplingMode.TEXT_TO_IMAGE:
-            a_v = ad.add(a_v, through(self.bridge_v, "bridge_v", a_t))
-            if self.bridge_shift:
-                b_v = ad.add(b_v, through(self.shift_bridge_v, "shift_bridge_v", b_t))
-        elif self.mode == CouplingMode.IMAGE_TO_TEXT:
-            a_t = ad.add(a_t, through(self.bridge_t, "bridge_t", a_v))
-            if self.bridge_shift:
-                b_t = ad.add(b_t, through(self.shift_bridge_t, "shift_bridge_t", b_v))
-        elif self.mode == CouplingMode.BIDIRECTIONAL:
-            a_m = self._value(values, "meta/a_m", self.meta.a_m)
-            a_v = ad.add(a_v, through(self.bridge_v, "bridge_v", a_m))
-            a_t = ad.add(a_t, through(self.bridge_t, "bridge_t", a_m))
-            if self.bridge_shift:
-                b_m = self._value(values, "shift_meta/b_m", self.shift_meta.a_m)
-                b_v = ad.add(b_v, through(self.shift_bridge_v, "shift_bridge_v", b_m))
-                b_t = ad.add(b_t, through(self.shift_bridge_t, "shift_bridge_t", b_m))
+        a_v, a_t = self._couple(values, a_v, a_t, *_COUPLED_PAIRS[0])
+        if self.bridge_shift:
+            b_v, b_t = self._couple(values, b_v, b_t, *_COUPLED_PAIRS[1])
         return a_v, a_t, b_v, b_t
-
-
-def agent_apply(y: Tensor, agent: AgentLayer, effective_a: Tensor | None = None) -> Tensor:
-    """y * a + b over the last axis; ``effective_a`` substitutes the raw scaling."""
-    a = effective_a if effective_a is not None else Tensor(agent.a)
-    return ad.affine(y, a, Tensor(agent.b))
-
-
-def effective_scalings(site: CoupledAgentSite, values: Mapping[str, Tensor] | None = None) -> tuple[Tensor, Tensor]:
-    """The site's (a_v_eff, a_t_eff) under its coupling mode."""
-    a_v, a_t, _, _ = site.effective(values)
-    return a_v, a_t
 
 
 # ------------------------------------------------------------------
@@ -363,52 +331,22 @@ def build_sites(
 
     sites: dict[SiteKey, CoupledAgentSite] = {}
     for key in keys:
-        w_v = cfg.hook_width("image", key.pos)
-        w_t = cfg.hook_width("text", key.pos)
-        image_agent = AgentLayer.identity(w_v, dtype)
-        text_agent = AgentLayer.identity(w_t, dtype)
-        bridge_v = bridge_t = meta = None
-        sb_v = sb_t = s_meta = None
-        if mode == CouplingMode.TEXT_TO_IMAGE:
-            bridge_v = BridgeFunction.init(w_t, w_v, rank, rng, dtype)
-            if bridge_shift:
-                sb_v = BridgeFunction.init(w_t, w_v, rank, rng, dtype)
-        elif mode == CouplingMode.IMAGE_TO_TEXT:
-            bridge_t = BridgeFunction.init(w_v, w_t, rank, rng, dtype)
-            if bridge_shift:
-                sb_t = BridgeFunction.init(w_v, w_t, rank, rng, dtype)
-        elif mode == CouplingMode.BIDIRECTIONAL:
-            meta = MetaScalingVector(np.ones(d_m, dtype=dtype))
-            bridge_v = BridgeFunction.init(d_m, w_v, rank, rng, dtype)
-            bridge_t = BridgeFunction.init(d_m, w_t, rank, rng, dtype)
-            if bridge_shift:
-                s_meta = MetaScalingVector(np.ones(d_m, dtype=dtype))
-                sb_v = BridgeFunction.init(d_m, w_v, rank, rng, dtype)
-                sb_t = BridgeFunction.init(d_m, w_t, rank, rng, dtype)
-        elif bridge_shift:
-            raise ValueError("bridge_shift requires a coupled mode")
+        widths = {"image": cfg.hook_width("image", key.pos), "text": cfg.hook_width("text", key.pos), "meta": d_m}
+        coupling = {}
+        for prefix, _ in _COUPLED_PAIRS[: 1 + bridge_shift]:
+            if _has_meta(mode):
+                coupling[prefix + "meta"] = MetaScalingVector(np.ones(d_m, dtype=dtype))
+            for field, side, source in _BRIDGES[mode]:
+                coupling[prefix + field] = BridgeFunction.init(widths[source], widths[side], rank, rng, dtype)
         sites[key] = CoupledAgentSite(
             key=key,
             mode=mode,
-            image_agent=image_agent,
-            text_agent=text_agent,
-            bridge_v=bridge_v,
-            bridge_t=bridge_t,
-            meta=meta,
+            image_agent=AgentLayer.identity(widths["image"], dtype),
+            text_agent=AgentLayer.identity(widths["text"], dtype),
             bridge_shift=bridge_shift,
-            shift_bridge_v=sb_v,
-            shift_bridge_t=sb_t,
-            shift_meta=s_meta,
+            **coupling,
         )
     return sites
-
-
-def hook_set(sites: Mapping[SiteKey, CoupledAgentSite]) -> HookSet:
-    agents = {}
-    for key, site in sites.items():
-        agents[("image", key.block, key.pos)] = site.image_agent
-        agents[("text", key.block, key.pos)] = site.text_agent
-    return HookSet(agents)
 
 
 def build_scaling_map(
@@ -457,72 +395,38 @@ def fuse_linear(
     return w * a[:, None], bias * a + b
 
 
+# position -> (fold, scale tensor, shift tensor), names under frozen/<m>/[block<i>/]
+_FOLDS: dict[Position, tuple] = {
+    "1a": (fuse_layernorm, "ln1/gamma", "ln1/beta"),
+    "1b": (fuse_layernorm, "ln2/gamma", "ln2/beta"),
+    "2": (fuse_linear, "attn/o/w", "attn/o/b"),
+    "3": (fuse_linear, "mlp/fc2/w", "mlp/fc2/b"),
+    "4": (fuse_layernorm, "final_ln/gamma", "final_ln/beta"),
+    "5": (fuse_linear, "proj/w", "proj/b"),
+}
+
+
 def _fuse_encoder(
-    weights: EncoderWeights,
-    cfg: EncoderConfig,
-    sites: Mapping[SiteKey, CoupledAgentSite],
-    modality: Modality,
+    weights: EncoderWeights, sites: Mapping[SiteKey, CoupledAgentSite], modality: Modality
 ) -> EncoderWeights:
-    eff: dict[SiteKey, tuple[np.ndarray, np.ndarray]] = {}
+    arrays = {name: arr.copy() for name, arr in weights.arrays.items()}
     for key, site in sites.items():
         a_v, a_t, b_v, b_t = site.effective(None)
-        eff[key] = (a_v.data, b_v.data) if modality == "image" else (a_t.data, b_t.data)
-
-    def agent_of(key: SiteKey) -> AgentLayer:
-        return sites[key].image_agent if modality == "image" else sites[key].text_agent
-
-    def fused_ln(ln: LayerNormParams, key: SiteKey) -> LayerNormParams:
-        if key not in sites:
-            return LayerNormParams(ln.gamma.copy(), ln.beta.copy())
-        a, b = eff[key]
-        g2, b2 = fuse_layernorm(ln.gamma, ln.beta, agent_of(key), a, b)
-        return LayerNormParams(g2, b2)
-
-    def fused_lin(lin: LinearParams, key: SiteKey) -> LinearParams:
-        if key not in sites:
-            return LinearParams(lin.w.copy(), lin.b.copy())
-        a, b = eff[key]
-        w2, b2 = fuse_linear(lin.w, lin.b, agent_of(key), a, b)
-        return LinearParams(w2, b2)
-
-    def copy_lin(lin: LinearParams) -> LinearParams:
-        return LinearParams(lin.w.copy(), lin.b.copy())
-
-    blocks = []
-    for i, blk in enumerate(weights.blocks):
-        blocks.append(
-            BlockWeights(
-                ln1=fused_ln(blk.ln1, SiteKey(i, "1a")),
-                attn=AttentionParams(
-                    w_q=copy_lin(blk.attn.w_q),
-                    w_k=copy_lin(blk.attn.w_k),
-                    w_v=copy_lin(blk.attn.w_v),
-                    w_o=fused_lin(blk.attn.w_o, SiteKey(i, "2")),
-                ),
-                ln2=fused_ln(blk.ln2, SiteKey(i, "1b")),
-                mlp=MlpParams(fc1=copy_lin(blk.mlp.fc1), fc2=fused_lin(blk.mlp.fc2, SiteKey(i, "3"))),
-            )
+        a, b, agent = (a_v, b_v, site.image_agent) if modality == "image" else (a_t, b_t, site.text_agent)
+        fold, scale_name, shift_name = _FOLDS[key.pos]
+        p = f"frozen/{modality}/" if key.block is None else f"frozen/{modality}/block{key.block}/"
+        arrays[p + scale_name], arrays[p + shift_name] = fold(
+            arrays[p + scale_name], arrays[p + shift_name], agent, a.data, b.data
         )
-    return EncoderWeights(
-        modality=weights.modality,
-        embed=None if weights.embed is None else weights.embed.copy(),
-        pos=weights.pos.copy(),
-        cls_token=None if weights.cls_token is None else weights.cls_token.copy(),
-        blocks=blocks,
-        final_ln=fused_ln(weights.final_ln, SiteKey(None, "4")),
-        proj=fused_lin(weights.proj, SiteKey(None, "5")),
-    )
+    return EncoderWeights(modality, arrays)
 
 
 def fuse_model(model: DualEncoder, sites: Mapping[SiteKey, CoupledAgentSite]) -> DualEncoder:
-    """Fold every site into the frozen weights; the result has no hooks left."""
-    for key in sites:
-        if key.pos not in ALL_POSITIONS:
-            raise ValueError(f"site {key} is not attached to a foldable layer")
+    """Fold every site into the frozen weights; the result shares no array with ``model`` and has no hooks."""
     return DualEncoder(
         cfg=model.cfg,
-        text=_fuse_encoder(model.text, model.cfg, sites, "text"),
-        image=_fuse_encoder(model.image, model.cfg, sites, "image"),
+        text=_fuse_encoder(model.text, sites, "text"),
+        image=_fuse_encoder(model.image, sites, "image"),
     )
 
 

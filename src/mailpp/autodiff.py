@@ -54,7 +54,6 @@ __all__ = [
     "gelu",
     "attention_core",
     "causal_mask",
-    "cosine_similarity",
     "l2_normalize",
     "reduce_sum",
     "mean",
@@ -415,9 +414,9 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     inner = _erf(x * np.float64(0.7071067811865476)).astype(x.dtype)
     out = 0.5 * x * (1.0 + inner)
-    pdf = (np.exp(-0.5 * x * x) * x.dtype.type(0.3989422804014327)).astype(x.dtype)
 
-    def vjp(g):
+    def vjp(g):  # the normal pdf is only needed here, so untaped passes skip it
+        pdf = (np.exp(-0.5 * x * x) * x.dtype.type(0.3989422804014327)).astype(x.dtype)
         return (g * (0.5 * (1.0 + inner) + x * pdf),)
 
     return _emit("gelu", out, (a,), vjp)
@@ -642,28 +641,6 @@ def l2_normalize(a: Tensor, min_norm: float = 0.0) -> Tensor:
         return ((g - y * inner) / norms,)
 
     return _emit("l2_normalize", y, (a,), vjp)
-
-
-def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
-    """Cosine of the angle between two vectors, in [-1, 1]."""
-    _same_precision("cosine_similarity", u, v)
-    if u.ndim != 1 or u.shape != v.shape:
-        raise ValueError(f"cosine_similarity: expected equal-length vectors, got {u.shape} and {v.shape}")
-    nu = float(np.linalg.norm(u.data))
-    nv = float(np.linalg.norm(v.data))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine_similarity: zero-norm input")
-    ud, vd = u.data, v.data
-    c = float(ud @ vd) / (nu * nv)
-    out = np.asarray(c, dtype=ud.dtype)
-
-    def vjp(g):
-        gs = float(g)
-        du = gs * (vd / (nu * nv) - ud * (c / (nu * nu)))
-        dv = gs * (ud / (nu * nv) - vd * (c / (nv * nv)))
-        return du.astype(ud.dtype), dv.astype(vd.dtype)
-
-    return _emit("cosine_similarity", out, (u, v), vjp)
 
 
 # ------------------------------------------------------------------

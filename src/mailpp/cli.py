@@ -219,17 +219,16 @@ def _gradcheck_reports(run_cfg: RunConfig, seed: int) -> list[CheckReport]:
     images = gen.standard_normal((n_batch, enc.N_v, enc.d_v))
     labels = np.asarray([i % n_classes for i in range(n_batch)])
 
-    from .agents import build_scaling_map, hook_set
+    from .agents import build_scaling_map
     from .training import _feats_image, _feats_text
 
-    hooks = hook_set(sites)
     frozen_txt = _feats_text(model, tokens).data
     frozen_img = _feats_image(model, images).data
 
     def loss_of_params(values) -> Tensor:
         scalings = build_scaling_map(sites, values)
-        txt = _feats_text(model, tokens, hooks, scalings)
-        img = _feats_image(model, images, hooks, scalings)
+        txt = _feats_text(model, tokens, scalings)
+        img = _feats_image(model, images, scalings)
         ce = ce_loss(img, txt, labels, t.temperature)
         rv, rt = reg_losses(img, frozen_img, txt, frozen_txt)
         return total_loss(ce, rv, rt, t.lam)

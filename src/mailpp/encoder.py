@@ -6,7 +6,7 @@ mask and reads its feature from the last token; the image encoder is
 bidirectional and reads from the class token, then projects to the text
 width so the two feature spaces are comparable by cosine similarity.
 
-Agent hooks can be attached at five positions:
+Agent hooks can be attached at six positions:
 
   1a  after the first per-block LayerNorm
   1b  after the second per-block LayerNorm
@@ -15,34 +15,39 @@ Agent hooks can be attached at five positions:
   4   after the final LayerNorm
   5   after the final projection
 
+A forward pass takes an optional ``ScalingMap``: (modality, block | None,
+position) -> (a_eff, b_eff). A position found in it is scaled and shifted
+per channel (``y * a_eff + b_eff``); every other position passes through.
+
 Both forward passes take one input or a batch: (N_v, d_v) patches or a
 (B, N_v, d_v) batch, one id sequence or a list of them. A text batch is
 right-padded to its longest sequence and each row is read at its own last
 token; the causal mask makes this exact (see ``text_forward``).
 
-Weights are frozen: they are plain numpy arrays, never registered on a
-tape, and never receive gradients. The weight dataclasses are frozen too,
-so a field cannot be rebound. Each ``EncoderWeights`` wraps its arrays as
-Tensors once (``EncoderWeights.tensors``): read-only, zero-copy views,
-finite-checked when first built, that the forward passes index instead of
-copying and checking every weight on every call. An in-place write to a
-weight array shows through its view; a non-finite value written that way
-is caught by the finite check on the output of the primitive that reads it.
+Weights are frozen: plain numpy arrays, never registered on a tape, and
+never given gradients. Each modality keeps them in one read-only table,
+``EncoderWeights.arrays``: checkpoint name -> array, in the order of
+``weight_shapes``, which is the only statement of the layout. Neither the
+table nor an entry of it can be rebound. Each ``EncoderWeights`` wraps its
+arrays as Tensors once (``EncoderWeights.tensors``): read-only, zero-copy
+views, finite-checked when first built, that the forward passes index
+instead of copying and checking every weight on every call. An in-place
+write to a weight array shows through its view; a non-finite value written
+that way is caught by the finite check on the output of the primitive that
+reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, Literal
+from types import MappingProxyType
+from typing import Iterator, Literal, Mapping
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-
-if TYPE_CHECKING:
-    from .agents import AgentLayer
 
 __all__ = [
     "Modality",
@@ -51,20 +56,14 @@ __all__ = [
     "FINAL_POSITIONS",
     "ALL_POSITIONS",
     "EncoderConfig",
-    "LayerNormParams",
-    "AttentionParams",
-    "MlpParams",
-    "LinearParams",
-    "BlockWeights",
     "EncoderWeights",
     "DualEncoder",
-    "HookSet",
+    "ScalingMap",
     "init_encoder_weights",
     "init_dual_encoder",
     "weight_shapes",
     "text_forward",
     "image_forward",
-    "classify",
 ]
 
 Modality = Literal["image", "text"]
@@ -113,108 +112,29 @@ class EncoderConfig:
 
 
 @dataclass(frozen=True)
-class LayerNormParams:
-    gamma: np.ndarray
-    beta: np.ndarray
-
-
-@dataclass(frozen=True)
-class LinearParams:
-    w: np.ndarray  # (d_out, d_in)
-    b: np.ndarray  # (d_out,)
-
-
-@dataclass(frozen=True)
-class AttentionParams:
-    w_q: LinearParams
-    w_k: LinearParams
-    w_v: LinearParams
-    w_o: LinearParams
-
-
-@dataclass(frozen=True)
-class MlpParams:
-    fc1: LinearParams
-    fc2: LinearParams
-
-
-@dataclass(frozen=True)
-class BlockWeights:
-    ln1: LayerNormParams
-    attn: AttentionParams
-    ln2: LayerNormParams
-    mlp: MlpParams
-
-
-@dataclass(frozen=True)
 class EncoderWeights:
-    """Frozen parameters for one modality."""
+    """Frozen parameters for one modality: one read-only name -> array table.
+
+    ``arrays`` is keyed by the checkpoint names (``frozen/<m>/embed``,
+    ``frozen/<m>/block<i>/attn/q/w``, ...) in ``weight_shapes`` order.
+    """
 
     modality: Modality
-    embed: np.ndarray | None  # text: (vocab, d_t); image: None (patches arrive pre-tokenized)
-    pos: np.ndarray  # text: (N_t, d_t); image: (N_v + 1, d_v)
-    cls_token: np.ndarray | None  # image only, (d_v,)
-    blocks: tuple[BlockWeights, ...]
-    final_ln: LayerNormParams
-    proj: LinearParams
+    arrays: Mapping[str, np.ndarray]
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))  # no item rebinding either
+        object.__setattr__(self, "arrays", MappingProxyType(dict(self.arrays)))  # no entry rebinding either
 
     @cached_property
     def tensors(self) -> dict[str, Tensor]:
-        """``named_tensors()`` as read-only Tensor views, built and checked once."""
-        return {name: Tensor.view(arr, name) for name, arr in self.named_tensors()}
+        """``arrays`` as read-only Tensor views, built and checked once."""
+        return {name: Tensor.view(arr, name) for name, arr in self.arrays.items()}
 
     def named_tensors(self) -> Iterator[tuple[str, np.ndarray]]:
-        m = self.modality
-        if self.embed is not None:
-            yield f"frozen/{m}/embed", self.embed
-        yield f"frozen/{m}/pos", self.pos
-        if self.cls_token is not None:
-            yield f"frozen/{m}/cls", self.cls_token
-        for i, blk in enumerate(self.blocks):
-            p = f"frozen/{m}/block{i}"
-            yield f"{p}/ln1/gamma", blk.ln1.gamma
-            yield f"{p}/ln1/beta", blk.ln1.beta
-            for tag, lin in (("q", blk.attn.w_q), ("k", blk.attn.w_k), ("v", blk.attn.w_v), ("o", blk.attn.w_o)):
-                yield f"{p}/attn/{tag}/w", lin.w
-                yield f"{p}/attn/{tag}/b", lin.b
-            yield f"{p}/ln2/gamma", blk.ln2.gamma
-            yield f"{p}/ln2/beta", blk.ln2.beta
-            yield f"{p}/mlp/fc1/w", blk.mlp.fc1.w
-            yield f"{p}/mlp/fc1/b", blk.mlp.fc1.b
-            yield f"{p}/mlp/fc2/w", blk.mlp.fc2.w
-            yield f"{p}/mlp/fc2/b", blk.mlp.fc2.b
-        yield f"frozen/{m}/final_ln/gamma", self.final_ln.gamma
-        yield f"frozen/{m}/final_ln/beta", self.final_ln.beta
-        yield f"frozen/{m}/proj/w", self.proj.w
-        yield f"frozen/{m}/proj/b", self.proj.b
+        return iter(self.arrays.items())
 
     def astype(self, dtype) -> "EncoderWeights":
-        def ln(p: LayerNormParams) -> LayerNormParams:
-            return LayerNormParams(p.gamma.astype(dtype), p.beta.astype(dtype))
-
-        def lin(p: LinearParams) -> LinearParams:
-            return LinearParams(p.w.astype(dtype), p.b.astype(dtype))
-
-        return EncoderWeights(
-            modality=self.modality,
-            embed=None if self.embed is None else self.embed.astype(dtype),
-            pos=self.pos.astype(dtype),
-            cls_token=None if self.cls_token is None else self.cls_token.astype(dtype),
-            blocks=[
-                BlockWeights(
-                    ln1=ln(b.ln1),
-                    attn=AttentionParams(lin(b.attn.w_q), lin(b.attn.w_k), lin(b.attn.w_v), lin(b.attn.w_o)),
-                    ln2=ln(b.ln2),
-                    mlp=MlpParams(lin(b.mlp.fc1), lin(b.mlp.fc2)),
-                )
-                for b in self.blocks
-            ],
-            final_ln=ln(self.final_ln),
-            proj=lin(self.proj),
-        )
+        return EncoderWeights(self.modality, {name: arr.astype(dtype) for name, arr in self.arrays.items()})
 
 
 @dataclass(frozen=True)
@@ -227,7 +147,7 @@ class DualEncoder:
 
     @property
     def dtype(self) -> np.dtype:
-        return self.text.pos.dtype
+        return self.text.arrays["frozen/text/pos"].dtype
 
     def named_tensors(self) -> Iterator[tuple[str, np.ndarray]]:
         yield from self.text.named_tensors()
@@ -255,115 +175,18 @@ HookKey = tuple[Modality, int | None, Position]
 ScalingMap = dict[HookKey, tuple[Tensor, Tensor]]
 
 
-@dataclass
-class HookSet:
-    """Maps (modality, block index | None, position) to an agent layer."""
-
-    agents: "dict[HookKey, AgentLayer]" = field(default_factory=dict)
-
-    def get(self, key: HookKey):
-        return self.agents.get(key)
-
-    def __len__(self) -> int:
-        return len(self.agents)
-
-    def validate(self, cfg: EncoderConfig) -> None:
-        for (modality, block, pos), agent in self.agents.items():
-            if pos in BLOCK_POSITIONS:
-                if block is None or not 0 <= block < cfg.L:
-                    raise ValueError(f"hook at position {pos} needs a block index in [0, {cfg.L})")
-            elif pos in FINAL_POSITIONS:
-                if block is not None:
-                    raise ValueError(f"hook at position {pos} must not carry a block index")
-            else:
-                raise ValueError(f"unknown hook position {pos!r}")
-            want = cfg.hook_width(modality, pos)
-            if agent.a.shape != (want,):
-                raise ValueError(
-                    f"hook ({modality}, {block}, {pos}): agent width {agent.a.shape[0]} != layer width {want}"
-                )
-
-
-def _apply_hook(
-    y: Tensor,
-    key: HookKey,
-    hooks: HookSet | None,
-    scalings: ScalingMap | None,
-) -> Tensor:
-    if hooks is None:
-        return y
-    agent = hooks.get(key)
-    if agent is None:
-        return y
-    if scalings is not None and key in scalings:
-        a_eff, b_eff = scalings[key]
-    else:
-        a_eff, b_eff = Tensor(agent.a), Tensor(agent.b)
-    return ad.affine(y, a_eff, b_eff)
+def _apply_hook(y: Tensor, key: HookKey, scalings: ScalingMap | None) -> Tensor:
+    """y * a_eff + b_eff for a hook in ``scalings``; any other position passes through."""
+    ab = None if scalings is None else scalings.get(key)
+    return y if ab is None else ad.affine(y, *ab)
 
 
 # ------------------------------------------------------------------
-# initialization
-
-
-def _init_linear(rng: np.random.Generator, d_out: int, d_in: int, dtype) -> LinearParams:
-    w = (rng.standard_normal((d_out, d_in)) / np.sqrt(d_in)).astype(dtype)
-    b = (0.02 * rng.standard_normal(d_out)).astype(dtype)
-    return LinearParams(w, b)
-
-
-def _init_ln(rng: np.random.Generator, d: int, dtype) -> LayerNormParams:
-    # mildly perturbed so folding tests exercise generic gamma/beta
-    gamma = (1.0 + 0.1 * rng.standard_normal(d)).astype(dtype)
-    beta = (0.1 * rng.standard_normal(d)).astype(dtype)
-    return LayerNormParams(gamma, beta)
-
-
-def init_encoder_weights(
-    cfg: EncoderConfig, modality: Modality, rng: np.random.Generator, dtype=np.float32
-) -> EncoderWeights:
-    d = cfg.width(modality)
-    blocks = []
-    for _ in range(cfg.L):
-        blocks.append(
-            BlockWeights(
-                ln1=_init_ln(rng, d, dtype),
-                attn=AttentionParams(
-                    w_q=_init_linear(rng, d, d, dtype),
-                    w_k=_init_linear(rng, d, d, dtype),
-                    w_v=_init_linear(rng, d, d, dtype),
-                    w_o=_init_linear(rng, d, d, dtype),
-                ),
-                ln2=_init_ln(rng, d, dtype),
-                mlp=MlpParams(
-                    fc1=_init_linear(rng, cfg.mlp_ratio * d, d, dtype),
-                    fc2=_init_linear(rng, d, cfg.mlp_ratio * d, dtype),
-                ),
-            )
-        )
-    if modality == "text":
-        embed = (0.5 * rng.standard_normal((cfg.vocab_size, d))).astype(dtype)
-        pos = (0.1 * rng.standard_normal((cfg.N_t, d))).astype(dtype)
-        cls_token = None
-        proj = _init_linear(rng, cfg.d_t, d, dtype)
-    else:
-        embed = None
-        pos = (0.1 * rng.standard_normal((cfg.N_v + 1, d))).astype(dtype)
-        cls_token = (0.5 * rng.standard_normal(d)).astype(dtype)
-        proj = _init_linear(rng, cfg.d_t, d, dtype)
-    return EncoderWeights(
-        modality=modality,
-        embed=embed,
-        pos=pos,
-        cls_token=cls_token,
-        blocks=blocks,
-        final_ln=_init_ln(rng, d, dtype),
-        proj=proj,
-    )
+# layout and initialization
 
 
 def weight_shapes(cfg: EncoderConfig, modality: Modality) -> dict[str, tuple[int, ...]]:
-    """The shape of every frozen tensor of one modality, keyed and ordered as ``named_tensors``."""
+    """The name and shape of every frozen tensor of one modality, in checkpoint order."""
     m, d, hidden = modality, cfg.width(modality), cfg.mlp_ratio * cfg.width(modality)
     shapes: dict[str, tuple[int, ...]] = {}
     if modality == "text":
@@ -390,6 +213,31 @@ def weight_shapes(cfg: EncoderConfig, modality: Modality) -> dict[str, tuple[int
     return shapes
 
 
+# init draws the blocks first, then embed/pos/cls, proj and final_ln; changing
+# this order changes every initial weight
+_DRAW_RANK = {"embed": 1, "pos": 1, "cls": 1, "proj": 2, "final_ln": 3}  # block<i>: 0
+_DRAW_SCALE = {"b": 0.02, "beta": 0.1, "embed": 0.5, "pos": 0.1, "cls": 0.5}
+
+
+def init_encoder_weights(
+    cfg: EncoderConfig, modality: Modality, rng: np.random.Generator, dtype=np.float32
+) -> EncoderWeights:
+    """Random frozen weights of one modality, drawn in ``_DRAW_RANK`` order, kept in ``weight_shapes`` order."""
+    shapes = weight_shapes(cfg, modality)
+
+    def draw(name: str) -> np.ndarray:
+        shape, leaf = shapes[name], name.rsplit("/", 1)[-1]
+        z = rng.standard_normal(shape)
+        if leaf == "w":
+            return (z / np.sqrt(shape[1])).astype(dtype)
+        if leaf == "gamma":  # mildly perturbed so folding tests exercise generic gamma/beta
+            return (1.0 + 0.1 * z).astype(dtype)
+        return (_DRAW_SCALE[leaf] * z).astype(dtype)
+
+    drawn = {name: draw(name) for name in sorted(shapes, key=lambda n: _DRAW_RANK.get(n.split("/")[2], 0))}
+    return EncoderWeights(modality, {name: drawn[name] for name in shapes})
+
+
 def init_dual_encoder(cfg: EncoderConfig, rng: np.random.Generator, dtype=np.float32) -> DualEncoder:
     return DualEncoder(
         cfg=cfg,
@@ -407,29 +255,28 @@ def _blocks_forward(
     cfg: EncoderConfig,
     weights: EncoderWeights,
     mask: np.ndarray | None,
-    hooks: HookSet | None,
     scalings: ScalingMap | None,
 ) -> Tensor:
     m = weights.modality
     eps = cfg.eps
     t = weights.tensors
-    for i in range(len(weights.blocks)):
+    for i in range(cfg.L):
         p = f"frozen/{m}/block{i}/"
         h = ad.layernorm(x, t[p + "ln1/gamma"], t[p + "ln1/beta"], eps)
-        h = _apply_hook(h, (m, i, "1a"), hooks, scalings)
+        h = _apply_hook(h, (m, i, "1a"), scalings)
         q = ad.linear(h, t[p + "attn/q/w"], t[p + "attn/q/b"])
         k = ad.linear(h, t[p + "attn/k/w"], t[p + "attn/k/b"])
         v = ad.linear(h, t[p + "attn/v/w"], t[p + "attn/v/b"])
         ctx = ad.attention_core(q, k, v, cfg.n_heads, mask)
         o = ad.linear(ctx, t[p + "attn/o/w"], t[p + "attn/o/b"])
-        o = _apply_hook(o, (m, i, "2"), hooks, scalings)
+        o = _apply_hook(o, (m, i, "2"), scalings)
         x = ad.add(x, o)
         h2 = ad.layernorm(x, t[p + "ln2/gamma"], t[p + "ln2/beta"], eps)
-        h2 = _apply_hook(h2, (m, i, "1b"), hooks, scalings)
+        h2 = _apply_hook(h2, (m, i, "1b"), scalings)
         u = ad.linear(h2, t[p + "mlp/fc1/w"], t[p + "mlp/fc1/b"])
         u = ad.gelu(u)
         u = ad.linear(u, t[p + "mlp/fc2/w"], t[p + "mlp/fc2/b"])
-        u = _apply_hook(u, (m, i, "3"), hooks, scalings)
+        u = _apply_hook(u, (m, i, "3"), scalings)
         x = ad.add(x, u)
     return x
 
@@ -439,7 +286,6 @@ def _readout(
     index: int | np.ndarray,
     cfg: EncoderConfig,
     weights: EncoderWeights,
-    hooks: HookSet | None,
     scalings: ScalingMap | None,
 ) -> Tensor:
     m = weights.modality
@@ -447,9 +293,9 @@ def _readout(
     p = f"frozen/{m}/"
     feat = ad.row(x, index)
     feat = ad.layernorm(feat, t[p + "final_ln/gamma"], t[p + "final_ln/beta"], cfg.eps)
-    feat = _apply_hook(feat, (m, None, "4"), hooks, scalings)
+    feat = _apply_hook(feat, (m, None, "4"), scalings)
     feat = ad.linear(feat, t[p + "proj/w"], t[p + "proj/b"])
-    feat = _apply_hook(feat, (m, None, "5"), hooks, scalings)
+    feat = _apply_hook(feat, (m, None, "5"), scalings)
     return feat
 
 
@@ -477,7 +323,6 @@ def text_forward(
     tokens,
     cfg: EncoderConfig,
     weights: EncoderWeights,
-    hooks: HookSet | None = None,
     scalings: ScalingMap | None = None,
 ) -> Tensor:
     """Encode token sequences to d_t features, each read from its last token.
@@ -500,17 +345,17 @@ def text_forward(
         last = np.array([r.size - 1 for r in rows])
     else:
         toks, last = rows[0], n - 1
-    x = Tensor(weights.embed[toks] + weights.pos[:n])
-    mask = ad.causal_mask(n, weights.pos.dtype)
-    x = _blocks_forward(x, cfg, weights, mask, hooks, scalings)
-    return _readout(x, last, cfg, weights, hooks, scalings)
+    pos = weights.arrays["frozen/text/pos"]
+    x = Tensor(weights.arrays["frozen/text/embed"][toks] + pos[:n])
+    mask = ad.causal_mask(n, pos.dtype)
+    x = _blocks_forward(x, cfg, weights, mask, scalings)
+    return _readout(x, last, cfg, weights, scalings)
 
 
 def image_forward(
     patch_tokens,
     cfg: EncoderConfig,
     weights: EncoderWeights,
-    hooks: HookSet | None = None,
     scalings: ScalingMap | None = None,
 ) -> Tensor:
     """Encode pre-tokenized patches to d_t features, read from the class token.
@@ -527,22 +372,12 @@ def image_forward(
         )
     if patches.ndim == 3 and patches.shape[0] == 0:
         raise ValueError("image_forward: empty batch of images")
-    stacked = np.empty(patches.shape[:-2] + weights.pos.shape, dtype=weights.pos.dtype)
-    stacked[..., 0, :] = weights.cls_token
+    pos = weights.arrays["frozen/image/pos"]
+    stacked = np.empty(patches.shape[:-2] + pos.shape, dtype=pos.dtype)
+    stacked[..., 0, :] = weights.arrays["frozen/image/cls"]
     stacked[..., 1:, :] = patches
-    stacked += weights.pos
+    stacked += pos
     x = Tensor(stacked)
-    x = _blocks_forward(x, cfg, weights, None, hooks, scalings)
-    return _readout(x, 0, cfg, weights, hooks, scalings)
+    x = _blocks_forward(x, cfg, weights, None, scalings)
+    return _readout(x, 0, cfg, weights, scalings)
 
-
-def classify(image_feat: Tensor, class_feats: Tensor, temperature: float = 0.07) -> Tensor:
-    """Class probabilities from cosine similarities scaled by 1/temperature."""
-    if temperature <= 0:
-        raise ValueError("classify: temperature must be positive")
-    if class_feats.ndim != 2 or image_feat.ndim != 1 or class_feats.shape[1] != image_feat.shape[0]:
-        raise ValueError(
-            f"classify: image feature {image_feat.shape} incompatible with class features {class_feats.shape}"
-        )
-    sims = ad.matmul(ad.l2_normalize(class_feats), ad.l2_normalize(image_feat))
-    return ad.softmax(ad.scale(sims, 1.0 / temperature), axis=-1)

@@ -4,6 +4,11 @@ Checkpoints hold the frozen weights, the agent/bridge/meta parameters,
 the optimizer moments, and the run configuration (plus seed and step
 counter) as one document. Datasets reuse the same container with a
 different ``kind`` marker.
+
+The frozen weights are stored under their ``EncoderWeights.arrays``
+names, so packing reads each table as it is, and unpacking selects the
+``weight_shapes`` names of each modality from the loaded tensors, after
+checking them, without copying.
 """
 
 from __future__ import annotations
@@ -16,18 +21,7 @@ from . import rng as rngmod
 from .agents import CoupledAgentSite, SiteKey, build_sites
 from .checkpoint import CheckpointError
 from .config import RunConfig, parse_config_doc
-from .encoder import (
-    AttentionParams,
-    BlockWeights,
-    DualEncoder,
-    EncoderConfig,
-    EncoderWeights,
-    LayerNormParams,
-    LinearParams,
-    Modality,
-    MlpParams,
-    weight_shapes,
-)
+from .encoder import DualEncoder, EncoderWeights, weight_shapes
 from .training import AdamState, SyntheticDataset
 
 __all__ = [
@@ -93,42 +87,6 @@ def _fetch(tensors: dict[str, np.ndarray], name: str) -> np.ndarray:
     return arr
 
 
-def _encoder_from_tensors(cfg: EncoderConfig, modality: Modality, tensors: dict[str, np.ndarray]) -> EncoderWeights:
-    m = modality
-
-    def ln(prefix: str) -> LayerNormParams:
-        return LayerNormParams(_fetch(tensors, f"{prefix}/gamma"), _fetch(tensors, f"{prefix}/beta"))
-
-    def lin(prefix: str) -> LinearParams:
-        return LinearParams(_fetch(tensors, f"{prefix}/w"), _fetch(tensors, f"{prefix}/b"))
-
-    blocks = []
-    for i in range(cfg.L):
-        p = f"frozen/{m}/block{i}"
-        blocks.append(
-            BlockWeights(
-                ln1=ln(f"{p}/ln1"),
-                attn=AttentionParams(
-                    w_q=lin(f"{p}/attn/q"),
-                    w_k=lin(f"{p}/attn/k"),
-                    w_v=lin(f"{p}/attn/v"),
-                    w_o=lin(f"{p}/attn/o"),
-                ),
-                ln2=ln(f"{p}/ln2"),
-                mlp=MlpParams(fc1=lin(f"{p}/mlp/fc1"), fc2=lin(f"{p}/mlp/fc2")),
-            )
-        )
-    return EncoderWeights(
-        modality=m,
-        embed=_fetch(tensors, f"frozen/{m}/embed") if m == "text" else None,
-        pos=_fetch(tensors, f"frozen/{m}/pos"),
-        cls_token=_fetch(tensors, f"frozen/{m}/cls") if m == "image" else None,
-        blocks=blocks,
-        final_ln=ln(f"frozen/{m}/final_ln"),
-        proj=lin(f"frozen/{m}/proj"),
-    )
-
-
 def _check_layout(tensors: dict[str, np.ndarray], expected: dict[str, tuple[int, ...]], dtype: np.dtype) -> None:
     """Every expected tensor present with its shape and dtype, and no other; reads no data."""
     for name, shape in expected.items():
@@ -153,7 +111,8 @@ def unpack_state(tensors: dict[str, np.ndarray], doc: dict) -> RestoredState:
     enc = run_cfg.encoder
     dtype = np.dtype(np.float64 if run_cfg.precision == "f64" else np.float32)
 
-    expected = {**weight_shapes(enc, "text"), **weight_shapes(enc, "image")}
+    frozen = {m: weight_shapes(enc, m) for m in ("text", "image")}
+    expected = {**frozen["text"], **frozen["image"]}
     sites: dict[SiteKey, CoupledAgentSite] | None = None
     has_opt = False
     if not fused:
@@ -176,10 +135,9 @@ def unpack_state(tensors: dict[str, np.ndarray], doc: dict) -> RestoredState:
                 expected.update({f"opt/{moment}/{pname}": shape for pname, shape in params.items()})
     _check_layout(tensors, expected, dtype)
 
+    # the loaded arrays themselves, not copies
     model = DualEncoder(
-        cfg=enc,
-        text=_encoder_from_tensors(enc, "text", tensors),
-        image=_encoder_from_tensors(enc, "image", tensors),
+        enc, *(EncoderWeights(m, {name: tensors[name] for name in frozen[m]}) for m in ("text", "image"))
     )
     opt_state: AdamState | None = None
     if sites is not None:

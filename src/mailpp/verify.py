@@ -22,7 +22,6 @@ from .agents import (
     build_scaling_map,
     build_sites,
     fuse_model,
-    hook_set,
     trainable_param_count,
 )
 from .autodiff import NonFiniteError, Tape, Tensor
@@ -201,15 +200,14 @@ def check_identity_at_init(
         sites = build_sites(
             model.cfg, CouplingMode(mode), rank, d_m, rngmod.derive(seed, "identity-sites", str(mode)), model.dtype
         )
-        hooks = hook_set(sites)
         scalings = build_scaling_map(sites)
         tokens, patches = _random_batch(model.cfg, gen, model.dtype, n_inputs)
         if not tokens:
             continue
         plain_t = text_forward(tokens, model.cfg, model.text).data
-        hooked_t = text_forward(tokens, model.cfg, model.text, hooks, scalings).data
+        hooked_t = text_forward(tokens, model.cfg, model.text, scalings).data
         plain_v = image_forward(patches, model.cfg, model.image).data
-        hooked_v = image_forward(patches, model.cfg, model.image, hooks, scalings).data
+        hooked_v = image_forward(patches, model.cfg, model.image, scalings).data
         err = max(
             float(np.max(np.abs(plain_t - hooked_t))),
             float(np.max(np.abs(plain_v - hooked_v))),
@@ -250,22 +248,24 @@ def check_fusion_equivalence(
     seed: int = 0,
     fused: DualEncoder | None = None,
 ) -> CheckReport:
-    """Dual-path oracle: hooked forward vs folded forward on random inputs."""
-    reference = fuse_model(model, sites)
-    target = fused if fused is not None else reference
-    hooks = hook_set(sites)
+    """Dual-path oracle: hooked forward vs folded forward on random inputs.
+
+    A given ``fused`` model is checked as is; only when it fails is the
+    model folded again, to name the first tensor that differs.
+    """
+    target = fused if fused is not None else fuse_model(model, sites)
     scalings = build_scaling_map(sites)
     tokens, patches = _random_batch(model.cfg, rngmod.derive(seed, "fusion-inputs"), model.dtype, n_inputs)
     worst = 0.0
     detail = ""
     if tokens:
-        hooked_t = text_forward(tokens, model.cfg, model.text, hooks, scalings).data
+        hooked_t = text_forward(tokens, model.cfg, model.text, scalings).data
         fused_t = text_forward(tokens, target.cfg, target.text).data
-        hooked_v = image_forward(patches, model.cfg, model.image, hooks, scalings).data
+        hooked_v = image_forward(patches, model.cfg, model.image, scalings).data
         fused_v = image_forward(patches, target.cfg, target.image).data
         worst = max(relative_error(hooked_t, fused_t), relative_error(hooked_v, fused_v))
     if worst > tol and fused is not None:
-        bad = _locate_fused_mismatch(reference, fused)
+        bad = _locate_fused_mismatch(fuse_model(model, sites), fused)
         if bad:
             detail = f"fused tensor mismatch at {bad}"
     return _vacuous(
@@ -300,21 +300,13 @@ def count_trainable_params(
     for key in keys:
         w_v = cfg.hook_width("image", key.pos)
         w_t = cfg.hook_width("text", key.pos)
-        n = 2 * (w_v + w_t)  # both agents' a and b
-        if mode == CouplingMode.TEXT_TO_IMAGE:
-            n += rank * (w_t + w_v)
-        elif mode == CouplingMode.IMAGE_TO_TEXT:
-            n += rank * (w_v + w_t)
+        coupling = 0  # bridges and meta vector of one coupled pair (the scales)
+        if mode in (CouplingMode.TEXT_TO_IMAGE, CouplingMode.IMAGE_TO_TEXT):
+            coupling = rank * (w_t + w_v)
         elif mode == CouplingMode.BIDIRECTIONAL:
-            n += d_m + rank * (w_v + d_m) + rank * (w_t + d_m)
-        if bridge_shift:
-            if mode == CouplingMode.TEXT_TO_IMAGE:
-                n += rank * (w_t + w_v)
-            elif mode == CouplingMode.IMAGE_TO_TEXT:
-                n += rank * (w_v + w_t)
-            elif mode == CouplingMode.BIDIRECTIONAL:
-                n += d_m + rank * (w_v + d_m) + rank * (w_t + d_m)
-        breakdown[str(key)] = n
+            coupling = d_m + rank * (w_v + d_m) + rank * (w_t + d_m)
+        # both agents' a and b; bridge_shift couples the shifts by the same rule
+        breakdown[str(key)] = 2 * (w_v + w_t) + (1 + bool(bridge_shift)) * coupling
     return sum(breakdown.values()), breakdown
 
 

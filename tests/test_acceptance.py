@@ -18,7 +18,6 @@ from mailpp.agents import (
     build_scaling_map,
     build_sites,
     fuse_model,
-    hook_set,
 )
 from mailpp.autodiff import Tape
 from mailpp.checkpoint import load_checkpoint, save_checkpoint
@@ -152,15 +151,14 @@ def test_criterion_3_fusion_equivalence():
             (model32, sites32, patches32, False),
         ):
             fused = fuse_model(model, sites)
-            hooks = hook_set(sites)
             scalings = build_scaling_map(sites)
             err = max(
                 relative_error(
-                    text_forward(tokens, cfg, model.text, hooks, scalings).data,
+                    text_forward(tokens, cfg, model.text, scalings).data,
                     text_forward(tokens, cfg, fused.text).data,
                 ),
                 relative_error(
-                    image_forward(patches, cfg, model.image, hooks, scalings).data,
+                    image_forward(patches, cfg, model.image, scalings).data,
                     image_forward(patches, cfg, fused.image).data,
                 ),
             )
@@ -266,9 +264,8 @@ def test_criterion_6_ablation_structure(episode_setup, trained_runs):
             f"{k}/{n}": tape.leaf(a) for k, site in sites.items() for n, a in site.params()
         }
         scalings = build_scaling_map(sites, values)
-        hooks = hook_set(sites)
-        txt = _feats_text(model, episode.base_tokens, hooks, scalings)
-        img = _feats_image(model, episode.train_images[:4], hooks, scalings)
+        txt = _feats_text(model, episode.base_tokens, scalings)
+        img = _feats_image(model, episode.train_images[:4], scalings)
         rv, rt = reg_losses(img, frozen_img, txt, frozen_txt)
         grads = tape.backward(rv if which == "image" else rt)
         return {n for n, leaf in values.items() if np.any(grads[leaf.node].data != 0.0)}

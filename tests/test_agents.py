@@ -11,18 +11,16 @@ from mailpp.agents import (
     CouplingMode,
     MetaScalingVector,
     SiteKey,
-    agent_apply,
     bridge_norm,
     build_scaling_map,
     build_sites,
-    effective_scalings,
     fuse_layernorm,
     fuse_linear,
     fuse_model,
-    hook_set,
     trainable_param_count,
 )
 from mailpp.autodiff import Tape, Tensor
+from mailpp.autodiff import affine as ad_affine
 from mailpp.autodiff import layernorm as ad_layernorm
 from mailpp.autodiff import linear as ad_linear
 from mailpp.encoder import image_forward, text_forward
@@ -53,34 +51,6 @@ def _scalar_site(mode, a_v, a_t, w_up_v=0.0, w_down_v=0.0, w_up_t=0.0, w_down_t=
 
 
 # ------------------------------------------------------------------
-# agent_apply
-
-
-def test_agent_apply_identity_init():
-    agent = AgentLayer.identity(2, np.float64)
-    y = Tensor(np.asarray([0.3, -1.2]))
-    assert np.array_equal(agent_apply(y, agent).data, y.data)
-
-
-def test_agent_apply_arithmetic():
-    agent = _agent([2.0, 0.5], [1.0, -1.0])
-    out = agent_apply(Tensor(np.asarray([1.0, 2.0])), agent)
-    assert out.data.tolist() == [3.0, 0.0]
-
-
-def test_agent_apply_width_mismatch():
-    agent = _agent([1.0, 1.0], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        agent_apply(Tensor(np.asarray([1.0, 2.0, 3.0])), agent)
-
-
-def test_agent_apply_effective_override():
-    agent = _agent([1.0, 1.0], [0.5, 0.5])
-    out = agent_apply(Tensor(np.asarray([2.0, 4.0])), agent, effective_a=Tensor(np.asarray([3.0, 0.25])))
-    assert out.data.tolist() == [6.5, 1.5]
-
-
-# ------------------------------------------------------------------
 # effective scalings
 
 
@@ -88,14 +58,14 @@ def test_effective_fresh_bridges_are_transparent(tiny_cfg):
     for mode in CouplingMode:
         sites = build_sites(tiny_cfg, mode, 2, 4, rng.derive(0, "t", mode.value), np.float64)
         for site in sites.values():
-            a_v, a_t = effective_scalings(site)
+            a_v, a_t = site.effective()[:2]
             assert np.array_equal(a_v.data, site.image_agent.a)
             assert np.array_equal(a_t.data, site.text_agent.a)
 
 
 def test_effective_scalar_text_to_image():
     site = _scalar_site(CouplingMode.TEXT_TO_IMAGE, a_v=1.0, a_t=3.0, w_up_v=2.0, w_down_v=0.5)
-    a_v, a_t = effective_scalings(site)
+    a_v, a_t = site.effective()[:2]
     assert a_v.data.tolist() == [4.0]  # 1 + 2 * 0.5 * 3
     assert a_t.data.tolist() == [3.0]
 
@@ -111,14 +81,14 @@ def test_effective_scalar_bidirectional():
         w_down_t=1.0,
         a_m=2.0,
     )
-    a_v, a_t = effective_scalings(site)
+    a_v, a_t = site.effective()[:2]
     assert a_v.data.tolist() == [2.0]  # 1 + 1 * 0.5 * 2
     assert a_t.data.tolist() == [1.5]  # 1 + 0.25 * 1 * 2
 
 
 def test_effective_scalar_image_to_text():
     site = _scalar_site(CouplingMode.IMAGE_TO_TEXT, a_v=4.0, a_t=1.0, w_up_t=0.5, w_down_t=1.0)
-    a_v, a_t = effective_scalings(site)
+    a_v, a_t = site.effective()[:2]
     assert a_v.data.tolist() == [4.0]
     assert a_t.data.tolist() == [3.0]  # 1 + 0.5 * 1 * 4
 
@@ -139,6 +109,32 @@ def test_site_mode_field_consistency():
             image_agent=AgentLayer.identity(2, np.float64),
             text_agent=AgentLayer.identity(2, np.float64),
         )
+
+
+def test_shift_coupling_follows_the_scale_rule():
+    def site(mode, **coupling):
+        return CoupledAgentSite(
+            key=SiteKey(None, "4"),
+            mode=mode,
+            image_agent=AgentLayer.identity(3, np.float64),
+            text_agent=AgentLayer.identity(2, np.float64),
+            **coupling,
+        )
+
+    t2i = BridgeFunction(np.zeros((1, 2)), np.zeros((3, 1)))  # text (2) -> image (3)
+    i2t = BridgeFunction(np.zeros((1, 3)), np.zeros((2, 1)))
+    site(CouplingMode.TEXT_TO_IMAGE, bridge_v=t2i, bridge_shift=True, shift_bridge_v=t2i)
+    with pytest.raises(ValueError, match="dims"):  # an image -> text shift bridge where text -> image belongs
+        site(CouplingMode.TEXT_TO_IMAGE, bridge_v=t2i, bridge_shift=True, shift_bridge_v=i2t)
+    with pytest.raises(ValueError, match="text_to_image"):
+        site(CouplingMode.TEXT_TO_IMAGE, bridge_v=t2i, shift_bridge_v=t2i)  # shift bridge without bridge_shift
+    m2v = BridgeFunction(np.zeros((1, 4)), np.zeros((3, 1)))
+    m2t = BridgeFunction(np.zeros((1, 4)), np.zeros((2, 1)))
+    coupled = dict(bridge_v=m2v, bridge_t=m2t, meta=MetaScalingVector(np.ones(4)))
+    with pytest.raises(ValueError, match="bidirectional"):  # shift bridges without a shift meta vector
+        site(CouplingMode.BIDIRECTIONAL, **coupled, bridge_shift=True, shift_bridge_v=m2v, shift_bridge_t=m2t)
+    with pytest.raises(ValueError, match="coupled mode"):
+        site(CouplingMode.IVLU, bridge_shift=True)
 
 
 def test_bridge_init_distribution_and_rank():
@@ -179,7 +175,7 @@ def test_fuse_layernorm_matches_unfused_path():
             (1.0 + 0.5 * gen.standard_normal(d)).astype(np.float32),
             (0.5 * gen.standard_normal(d)).astype(np.float32),
         )
-        unfused = agent_apply(ad_layernorm(x, Tensor(gamma), Tensor(beta), 1e-5), agent).data
+        unfused = ad_affine(ad_layernorm(x, Tensor(gamma), Tensor(beta), 1e-5), Tensor(agent.a), Tensor(agent.b)).data
         g2, b2 = fuse_layernorm(gamma, beta, agent)
         fused = ad_layernorm(x, Tensor(g2), Tensor(b2), 1e-5).data
         assert np.max(np.abs(unfused - fused)) <= 1e-6
@@ -209,7 +205,7 @@ def test_fuse_linear_matches_unfused_path():
             (1.0 + 0.5 * gen.standard_normal(d_out)).astype(np.float32),
             (0.5 * gen.standard_normal(d_out)).astype(np.float32),
         )
-        unfused = agent_apply(ad_linear(x, Tensor(w), Tensor(bias)), agent).data
+        unfused = ad_affine(ad_linear(x, Tensor(w), Tensor(bias)), Tensor(agent.a), Tensor(agent.b)).data
         w2, b2 = fuse_linear(w, bias, agent)
         fused = ad_linear(x, Tensor(w2), Tensor(b2)).data
         assert np.max(np.abs(unfused - fused)) <= 1e-6
@@ -245,13 +241,12 @@ def test_fuse_model_matches_hooked_outputs(tiny_model, tiny_cfg):
         sites = build_sites(tiny_cfg, mode, 2, 4, rng.derive(6, "s", trial), np.float64)
         randomize_sites(sites, rng.derive(7, "p", trial))
         fused = fuse_model(tiny_model, sites)
-        hooks = hook_set(sites)
         scalings = build_scaling_map(sites)
         tokens = gen.integers(0, tiny_cfg.vocab_size, size=4)
         patches = gen.standard_normal((tiny_cfg.N_v, tiny_cfg.d_v))
-        a = text_forward(tokens, tiny_cfg, tiny_model.text, hooks, scalings).data
+        a = text_forward(tokens, tiny_cfg, tiny_model.text, scalings).data
         b = text_forward(tokens, tiny_cfg, fused.text).data
-        c = image_forward(patches, tiny_cfg, tiny_model.image, hooks, scalings).data
+        c = image_forward(patches, tiny_cfg, tiny_model.image, scalings).data
         d = image_forward(patches, tiny_cfg, fused.image).data
         worst = max(worst, np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(a))))
         worst = max(worst, np.max(np.abs(c - d)) / max(1.0, np.max(np.abs(c))))
@@ -264,12 +259,38 @@ def test_fuse_model_with_bridge_shift(tiny_model, tiny_cfg):
     )
     randomize_sites(sites, rng.derive(9, "p"))
     fused = fuse_model(tiny_model, sites)
-    hooks = hook_set(sites)
     scalings = build_scaling_map(sites)
     tokens = [1, 2]
-    a = text_forward(tokens, tiny_cfg, tiny_model.text, hooks, scalings).data
+    a = text_forward(tokens, tiny_cfg, tiny_model.text, scalings).data
     b = text_forward(tokens, tiny_cfg, fused.text).data
     assert np.max(np.abs(a - b)) <= 1e-10
+
+
+# the frozen tensors each position folds into, per block (1a-3) or once (4, 5)
+_FOLDED = {
+    "1a": ("ln1/gamma", "ln1/beta"),
+    "1b": ("ln2/gamma", "ln2/beta"),
+    "2": ("attn/o/w", "attn/o/b"),
+    "3": ("mlp/fc2/w", "mlp/fc2/b"),
+    "4": ("final_ln/gamma", "final_ln/beta"),
+    "5": ("proj/w", "proj/b"),
+}
+
+
+@pytest.mark.parametrize("pos", sorted(_FOLDED))
+def test_fuse_model_folds_each_position_into_its_own_tensors(tiny_model, tiny_cfg, pos):
+    sites = build_sites(
+        tiny_cfg, CouplingMode.BIDIRECTIONAL, 2, 4, rng.derive(22, "s"), np.float64, True, positions=(pos,)
+    )
+    randomize_sites(sites, rng.derive(23, "p"))
+    fused = fuse_model(tiny_model, sites)
+    before = dict(tiny_model.named_tensors())
+    blocks = [f"block{i}/" for i in range(tiny_cfg.L)] if pos in ("1a", "1b", "2", "3") else [""]
+    want = {f"frozen/{m}/{b}{leaf}" for m in ("text", "image") for b in blocks for leaf in _FOLDED[pos]}
+    changed = {name for name, arr in fused.named_tensors() if not np.array_equal(arr, before[name])}
+    assert changed == want
+    assert list(dict(fused.named_tensors())) == list(before)
+    assert not any(np.shares_memory(arr, before[name]) for name, arr in fused.named_tensors())
 
 
 # ------------------------------------------------------------------
@@ -290,12 +311,11 @@ def _grads_for_losses(model, sites, which):
         for local, arr in site.params():
             values[f"{key}/{local}"] = tape.leaf(arr)
     scalings = build_scaling_map(sites, values)
-    hooks = hook_set(sites)
     if which == "image":
         patches = rng.derive(12, "gi").standard_normal((model.cfg.N_v, model.cfg.d_v))
-        loss = _loss_on(image_forward(patches, model.cfg, model.image, hooks, scalings))
+        loss = _loss_on(image_forward(patches, model.cfg, model.image, scalings))
     else:
-        loss = _loss_on(text_forward([1, 2, 3], model.cfg, model.text, hooks, scalings))
+        loss = _loss_on(text_forward([1, 2, 3], model.cfg, model.text, scalings))
     grads = tape.backward(loss)
     return {name for name, leaf in values.items() if np.any(grads[leaf.node].data != 0.0)}
 

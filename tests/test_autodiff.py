@@ -77,22 +77,6 @@ def test_softmax_no_overflow():
     assert out.data[1] == pytest.approx(0.0, abs=1e-300)
 
 
-def test_cosine_identity_and_orthogonal():
-    u = t64([2.0, 1.0, -3.0])
-    assert ad.cosine_similarity(u, u).item() == pytest.approx(1.0)
-    assert ad.cosine_similarity(t64([1.0, 0.0]), t64([0.0, 1.0])).item() == pytest.approx(0.0)
-
-
-def test_cosine_analytic_sqrt2():
-    c = ad.cosine_similarity(t64([1.0, 0.0]), t64([1.0, 1.0]))
-    assert c.item() == pytest.approx(0.70710678, abs=1e-8)
-
-
-def test_cosine_zero_norm_rejected():
-    with pytest.raises(ValueError, match="zero-norm"):
-        ad.cosine_similarity(t64([0.0, 0.0]), t64([1.0, 0.0]))
-
-
 def test_nonfinite_is_reported():
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         ad.scale(t64([1e308]), 10.0)  # overflow to inf is an error, not silent
@@ -396,12 +380,6 @@ def _build_attention_batched_kv(gen):
 @_case("l2_normalize")
 def _build_l2n(gen):
     return (3, 4), lambda x: ad.l2_normalize(x)
-
-
-@_case("cosine_similarity")
-def _build_cos(gen):
-    v = gen.standard_normal(5)
-    return (5,), lambda x: ad.cosine_similarity(x, Tensor(v))
 
 
 @_case("log")

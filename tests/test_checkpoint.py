@@ -228,6 +228,18 @@ def test_fused_state_round_trip(tmp_path):
         assert name == name2 and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def test_unpacked_model_uses_the_loaded_arrays_in_layout_order():
+    from mailpp.encoder import weight_shapes
+
+    run_cfg, model, sites, opt = _full_state()
+    tensors, doc = pack_state(model, sites, opt, run_cfg, seed=3)
+    restored = unpack_state(tensors, doc)
+    for m in ("text", "image"):
+        arrays = getattr(restored.model, m).arrays
+        assert list(arrays) == list(weight_shapes(run_cfg.encoder, m))
+        assert all(arrays[name] is tensors[name] for name in arrays)
+
+
 def _first(tensors, prefix):
     return next(n for n in tensors if n.startswith(prefix))
 

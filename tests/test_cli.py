@@ -207,7 +207,7 @@ def test_fuse_writes_nothing_when_the_check_fails(workdir, capsys, monkeypatch):
 
     def corrupted_fuse(model, sites):
         fused = real_fuse(model, sites)
-        fused.image.proj.w[0, 0] += 0.5  # deliberate corruption
+        fused.image.arrays["frozen/image/proj/w"][0, 0] += 0.5  # deliberate corruption
         return fused
 
     monkeypatch.setattr(mailpp.cli, "fuse_model", corrupted_fuse)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from mailpp import rng
-from mailpp.agents import CouplingMode, build_scaling_map, build_sites, hook_set
+from mailpp.agents import CouplingMode, build_scaling_map, build_sites
 from mailpp.autodiff import NonFiniteError, Tensor
-from mailpp.encoder import EncoderConfig, classify, image_forward, init_dual_encoder, text_forward
+from mailpp.encoder import EncoderConfig, image_forward, init_dual_encoder, text_forward
+from mailpp.training import _probs
 from mailpp.verify import random_toy_model
 
 
@@ -41,17 +42,16 @@ def test_hooks_at_init_are_bitwise_identity(tiny_cfg, tiny_model):
     gen = rng.derive(3, "inputs")
     for mode in CouplingMode:
         sites = build_sites(tiny_cfg, mode, 2, 4, rng.derive(4, "s", mode.value), np.float64)
-        hooks = hook_set(sites)
         scalings = build_scaling_map(sites)
         tokens = gen.integers(0, tiny_cfg.vocab_size, size=4)
         patches = gen.standard_normal((tiny_cfg.N_v, tiny_cfg.d_v))
         assert np.array_equal(
             text_forward(tokens, tiny_cfg, tiny_model.text).data,
-            text_forward(tokens, tiny_cfg, tiny_model.text, hooks, scalings).data,
+            text_forward(tokens, tiny_cfg, tiny_model.text, scalings).data,
         )
         assert np.array_equal(
             image_forward(patches, tiny_cfg, tiny_model.image).data,
-            image_forward(patches, tiny_cfg, tiny_model.image, hooks, scalings).data,
+            image_forward(patches, tiny_cfg, tiny_model.image, scalings).data,
         )
 
 
@@ -60,23 +60,20 @@ def test_random_agents_change_output(tiny_cfg, tiny_model):
 
     sites = build_sites(tiny_cfg, CouplingMode.BIDIRECTIONAL, 2, 4, rng.derive(5, "s"), np.float64)
     randomize_sites(sites, rng.derive(6, "p"))
-    hooks = hook_set(sites)
     scalings = build_scaling_map(sites)
     tokens = [1, 2, 3]
     plain = text_forward(tokens, tiny_cfg, tiny_model.text).data
-    hooked = text_forward(tokens, tiny_cfg, tiny_model.text, hooks, scalings).data
+    hooked = text_forward(tokens, tiny_cfg, tiny_model.text, scalings).data
     assert not np.array_equal(plain, hooked)
     cos = float(plain @ hooked / (np.linalg.norm(plain) * np.linalg.norm(hooked)))
     assert cos < 1.0
 
 
 def test_hook_dimension_mismatch_rejected(tiny_cfg, tiny_model):
-    from mailpp.agents import AgentLayer
-    from mailpp.encoder import HookSet
-
-    bad = HookSet({("text", 0, "1a"): AgentLayer.identity(tiny_cfg.d_t + 1, np.float64)})
-    with pytest.raises(ValueError, match="width"):
-        bad.validate(tiny_cfg)
+    width = tiny_cfg.d_t + 1
+    bad = {("text", 0, "1a"): (Tensor(np.ones(width)), Tensor(np.zeros(width)))}
+    with pytest.raises(ValueError):
+        text_forward([1, 2, 3], tiny_cfg, tiny_model.text, bad)
 
 
 def test_feature_norm_finite_nonzero_over_seeds():
@@ -93,6 +90,26 @@ def test_feature_norm_finite_nonzero_over_seeds():
             assert np.isfinite(norm) and norm > 0
 
 
+# frozen_digest() of the tiny_cfg model drawn from derive(11, "tiny-model"): any change to the
+# layout, the names, the init distributions or the RNG draw order changes it
+_TINY_DIGEST = {
+    np.float32: "01400959c5066a7cb983bc6fee101f3fdc6f05584ef1a43fba4c1771e9b14915",
+    np.float64: "86948e05d5ace719f6211a6bfca39945b1edcdf6d2e2c778f5072adc4e2b69d9",
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_weights_keep_their_draw_order_and_layout(tiny_cfg, dtype):
+    from mailpp.encoder import weight_shapes
+
+    model = init_dual_encoder(tiny_cfg, rng.derive(11, "tiny-model"), dtype)
+    assert model.frozen_digest() == _TINY_DIGEST[dtype]
+    for m in ("text", "image"):
+        arrays = getattr(model, m).arrays
+        assert {n: a.shape for n, a in arrays.items()} == weight_shapes(tiny_cfg, m)
+        assert list(arrays) == list(weight_shapes(tiny_cfg, m))
+
+
 # ------------------------------------------------------------------
 # frozen weights: wrapped once per model, still live and checked
 
@@ -105,12 +122,12 @@ def _features(model, tokens, patches):
 
 
 def _edit_in_place(model):
-    model.text.blocks[0].mlp.fc2.w[0, 0] += 0.5
-    model.text.final_ln.gamma[1] *= -2.0
-    model.text.embed[3] += 0.25
-    model.image.blocks[1].attn.w_q.b[2] -= 0.75
-    model.image.proj.w[0] *= 1.5
-    model.image.cls_token[0] += 1.0
+    model.text.arrays["frozen/text/block0/mlp/fc2/w"][0, 0] += 0.5
+    model.text.arrays["frozen/text/final_ln/gamma"][1] *= -2.0
+    model.text.arrays["frozen/text/embed"][3] += 0.25
+    model.image.arrays["frozen/image/block1/attn/q/b"][2] -= 0.75
+    model.image.arrays["frozen/image/proj/w"][0] *= 1.5
+    model.image.arrays["frozen/image/cls"][0] += 1.0
 
 
 def test_in_place_weight_edit_after_a_forward_pass_shows_through(tiny_cfg):
@@ -134,36 +151,48 @@ def test_nan_written_into_a_weight_after_a_forward_pass_raises(tiny_cfg, modalit
     tokens = [1, 3, 5]
     patches = rng.derive(12, "inputs").standard_normal((tiny_cfg.N_v, tiny_cfg.d_v))
     _features(model, tokens, patches)
-    getattr(model, modality).blocks[1].attn.w_v.b[0] = np.nan
+    getattr(model, modality).arrays[f"frozen/{modality}/block1/attn/v/b"][0] = np.nan
     with pytest.raises(NonFiniteError):
         _features(model, tokens, patches)
 
 
-@pytest.mark.parametrize(
-    "path",
-    [
-        "text",
-        "image.proj",
-        "text.blocks",
-        "text.blocks.0.ln1",
-        "text.blocks.0.ln1.gamma",
-        "image.blocks.1.attn.w_o",
-        "image.blocks.1.attn.w_o.w",
-        "image.blocks.0.mlp.fc1",
-    ],
-)
+# Sub-trees of frozen weights (text.blocks.0.ln1, ...) and the arrays-table
+# entries that hold them: each entry under the prefix must refuse rebinding.
+_ENTRY_PREFIXES = {
+    "text.blocks": "frozen/text/block",
+    "text.blocks.0.ln1": "frozen/text/block0/ln1/",
+    "text.blocks.0.ln1.gamma": "frozen/text/block0/ln1/gamma",
+    "image.blocks.1.attn.w_o": "frozen/image/block1/attn/o/",
+    "image.blocks.1.attn.w_o.w": "frozen/image/block1/attn/o/w",
+    "image.proj": "frozen/image/proj/",
+    "image.blocks.0.mlp.fc1": "frozen/image/block0/mlp/fc1/",
+}
+
+
+@pytest.mark.parametrize("path", ["text", "image", "text.arrays", "image.arrays", "image.modality", *_ENTRY_PREFIXES])
 def test_weight_fields_cannot_be_rebound(tiny_model, path):
+    if path in _ENTRY_PREFIXES:
+        arrays = getattr(tiny_model, path.split(".")[0]).arrays
+        names = [name for name in arrays if name.startswith(_ENTRY_PREFIXES[path])]
+        assert names
+        for name in names:
+            with pytest.raises(TypeError):
+                arrays[name] = arrays[name]
+        return
     *parents, field = path.split(".")
     obj = tiny_model
     for part in parents:
-        obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
+        obj = getattr(obj, part)
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(obj, field, getattr(obj, field))
 
 
 def test_blocks_cannot_be_replaced_item_by_item(tiny_model):
+    arrays = tiny_model.text.arrays
     with pytest.raises(TypeError):
-        tiny_model.text.blocks[0] = tiny_model.text.blocks[1]
+        arrays["frozen/text/block0/ln1/gamma"] = arrays["frozen/text/block1/ln1/gamma"]
+    with pytest.raises(TypeError):
+        del arrays["frozen/text/block0/ln1/gamma"]
 
 
 # ------------------------------------------------------------------
@@ -173,7 +202,7 @@ _BATCH_TOL = {np.float64: 1e-10, np.float32: 1e-5}
 
 
 def _paths(seed, dtype):
-    """The config and (name, model, hooks, scalings) for a hooked random model and its fused model."""
+    """The config and (name, model, scalings) for a hooked random model and its fused model."""
     from mailpp.agents import fuse_model
     from mailpp.verify import randomize_sites
 
@@ -181,7 +210,7 @@ def _paths(seed, dtype):
     sites = build_sites(model.cfg, CouplingMode.BIDIRECTIONAL, 2, 4, rng.derive(seed, "batch-sites"), dtype)
     randomize_sites(sites, rng.derive(seed, "batch-perturb"))
     fused = fuse_model(model, sites)
-    return model.cfg, [("hooked", model, hook_set(sites), build_scaling_map(sites)), ("fused", fused, None, None)]
+    return model.cfg, [("hooked", model, build_scaling_map(sites)), ("fused", fused, None)]
 
 
 def _mixed_batch(cfg, gen, b, dtype):
@@ -200,11 +229,11 @@ def test_batch_forward_equals_stacked_rows(seed, dtype):
     gen = rng.derive(seed, "batch-inputs")
     for b in (1, 2, 7):
         tokens, patches = _mixed_batch(cfg, gen, b, dtype)
-        for name, model, hooks, scalings in paths:
-            txt = text_forward(tokens, cfg, model.text, hooks, scalings).data
-            img = image_forward(patches, cfg, model.image, hooks, scalings).data
-            rows_t = np.stack([text_forward(t, cfg, model.text, hooks, scalings).data for t in tokens])
-            rows_v = np.stack([image_forward(p, cfg, model.image, hooks, scalings).data for p in patches])
+        for name, model, scalings in paths:
+            txt = text_forward(tokens, cfg, model.text, scalings).data
+            img = image_forward(patches, cfg, model.image, scalings).data
+            rows_t = np.stack([text_forward(t, cfg, model.text, scalings).data for t in tokens])
+            rows_v = np.stack([image_forward(p, cfg, model.image, scalings).data for p in patches])
             assert txt.shape == rows_t.shape == (b, cfg.d_t) and txt.dtype == dtype
             assert img.shape == rows_v.shape == (b, cfg.d_t) and img.dtype == dtype
             assert relative_error(txt, rows_t) <= _BATCH_TOL[dtype], (name, b)
@@ -228,9 +257,9 @@ def test_batched_hooks_at_init_are_bitwise_identity(dtype):
         plain_v = image_forward(patches, model.cfg, model.image).data
         for mode in CouplingMode:
             sites = build_sites(model.cfg, mode, 2, 4, rng.derive(seed, "id-sites", mode.value), dtype)
-            hooks, scalings = hook_set(sites), build_scaling_map(sites)
-            assert np.array_equal(plain_t, text_forward(tokens, model.cfg, model.text, hooks, scalings).data)
-            assert np.array_equal(plain_v, image_forward(patches, model.cfg, model.image, hooks, scalings).data)
+            scalings = build_scaling_map(sites)
+            assert np.array_equal(plain_t, text_forward(tokens, model.cfg, model.text, scalings).data)
+            assert np.array_equal(plain_v, image_forward(patches, model.cfg, model.image, scalings).data)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -240,11 +269,11 @@ def test_pad_id_does_not_reach_the_features(monkeypatch, dtype):
     for seed in range(3):
         cfg, paths = _paths(seed, dtype)
         tokens, _ = _mixed_batch(cfg, rng.derive(seed, "pad-inputs"), 6, dtype)
-        for _, model, hooks, scalings in paths:
+        for _, model, scalings in paths:
             feats = []
             for pad in (0, cfg.vocab_size - 1):
                 monkeypatch.setattr(mailpp.encoder, "PAD_ID", pad)
-                feats.append(text_forward(tokens, cfg, model.text, hooks, scalings).data)
+                feats.append(text_forward(tokens, cfg, model.text, scalings).data)
             assert feats[0].tobytes() == feats[1].tobytes()
 
 
@@ -278,46 +307,46 @@ def test_batch_contract(tiny_cfg, tiny_model):
 
 
 # ------------------------------------------------------------------
-# classify
+# classification probabilities (training._probs)
 
 
 def test_classify_uniform_when_classes_identical():
-    img = Tensor(np.asarray([1.0, 0.5]))
+    img = Tensor(np.asarray([[1.0, 0.5]]))
     classes = Tensor(np.asarray([[0.3, 0.4]] * 4))
-    p = classify(img, classes, temperature=1.0)
+    p = _probs(img, classes, temperature=1.0)
     assert np.allclose(p.data, 0.25)
 
 
 def test_classify_analytic_two_class():
-    img = Tensor(np.asarray([1.0, 0.0]))
+    img = Tensor(np.asarray([[1.0, 0.0]]))
     classes = Tensor(np.asarray([[1.0, 0.0], [0.0, 1.0]]))
-    p = classify(img, classes, temperature=1.0)
+    p = _probs(img, classes, temperature=1.0)
     e = np.e
     assert np.allclose(p.data, [e / (e + 1.0), 1.0 / (e + 1.0)], atol=1e-9)
 
 
 def test_classify_low_temperature_is_one_hot():
-    img = Tensor(np.asarray([1.0, 0.2]))
+    img = Tensor(np.asarray([[1.0, 0.2]]))
     classes = Tensor(np.asarray([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
-    p = classify(img, classes, temperature=1e-4).data
+    p = _probs(img, classes, temperature=1e-4).data[0]
     assert p.argmax() == 0
     assert p[0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_classify_permutation_equivariance():
     gen = rng.derive(9, "cls")
-    img = Tensor(gen.standard_normal(6))
+    img = Tensor(gen.standard_normal((1, 6)))
     mat = gen.standard_normal((5, 6))
-    p = classify(img, Tensor(mat), temperature=0.3).data
+    p = _probs(img, Tensor(mat), temperature=0.3).data[0]
     perm = gen.permutation(5)
-    p2 = classify(img, Tensor(mat[perm]), temperature=0.3).data
+    p2 = _probs(img, Tensor(mat[perm]), temperature=0.3).data[0]
     assert np.allclose(p2, p[perm], atol=1e-12)
 
 
 def test_classify_contract():
-    img = Tensor(np.asarray([1.0, 0.0]))
+    img = Tensor(np.asarray([[1.0, 0.0]]))
     classes = Tensor(np.asarray([[1.0, 0.0]]))
     with pytest.raises(ValueError, match="temperature"):
-        classify(img, classes, temperature=0.0)
+        _probs(img, classes, temperature=0.0)
     with pytest.raises(ValueError, match="zero-norm"):
-        classify(Tensor(np.zeros(2)), classes, temperature=1.0)
+        _probs(Tensor(np.zeros((1, 2))), classes, temperature=1.0)

@@ -289,7 +289,7 @@ def test_evaluate_matches_train_accuracy_field():
 @pytest.mark.parametrize("eval_batch", [1, 7, 32, 1000])
 def test_evaluate_in_any_batch_size_matches_per_row_features(monkeypatch, eval_batch):
     import mailpp.training
-    from mailpp.agents import build_scaling_map, hook_set
+    from mailpp.agents import build_scaling_map
     from mailpp.training import _accuracy, _feats_image, _feats_text
     from mailpp.verify import randomize_sites
 
@@ -301,9 +301,9 @@ def test_evaluate_in_any_batch_size_matches_per_row_features(monkeypatch, eval_b
     images = gen.standard_normal((70, model.cfg.N_v, model.cfg.d_v))
     tokens = [[1, 2 + c] * (1 + c % 3) for c in range(5)]
     labels = gen.integers(0, len(tokens), size=70)
-    hooks, scalings = hook_set(sites), build_scaling_map(sites)
-    txt = _feats_text(model, tokens, hooks, scalings).data
-    img = _feats_image(model, images, hooks, scalings).data
+    scalings = build_scaling_map(sites)
+    txt = _feats_text(model, tokens, scalings).data
+    img = _feats_image(model, images, scalings).data
     want = _accuracy(img, txt, labels)
     assert 0.0 < want < 1.0
     monkeypatch.setattr(mailpp.training, "EVAL_BATCH", eval_batch)

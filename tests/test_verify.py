@@ -3,6 +3,7 @@ import pytest
 
 from mailpp import rng
 from mailpp.agents import CouplingMode, build_sites, fuse_model
+from mailpp.autodiff import Tensor
 from mailpp.encoder import EncoderConfig
 from mailpp.verify import (
     CheckReport,
@@ -70,15 +71,14 @@ def test_identity_check_vacuous_with_zero_inputs():
 def test_identity_check_fault_injection():
     model = random_toy_model(1, np.float64)
     sites = build_sites(model.cfg, CouplingMode.IVLU, 1, 2, rng.derive(0, "s"), np.float64)
-    from mailpp.agents import build_scaling_map, hook_set
+    from mailpp.agents import build_scaling_map
     from mailpp.encoder import text_forward
 
     site = next(iter(sites.values()))
     site.text_agent.b = site.text_agent.b + 1e-3  # perturb one shifting vector
-    hooks = hook_set(sites)
     scalings = build_scaling_map(sites)
     plain = text_forward([1, 2], model.cfg, model.text).data
-    hooked = text_forward([1, 2], model.cfg, model.text, hooks, scalings).data
+    hooked = text_forward([1, 2], model.cfg, model.text, scalings).data
     assert np.max(np.abs(plain - hooked)) > 0.0
 
 
@@ -99,7 +99,7 @@ def test_fusion_check_localizes_corrupted_weight():
     sites = build_sites(model.cfg, CouplingMode.TEXT_TO_IMAGE, 2, 4, rng.derive(4, "s"), np.float64)
     randomize_sites(sites, rng.derive(5, "p"))
     fused = fuse_model(model, sites)
-    fused.text.blocks[0].mlp.fc2.w[0, 0] += 0.5  # deliberate corruption
+    fused.text.arrays["frozen/text/block0/mlp/fc2/w"][0, 0] += 0.5  # deliberate corruption
     rep = check_fusion_equivalence(model, sites, n_inputs=5, tol=1e-10, seed=6, fused=fused)
     assert not rep.passed
     assert "frozen/text/block0/mlp/fc2/w" in rep.detail
@@ -111,6 +111,55 @@ def test_fusion_check_accepts_externally_supplied_fused_model():
     randomize_sites(sites, rng.derive(8, "p"))
     rep = check_fusion_equivalence(model, sites, n_inputs=4, tol=1e-10, seed=9, fused=fuse_model(model, sites))
     assert rep.passed
+
+
+def _count_folds(monkeypatch):
+    import mailpp.verify
+
+    calls = []
+    real = mailpp.verify.fuse_model
+
+    def counting_fuse(model, sites):
+        calls.append(1)
+        return real(model, sites)
+
+    monkeypatch.setattr(mailpp.verify, "fuse_model", counting_fuse)
+    return calls
+
+
+def test_fusion_check_folds_no_reference_for_a_passing_given_model(monkeypatch):
+    model = random_toy_model(4, np.float64)
+    sites = build_sites(model.cfg, CouplingMode.BIDIRECTIONAL, 2, 4, rng.derive(7, "s"), np.float64)
+    randomize_sites(sites, rng.derive(8, "p"))
+    fused = fuse_model(model, sites)
+    calls = _count_folds(monkeypatch)
+    assert check_fusion_equivalence(model, sites, n_inputs=4, tol=1e-10, seed=9, fused=fused).passed
+    assert len(calls) == 0
+    assert check_fusion_equivalence(model, sites, n_inputs=4, tol=1e-10, seed=9).passed
+    assert len(calls) == 1  # without a given model the check folds its own
+    fused.image.arrays["frozen/image/proj/b"][1] -= 0.25
+    rep = check_fusion_equivalence(model, sites, n_inputs=4, tol=1e-10, seed=9, fused=fused)
+    assert not rep.passed and "frozen/image/proj/b" in rep.detail
+    assert len(calls) == 2  # a failure folds the reference once, to name the tensor
+
+
+@pytest.mark.parametrize("forward", ["text_forward", "image_forward"])
+def test_identity_check_sees_a_change_in_the_last_input_of_a_batch(monkeypatch, forward):
+    import mailpp.verify
+
+    real = getattr(mailpp.verify, forward)
+
+    def last_row_off(inputs, cfg, weights, scalings=None):
+        out = real(inputs, cfg, weights, scalings)
+        if scalings is None:
+            return out
+        data = out.data.copy()
+        data[-1, 0] += 1e-3
+        return Tensor(data)
+
+    monkeypatch.setattr(mailpp.verify, forward, last_row_off)
+    rep = check_identity_at_init(random_toy_model(5, np.float64), tuple(CouplingMode), n_inputs=3, seed=1)
+    assert rep.worst_error > 0.0 and not rep.passed
 
 
 # ------------------------------------------------------------------
@@ -165,7 +214,7 @@ def test_counter_agreement_at_full_scale():
 
 def test_ce_loss_gradient_matches_finite_differences():
     """Backward through the full matching loss on a toy model vs the FD oracle."""
-    from mailpp.agents import build_scaling_map, hook_set
+    from mailpp.agents import build_scaling_map
     from mailpp.encoder import init_dual_encoder
     from mailpp.training import _feats_image, _feats_text, ce_loss
     from mailpp.verify import gradient_check
@@ -174,7 +223,6 @@ def test_ce_loss_gradient_matches_finite_differences():
     model = init_dual_encoder(cfg, rng.derive(30, "w"), np.float64)
     sites = build_sites(cfg, CouplingMode.BIDIRECTIONAL, 2, 4, rng.derive(31, "s"), np.float64)
     randomize_sites(sites, rng.derive(32, "p"))
-    hooks = hook_set(sites)
     gen = rng.derive(33, "d")
     tokens = [[1, 2], [1, 3]]
     images = gen.standard_normal((2, cfg.N_v, cfg.d_v))
@@ -182,8 +230,8 @@ def test_ce_loss_gradient_matches_finite_differences():
 
     def loss_of_params(values):
         scalings = build_scaling_map(sites, values)
-        txt = _feats_text(model, tokens, hooks, scalings)
-        img = _feats_image(model, images, hooks, scalings)
+        txt = _feats_text(model, tokens, scalings)
+        img = _feats_image(model, images, scalings)
         return ce_loss(img, txt, labels, temperature=0.07)
 
     reports = gradient_check(model, sites, loss_of_params, h=1e-5, seed=0)
