@@ -13,12 +13,18 @@ finite, and only a non-finite sum (a NaN/Inf element, or finite values whose
 sum overflows) pays for the full element scan that decides.
 
 Primitives that act on the last axis (``linear``, ``layernorm``,
-``affine``, ``gelu``, ``add``) take any leading axes, ``attention_core``
-takes (..., n, d) with one (n, n) mask for every item, and ``row`` reads
-axis -2, one index for all items or one per item. That is how a whole
-batch runs as one chain of primitives. On 1-D and 2-D inputs each
-primitive runs the same numpy operations it always has, so per-row results
-are unchanged bit for bit.
+``affine``, ``gelu``, ``l2_normalize``, ``add``) take any leading axes,
+``attention_core`` takes (..., n, d) with one (n, n) mask for every item,
+``row`` reads axis -2, one index for all items or one per item, and
+``pick`` reads one column per row of the last two axes. That is how a whole
+batch runs as one chain of primitives. A leading trial axis goes through
+them too: ``affine`` takes one scale/shift pair per trial, (*T, w) for y of
+shape (*T, ..., w); ``matmul`` multiplies stacks of matrices, or of a
+matrix and a vector, over equal leading axes; ``transpose`` swaps the last
+two axes; and the elementwise primitives broadcast an operand whose shape
+is a suffix of the other's. On 1-D and 2-D inputs each primitive computes
+the same numpy products and sums it always has, so per-row results are
+unchanged bit for bit.
 
 A Tape is single-use: run the forward pass again to differentiate again.
 ``backward`` pops each record as it replays it, so the tape no longer
@@ -315,7 +321,7 @@ def _emit(op: str, out: np.ndarray, inputs: Sequence[Tensor], vjp: Callable | No
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient back down to ``shape`` after last-axis/scalar broadcast."""
+    """Sum a gradient back down to ``shape``, a suffix of ``g.shape`` (suffix broadcast)."""
     if g.shape == shape:
         return g
     if shape == ():
@@ -326,15 +332,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
+    """Operands broadcast when one shape is a suffix of the other: (), (d,), (B, d) with (K, B, d)."""
     sa, sb = a.shape, b.shape
-    if sa == sb or sa == () or sb == ():
+    if sa == sb:
         return
-    # last-axis affine broadcast: (..., d) with (d,)
-    if len(sb) == 1 and len(sa) >= 1 and sa[-1] == sb[0]:
-        return
-    if len(sa) == 1 and len(sb) >= 1 and sb[-1] == sa[0]:
-        return
-    raise ValueError(f"{op}: shapes {sa} and {sb} do not broadcast (last-axis only)")
+    short, long = (sa, sb) if len(sa) < len(sb) else (sb, sa)
+    if long[len(long) - len(short) :] != short:
+        raise ValueError(f"{op}: shapes {sa} and {sb} do not broadcast (one must be a suffix of the other)")
 
 
 # ------------------------------------------------------------------
@@ -385,22 +389,27 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def affine(y: Tensor, a: Tensor, b: Tensor) -> Tensor:
-    """Per-channel y * a + b over the last axis (the agent-layer primitive)."""
+    """Per-channel y * a + b over the last axis (the agent-layer primitive).
+
+    ``a`` and ``b`` are one (w,) pair for every item of y (..., w), or one
+    pair per trial: (*T, w) for y of shape (*T, ..., w).
+    """
     _same_precision("affine", y, a, b)
-    d = y.shape[-1] if y.ndim else None
-    if a.shape != (d,) or b.shape != (d,):
-        raise ValueError(f"affine: scale/shift of shape {a.shape}/{b.shape} do not match last axis {d}")
-    out = y.data * a.data + b.data
-    yd, ad = y.data, a.data
+    t = a.ndim - 1  # leading trial axes of the scale/shift pair
+    if t < 0 or b.shape != a.shape or y.ndim <= t or y.shape[:t] != a.shape[:t] or y.shape[-1] != a.shape[-1]:
+        raise ValueError(f"affine: scale/shift of shape {a.shape}/{b.shape} do not match {y.shape}")
+    yd, ad, bd = y.data, a.data, b.data
+    between = tuple(range(t, y.ndim - 1))  # the item axes each pair broadcasts over
+    if t and between:
+        shape = a.shape[:t] + (1,) * len(between) + a.shape[t:]
+        ad, bd = ad.reshape(shape), bd.reshape(shape)
 
     def vjp(g):
-        return (
-            g * ad,
-            _unbroadcast(g * yd, a.shape),
-            _unbroadcast(g, b.shape),
-        )
+        if not between:
+            return g * ad, g * yd, g
+        return g * ad, (g * yd).sum(axis=between), g.sum(axis=between)
 
-    return _emit("affine", out, (y, a, b), vjp)
+    return _emit("affine", yd * ad + bd, (y, a, b), vjp)
 
 
 def log(a: Tensor) -> Tensor:
@@ -427,35 +436,54 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; also supports matrix @ vector."""
+    """Matrix @ matrix or matrix @ vector, each also stacked over equal leading axes.
+
+    (m, n) @ (n, p) -> (m, p) and (m, n) @ (n,) -> (m,); stacked,
+    (*T, m, n) @ (*T, n, p) -> (*T, m, p) and (*T, m, n) @ (*T, n) -> (*T, m).
+    """
     _same_precision("matmul", a, b)
-    if a.ndim == 2 and b.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise ValueError(f"matmul: inner dimension mismatch ({a.shape} @ {b.shape})")
-        out = a.data @ b.data
-        ad, bd = a.data, b.data
-
-        def vjp(g):
-            return g @ bd.T, ad.T @ g
-
-        return _emit("matmul", out, (a, b), vjp)
+    ad, bd = a.data, b.data
     if a.ndim == 2 and b.ndim == 1:
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"matmul: inner dimension mismatch ({a.shape} @ {b.shape})")
-        out = a.data @ b.data
-        ad, bd = a.data, b.data
 
         def vjp(g):
             return np.outer(g, bd), ad.T @ g
 
-        return _emit("matmul", out, (a, b), vjp)
-    raise ValueError(f"matmul: unsupported ranks {a.ndim} and {b.ndim}")
+        return _emit("matmul", ad @ bd, (a, b), vjp)
+    if a.ndim < 2 or b.ndim not in (a.ndim - 1, a.ndim):
+        raise ValueError(f"matmul: unsupported ranks {a.ndim} and {b.ndim}")
+    vector = b.ndim < a.ndim
+    lead, inner = (b.shape[:-1], b.shape[-1]) if vector else (b.shape[:-2], b.shape[-2])
+    if a.shape[-1] != inner:
+        raise ValueError(f"matmul: inner dimension mismatch ({a.shape} @ {b.shape})")
+    if a.shape[:-2] != lead:
+        raise ValueError(f"matmul: leading axes do not match ({a.shape} @ {b.shape})")
+    if vector:
+        out = (ad @ bd[..., None])[..., 0]
+
+        def vjp(g):
+            return g[..., :, None] * bd[..., None, :], (ad.swapaxes(-1, -2) @ g[..., None])[..., 0]
+
+    else:
+        out = ad @ bd
+
+        def vjp(g):
+            return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
+
+    return _emit("matmul", out, (a, b), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ValueError("transpose: expected a matrix")
-    return _emit("transpose", np.ascontiguousarray(a.data.T), (a,), lambda g: (np.ascontiguousarray(g.T),))
+    """Swap the last two axes."""
+    if a.ndim < 2:
+        raise ValueError("transpose: expected a matrix or a stack of matrices")
+    return _emit(
+        "transpose",
+        np.ascontiguousarray(a.data.swapaxes(-1, -2)),
+        (a,),
+        lambda g: (np.ascontiguousarray(g.swapaxes(-1, -2)),),
+    )
 
 
 def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -614,7 +642,8 @@ def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     if not -a.ndim <= axis < a.ndim:
         raise ValueError(f"reduce_sum: axis {axis} invalid for shape {ashape}")
     ax = axis % a.ndim
-    out = np.ascontiguousarray(a.data.sum(axis=ax))
+    out = a.data.sum(axis=ax)
+    out = np.ascontiguousarray(out) if out.ndim else np.asarray(out)  # a 1-D input sums to shape ()
 
     def vjp_axis(g):
         return (np.broadcast_to(np.expand_dims(g, ax), ashape).astype(g.dtype, copy=True),)
@@ -628,9 +657,9 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
 
 
 def l2_normalize(a: Tensor, min_norm: float = 0.0) -> Tensor:
-    """Scale rows (or a single vector) to unit Euclidean norm."""
-    if a.ndim not in (1, 2):
-        raise ValueError("l2_normalize: expected a vector or matrix")
+    """Scale each vector along the last axis to unit Euclidean norm."""
+    if a.ndim < 1:
+        raise ValueError("l2_normalize: expected a vector or a stack of vectors")
     norms = np.linalg.norm(a.data, axis=-1, keepdims=True)
     if np.any(norms <= min_norm) or np.any(norms == 0.0):
         raise ValueError("l2_normalize: zero-norm input")
@@ -694,21 +723,21 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
 
 
 def pick(p: Tensor, indices: np.ndarray) -> Tensor:
-    """Select p[j, indices[j]] for every row j."""
-    if p.ndim != 2:
-        raise ValueError("pick: expected a matrix")
+    """Select p[..., j, indices[j]] for every row j; every leading item shares the indices."""
+    if p.ndim < 2:
+        raise ValueError("pick: expected a matrix or a stack of matrices")
     idx = np.asarray(indices)
-    if idx.ndim != 1 or idx.shape[0] != p.shape[0]:
+    if idx.ndim != 1 or idx.shape[0] != p.shape[-2]:
         raise ValueError(f"pick: need one index per row, got {idx.shape} for {p.shape}")
-    if np.any(idx < 0) or np.any(idx >= p.shape[1]):
+    if np.any(idx < 0) or np.any(idx >= p.shape[-1]):
         raise ValueError("pick: index out of range")
-    rows_idx = np.arange(p.shape[0])
-    out = np.ascontiguousarray(p.data[rows_idx, idx])
+    rows_idx = np.arange(p.shape[-2])
+    out = np.ascontiguousarray(p.data[..., rows_idx, idx])
     pshape = p.shape
 
     def vjp(g):
         dp = np.zeros(pshape, dtype=g.dtype)
-        dp[rows_idx, idx] = g
+        dp[..., rows_idx, idx] = g
         return (dp,)
 
     return _emit("pick", out, (p,), vjp)

@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rngmod
-from .agents import CouplingMode, bridge_norm, build_sites, fuse_model
+from .agents import CouplingMode, bridge_norm, build_scaling_map, build_sites, fuse_model
 from .autodiff import NonFiniteError, Tensor
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, parse_config
-from .encoder import init_dual_encoder
+from .encoder import image_forward, init_dual_encoder, text_forward
 from .state import pack_dataset, pack_state, unpack_dataset, unpack_state
 from .training import (
     METRICS_HEADER,
@@ -219,16 +219,14 @@ def _gradcheck_reports(run_cfg: RunConfig, seed: int) -> list[CheckReport]:
     images = gen.standard_normal((n_batch, enc.N_v, enc.d_v))
     labels = np.asarray([i % n_classes for i in range(n_batch)])
 
-    from .agents import build_scaling_map
-    from .training import _feats_image, _feats_text
-
-    frozen_txt = _feats_text(model, tokens).data
-    frozen_img = _feats_image(model, images).data
+    frozen_txt = text_forward(tokens, enc, model.text).data
+    frozen_img = image_forward(images, enc, model.image).data
 
     def loss_of_params(values) -> Tensor:
+        # plain values give one loss, stacked (K, *shape) values give K
         scalings = build_scaling_map(sites, values)
-        txt = _feats_text(model, tokens, scalings)
-        img = _feats_image(model, images, scalings)
+        txt = text_forward(tokens, enc, model.text, scalings)
+        img = image_forward(images, enc, model.image, scalings)
         ce = ce_loss(img, txt, labels, t.temperature)
         rv, rt = reg_losses(img, frozen_img, txt, frozen_txt)
         return total_loss(ce, rv, rt, t.lam)

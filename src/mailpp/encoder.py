@@ -18,6 +18,10 @@ Agent hooks can be attached at six positions:
 A forward pass takes an optional ``ScalingMap``: (modality, block | None,
 position) -> (a_eff, b_eff). A position found in it is scaled and shifted
 per channel (``y * a_eff + b_eff``); every other position passes through.
+The vectors are (w,), or (*T, w) with leading trial axes T: one set of
+agent values per trial, as the finite-difference oracle evaluates many
+perturbed parameter points at once. Then every input is encoded once per
+trial and the features gain the leading axes T.
 
 Both forward passes take one input or a batch: (N_v, d_v) patches or a
 (B, N_v, d_v) batch, one id sequence or a list of them. A text batch is
@@ -181,6 +185,13 @@ def _apply_hook(y: Tensor, key: HookKey, scalings: ScalingMap | None) -> Tensor:
     return y if ab is None else ad.affine(y, *ab)
 
 
+def _trial_axes(scalings: ScalingMap | None) -> tuple[int, ...]:
+    """The leading axes T of the scaling vectors, (*T, w); () for plain (w,) vectors."""
+    for a, _ in (scalings or {}).values():
+        return a.shape[:-1]
+    return ()
+
+
 # ------------------------------------------------------------------
 # layout and initialization
 
@@ -332,7 +343,7 @@ def text_forward(
     shorter rows are right-padded with ``PAD_ID`` and row i is read at
     n_i - 1. Padding is exact, because the causal mask lets no position up
     to n_i - 1 see a later one: its -1e9 makes every padded probability
-    exactly 0.
+    exactly 0. Scaling vectors with trial axes T give (*T, [B,] d_t).
     """
     if weights.modality != "text":
         raise ValueError("text_forward: weights are not text weights")
@@ -346,7 +357,13 @@ def text_forward(
     else:
         toks, last = rows[0], n - 1
     pos = weights.arrays["frozen/text/pos"]
-    x = Tensor(weights.arrays["frozen/text/embed"][toks] + pos[:n])
+    x = weights.arrays["frozen/text/embed"][toks] + pos[:n]
+    trials = _trial_axes(scalings)
+    if trials:
+        x = np.broadcast_to(x, trials + x.shape)
+        if batched:
+            last = np.broadcast_to(last, trials + last.shape)
+    x = Tensor(x)
     mask = ad.causal_mask(n, pos.dtype)
     x = _blocks_forward(x, cfg, weights, mask, scalings)
     return _readout(x, last, cfg, weights, scalings)
@@ -361,7 +378,8 @@ def image_forward(
     """Encode pre-tokenized patches to d_t features, read from the class token.
 
     (N_v, d_v) patches give a (d_t,) feature; a (B, N_v, d_v) batch gives
-    (B, d_t) in one pass.
+    (B, d_t) in one pass. Scaling vectors with trial axes T give
+    (*T, [B,] d_t).
     """
     if weights.modality != "image":
         raise ValueError("image_forward: weights are not image weights")
@@ -373,7 +391,7 @@ def image_forward(
     if patches.ndim == 3 and patches.shape[0] == 0:
         raise ValueError("image_forward: empty batch of images")
     pos = weights.arrays["frozen/image/pos"]
-    stacked = np.empty(patches.shape[:-2] + pos.shape, dtype=pos.dtype)
+    stacked = np.empty(_trial_axes(scalings) + patches.shape[:-2] + pos.shape, dtype=pos.dtype)
     stacked[..., 0, :] = weights.arrays["frozen/image/cls"]
     stacked[..., 1:, :] = patches
     stacked += pos

@@ -238,13 +238,19 @@ def _probs(image_feats: Tensor, class_feats: Tensor, temperature: float) -> Tens
 
 
 def ce_loss(image_feats: Tensor, class_feats: Tensor, labels, temperature: float) -> Tensor:
-    """Mean -log p(label | image) over the batch."""
+    """Mean -log p(label | image) over the batch.
+
+    Features are (B, d) and (C, d), or (*T, B, d) and (*T, C, d) with
+    leading trial axes T, which give one loss per trial, (*T,).
+    """
     lbl = np.asarray(labels, dtype=np.int64)
-    C = class_feats.shape[0]
+    if image_feats.ndim < 2 or image_feats.shape[:-2] != class_feats.shape[:-2]:
+        raise ValueError(f"ce_loss: feature shapes {image_feats.shape} and {class_feats.shape} do not pair up")
+    C = class_feats.shape[-2]
     if np.any(lbl < 0) or np.any(lbl >= C):
         raise ValueError(f"label out of range for {C} classes")
     p = _probs(image_feats, class_feats, temperature)
-    return ad.neg(ad.mean(ad.log(ad.pick(p, lbl))))
+    return ad.neg(ad.mean(ad.log(ad.pick(p, lbl)), axis=-1))
 
 
 def _row_similarities(adapted: Tensor, frozen: np.ndarray) -> Tensor:
@@ -258,12 +264,17 @@ def reg_losses(
     adapted_txt: Tensor,
     frozen_txt: np.ndarray,
 ) -> tuple[Tensor, Tensor]:
-    """Feature-anchoring penalties: 1 - mean cosine(adapted, frozen) per modality."""
-    if adapted_img.shape != frozen_img.shape or adapted_txt.shape != frozen_txt.shape:
-        raise ValueError("adapted/frozen feature shapes must match pairwise")
+    """Feature-anchoring penalties: 1 - mean cosine(adapted, frozen) per modality.
+
+    Frozen features are (B, d); adapted ones are (B, d), or (*T, B, d) with
+    leading trial axes T, which give one penalty per trial, (*T,).
+    """
+    for adapted, frozen in ((adapted_img, frozen_img), (adapted_txt, frozen_txt)):
+        if frozen.ndim != 2 or adapted.shape[adapted.ndim - 2 :] != frozen.shape:
+            raise ValueError("adapted/frozen feature shapes must match pairwise")
     one = Tensor(np.asarray(1.0, dtype=adapted_img.data.dtype))
-    reg_v = ad.sub(one, ad.mean(_row_similarities(adapted_img, frozen_img)))
-    reg_t = ad.sub(one, ad.mean(_row_similarities(adapted_txt, frozen_txt)))
+    reg_v = ad.sub(one, ad.mean(_row_similarities(adapted_img, frozen_img), axis=-1))
+    reg_t = ad.sub(one, ad.mean(_row_similarities(adapted_txt, frozen_txt), axis=-1))
     return reg_v, reg_t
 
 
@@ -358,9 +369,9 @@ class TrainedState:
 def _feats_text(model: DualEncoder, tokens: Sequence[Sequence[int]], scalings: ScalingMap | None = None) -> Tensor:
     """Per-row text features, one ``text_forward`` pass per sequence.
 
-    ``train`` and the gradient check use this path because the benchmark
-    pins the default step's tape records and encoder calls; this helper goes
-    once the benchmark re-pins those counts for a batched step.
+    ``train`` uses this path because the benchmark pins the default step's
+    tape records and encoder calls; this helper goes once the benchmark
+    re-pins those counts for a batched step.
     """
     rows = [text_forward(t, model.cfg, model.text, scalings) for t in tokens]
     return ad.stack_rows(rows)
@@ -369,8 +380,8 @@ def _feats_text(model: DualEncoder, tokens: Sequence[Sequence[int]], scalings: S
 def _feats_image(model: DualEncoder, images: np.ndarray, scalings: ScalingMap | None = None) -> Tensor:
     """Per-row image features, one ``image_forward`` pass per image.
 
-    Kept for ``train`` and the gradient check for the same reason as
-    ``_feats_text``, and goes with it.
+    Kept for ``train`` for the same reason as ``_feats_text``, and goes
+    with it.
     """
     rows = [image_forward(img, model.cfg, model.image, scalings) for img in images]
     return ad.stack_rows(rows)

@@ -5,6 +5,15 @@ differences probe the tape's gradients; the dual-path fusion check runs
 hooked and folded models side by side; the closed-form parameter
 counter never instantiates a site, so it can be cross-checked against
 an enumeration of actually allocated arrays.
+
+The finite differences run on a leading trial axis: each objective call
+takes a stack of up to ``FD_TRIALS`` perturbed parameter points and
+returns one loss per point. ``gradient_check`` hands each stack to the same
+``loss_of_params`` that the tape differentiates, as ``name -> (K, *shape)``
+Tensors, and the encoders and losses carry the trial axis through (one
+agent-value set per trial). ``tests/test_verify.py`` ties the stacked
+objective to the per-point one: row k of a stacked call equals an
+unstacked call at point k.
 """
 
 from __future__ import annotations
@@ -51,6 +60,8 @@ CHECK_CSV_HEADER = "name,passed,worst_error,tolerance,trials,seed,detail"
 
 PARAM_CLASSES = ("a", "b", "w_up", "w_down", "a_m")
 
+FD_TRIALS = 64  # perturbed points per objective call of finite_diff_grad
+
 
 @dataclass
 class CheckReport:
@@ -93,25 +104,32 @@ def _vacuous(report: CheckReport) -> CheckReport:
 # finite differences
 
 
-def finite_diff_grad(f: Callable[[np.ndarray], float], x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central differences (f(x + h e_i) - f(x - h e_i)) / 2h, in f64."""
+def finite_diff_grad(f: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central differences (f(x + h e_i) - f(x - h e_i)) / 2h per coordinate, in f64.
+
+    ``f`` maps a (K, n) stack of points (x0 flattened, one perturbed
+    coordinate per row) to K values, K <= ``FD_TRIALS``. Trial 2i moves
+    coordinate i by +h and trial 2i + 1 by -h; each call's points are built
+    from a copy of x0, so x0 itself is never written.
+    """
     if h <= 0:
         raise ValueError("h must be positive")
     x0 = np.asarray(x0, dtype=np.float64)
-    grad = np.empty_like(x0)
     flat = x0.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = float(f(x0))
-        flat[i] = orig - h
-        fm = float(f(x0))
-        flat[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NonFiniteError(f"non-finite function value near coordinate {i}")
-        gflat[i] = (fp - fm) / (2.0 * h)
-    return grad
+    values = np.empty(2 * flat.size)
+    for start in range(0, values.size, FD_TRIALS):
+        trials = np.arange(start, min(start + FD_TRIALS, values.size))
+        coords = trials // 2
+        points = np.repeat(flat[None, :], trials.size, axis=0)
+        points[np.arange(trials.size), coords] += np.where(trials % 2 == 0, h, -h)
+        got = np.asarray(f(points), dtype=np.float64)
+        if got.shape != trials.shape:
+            raise ValueError(f"finite_diff_grad: f returned shape {got.shape} for {trials.size} points")
+        bad = np.flatnonzero(~np.isfinite(got))
+        if bad.size:
+            raise NonFiniteError(f"non-finite function value near coordinate {coords[bad[0]]}")
+        values[trials] = got
+    return ((values[0::2] - values[1::2]) / (2.0 * h)).reshape(x0.shape)
 
 
 def relative_error(g1: np.ndarray, g2: np.ndarray) -> float:
@@ -352,6 +370,20 @@ def _flatten(params: Mapping[str, np.ndarray]) -> tuple[np.ndarray, list[tuple[s
     return np.concatenate(chunks).astype(np.float64), layout
 
 
+def _trial_objective(
+    layout: list[tuple[str, slice, tuple[int, ...]]],
+    loss_of_params: Callable[[Mapping[str, Tensor] | None], Tensor],
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The stacked objective: (K, n) flat points -> K losses, one ``loss_of_params`` call."""
+
+    def f(points: np.ndarray) -> np.ndarray:
+        k = points.shape[0]
+        values = {name: Tensor(points[:, sl].reshape((k, *shape))) for name, sl, shape in layout}
+        return loss_of_params(values).data
+
+    return f
+
+
 def _param_class(name: str) -> str:
     leaf = name.rsplit("/", 1)[-1]
     if leaf == "b_m":
@@ -369,21 +401,15 @@ def gradient_check(
     """Backward vs central differences, reported per trainable parameter class.
 
     ``loss_of_params`` maps a name->Tensor dict (or None for current site
-    values) to a scalar loss tensor; it is evaluated both on a tape and
-    pointwise for the differences.
+    values) to a scalar loss tensor, and a dict of stacked values,
+    name -> (K, *shape), to K losses. It is differentiated on a tape once
+    and evaluated on stacks of perturbed points for the differences.
     """
     base: dict[str, np.ndarray] = {}
     for key, site in sites.items():
         for local, arr in site.params():
             base[f"{key}/{local}"] = arr.astype(np.float64)
     x0, layout = _flatten(base)
-
-    def unflatten(x: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: x[sl].reshape(shape) for name, sl, shape in layout}
-
-    def f(x: np.ndarray) -> float:
-        values = {name: Tensor(arr) for name, arr in unflatten(x).items()}
-        return loss_of_params(values).item()
 
     tape = Tape()
     leaves = {name: tape.leaf(arr) for name, arr in base.items()}
@@ -393,7 +419,7 @@ def gradient_check(
     for name, sl, shape in layout:
         analytic[sl] = grads[leaves[name].node].data.reshape(-1)
 
-    numeric = finite_diff_grad(f, x0, h)
+    numeric = finite_diff_grad(_trial_objective(layout, loss_of_params), x0, h)
 
     reports = []
     for cls in PARAM_CLASSES:

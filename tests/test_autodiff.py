@@ -425,6 +425,75 @@ def _build_neg_scale(gen):
     return (3, 4), lambda x: ad.neg(ad.scale(x, 0.37))
 
 
+# ---- leading trial axes (one set of agent values per trial)
+
+
+@_case("matmul_stacked")
+def _build_matmul_stacked(gen):
+    b = gen.standard_normal((2, 4, 3))
+    return (2, 3, 4), lambda x: ad.matmul(x, Tensor(b))
+
+
+@_case("matmul_stacked_rhs")
+def _build_matmul_stacked_rhs(gen):
+    a = gen.standard_normal((2, 3, 4))
+    return (2, 4, 3), lambda x: ad.matmul(Tensor(a), x)
+
+
+@_case("matvec_stacked")
+def _build_matvec_stacked(gen):
+    v = gen.standard_normal((2, 4))
+    return (2, 3, 4), lambda x: ad.matmul(x, Tensor(v))
+
+
+@_case("matvec_stacked_rhs")
+def _build_matvec_stacked_rhs(gen):
+    a = gen.standard_normal((2, 3, 4))
+    return (2, 4), lambda x: ad.matmul(Tensor(a), x)
+
+
+@_case("transpose_3d")
+def _build_transpose_3d(gen):
+    return (2, 3, 4), lambda x: ad.transpose(x)
+
+
+@_case("affine_trials")
+def _build_affine_trials(gen):
+    a = gen.standard_normal((2, 4))
+    b = gen.standard_normal((2, 4))
+    return (2, 3, 5, 4), lambda y: ad.affine(y, Tensor(a), Tensor(b))
+
+
+@_case("affine_trials_scale")
+def _build_affine_trials_scale(gen):
+    y = gen.standard_normal((2, 3, 5, 4))
+    b = gen.standard_normal((2, 4))
+    return (2, 4), lambda a: ad.affine(Tensor(y), a, Tensor(b))
+
+
+@_case("affine_trials_shift")
+def _build_affine_trials_shift(gen):
+    y = gen.standard_normal((2, 3, 4))
+    a = gen.standard_normal((2, 4))
+    return (2, 4), lambda b: ad.affine(Tensor(y), Tensor(a), b)
+
+
+@_case("pick_3d")
+def _build_pick_3d(gen):
+    idx = np.asarray([2, 0, 1])
+    return (2, 3, 4), lambda x: ad.pick(ad.softmax(x, axis=-1), idx)
+
+
+@_case("l2_normalize_3d")
+def _build_l2n_3d(gen):
+    return (2, 3, 4), lambda x: ad.l2_normalize(x)
+
+
+@_case("reduce_sum_vector")
+def _build_reduce_vector(gen):
+    return (4,), lambda x: ad.reduce_sum(x, axis=-1)
+
+
 @pytest.mark.parametrize("name", sorted(_PRIMITIVE_CASES))
 def test_primitive_gradients_match_finite_differences(name):
     """Analytic vs central-difference gradients, 100 random seeds per primitive."""
@@ -443,7 +512,7 @@ def test_primitive_gradients_match_finite_differences(name):
         leaf = tape.leaf(x0)
         loss = ad.reduce_sum(ad.mul(op(leaf), Tensor(w)))
         analytic = tape.backward(loss)[leaf.node].data
-        numeric = finite_diff_grad(lambda x: f(x), x0.copy(), h=1e-5)
+        numeric = finite_diff_grad(lambda xs: [f(x) for x in xs], x0.copy(), h=1e-5)
         worst = max(worst, relative_error(analytic, numeric.reshape(shape)))
     assert worst <= 1e-4, f"{name}: worst rel err {worst}"
 
@@ -471,7 +540,7 @@ def test_layernorm_gamma_beta_gradients():
         )
         loss = ad.reduce_sum(ad.mul(out, Tensor(w)))
         analytic = tape.backward(loss)[leaf.node].data
-        numeric = finite_diff_grad(f, (g0 if which == "gamma" else b0).copy(), 1e-5)
+        numeric = finite_diff_grad(lambda ps: [f(p) for p in ps], (g0 if which == "gamma" else b0).copy(), 1e-5)
         assert relative_error(analytic, numeric) <= 1e-4
 
 
@@ -490,6 +559,64 @@ def test_batched_primitives_equal_their_per_item_calls():
         assert np.allclose(att[i], ad.attention_core(xi, xi, xi, 2, mask).data, rtol=0, atol=1e-12)
         assert np.array_equal(picked[i], x[i, idx[i]])
     assert np.array_equal(ad.row(Tensor(x), 1).data, x[:, 1])
+
+
+def test_trial_axis_primitives_equal_their_per_trial_calls():
+    gen = np.random.default_rng(6)
+    k = 3
+    y = gen.standard_normal((k, 2, 5, 4))
+    a, b = gen.standard_normal((k, 4)), gen.standard_normal((k, 4))
+    m, v, m2 = gen.standard_normal((k, 3, 4)), gen.standard_normal((k, 4)), gen.standard_normal((k, 4, 2))
+    rows = gen.standard_normal((k, 2, 4))
+    idx = np.asarray([3, 1])
+    aff = ad.affine(Tensor(y), Tensor(a), Tensor(b)).data
+    mv = ad.matmul(Tensor(m), Tensor(v)).data
+    mm = ad.matmul(Tensor(m), Tensor(m2)).data
+    tr = ad.transpose(Tensor(m)).data
+    picked = ad.pick(Tensor(rows), idx).data
+    unit = ad.l2_normalize(Tensor(rows)).data
+    summed = ad.add(Tensor(rows), Tensor(rows[0])).data  # (B, d) broadcasts over the trial axis
+    for i in range(k):
+        assert np.allclose(aff[i], ad.affine(Tensor(y[i]), Tensor(a[i]), Tensor(b[i])).data, rtol=0, atol=1e-12)
+        assert np.allclose(mv[i], ad.matmul(Tensor(m[i]), Tensor(v[i])).data, rtol=0, atol=1e-12)
+        assert np.allclose(mm[i], ad.matmul(Tensor(m[i]), Tensor(m2[i])).data, rtol=0, atol=1e-12)
+        assert np.array_equal(tr[i], ad.transpose(Tensor(m[i])).data)
+        assert np.array_equal(picked[i], ad.pick(Tensor(rows[i]), idx).data)
+        assert np.allclose(unit[i], ad.l2_normalize(Tensor(rows[i])).data, rtol=0, atol=1e-12)
+        assert np.array_equal(summed[i], rows[i] + rows[0])
+    assert ad.reduce_sum(Tensor(v[0]), axis=-1).shape == ()
+    assert ad.reduce_sum(Tensor(v[0]), axis=-1).item() == pytest.approx(v[0].sum(), abs=1e-12)
+    assert ad.reduce_sum(Tensor(rows), axis=-1).shape == (k, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ad.affine(Tensor(np.zeros((3, 2, 4))), Tensor(np.ones((2, 4))), Tensor(np.zeros((2, 4)))),
+        lambda: ad.affine(Tensor(np.zeros((2, 4))), Tensor(np.ones((2, 4))), Tensor(np.zeros((3, 4)))),
+        lambda: ad.affine(Tensor(np.zeros((2, 5))), Tensor(np.ones((2, 4))), Tensor(np.zeros((2, 4)))),
+        lambda: ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4)))),
+        lambda: ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 3, 2)))),
+        lambda: ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 3)))),
+        lambda: ad.transpose(Tensor(np.zeros(3))),
+        lambda: ad.pick(Tensor(np.zeros((2, 3, 4))), np.asarray([0, 1])),
+        lambda: ad.add(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((1, 4)))),  # numpy would broadcast it
+    ],
+    ids=[
+        "affine-trials-mismatch",
+        "affine-scale-shift-differ",
+        "affine-width",
+        "matmul-unstacked-rhs",
+        "matmul-stacked-inner",
+        "matvec-stacked-inner",
+        "transpose-vector",
+        "pick-rows",
+        "add-not-a-suffix",
+    ],
+)
+def test_trial_axis_shape_contract(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_row_contract():

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,22 @@ MICRO_CONFIG = {
         "d_m": 4,
     },
     "data": {"pool_per_class": 4, "noise": 0.1},
+}
+
+
+# the benchmark's check operation: its config and flags, and the report names
+# and trial counts that `mailpp check` prints for them
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
+BENCH_CHECK_TRIALS = {
+    "identity_at_init": 16,
+    "fusion_equivalence[f64]": 4,
+    "fusion_equivalence[f32]": 4,
+    "grad_fd[a]": 48,
+    "grad_fd[b]": 48,
+    "grad_fd[w_up]": 96,
+    "grad_fd[w_down]": 96,
+    "grad_fd[a_m]": 24,
+    "param_count_agreement[bidirectional]": 1,
 }
 
 
@@ -223,3 +241,22 @@ def test_fuse_writes_nothing_when_the_check_fails(workdir, capsys, monkeypatch):
     assert run(["fuse", "--ckpt", ckpt, "--out", str(out)]) == 1
     assert out.read_bytes() == b"an earlier artifact"
     assert sorted(p.name for p in tmp.iterdir()) == listing
+
+
+def test_check_at_the_benchmark_config_passes_every_report(tmp_path, capsys):
+    seed = 0
+    spec = json.loads(WORKLOADS.read_text(encoding="utf-8"))
+    cfg = tmp_path / "check.json"
+    cfg.write_text(json.dumps(spec["check_config"]))
+    code = run(["check", "--config", str(cfg), "--seed", str(seed), *spec["check_flags"]])
+    lines = capsys.readouterr().out.splitlines()
+    reports = {}
+    for line in lines:
+        m = re.fullmatch(r"(PASS|FAIL)  (\S+): worst error \S+ \(tol \S+, (\d+) trials, seed (\d+)\)(.*)", line)
+        assert m, line
+        status, name, trials, printed_seed, detail = m.groups()
+        assert status == "PASS" and detail == "" and int(printed_seed) == seed, line
+        reports[name] = int(trials)
+    assert code == 0
+    assert reports == BENCH_CHECK_TRIALS
+    assert list(reports) == list(BENCH_CHECK_TRIALS)

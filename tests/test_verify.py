@@ -4,7 +4,7 @@ import pytest
 from mailpp import rng
 from mailpp.agents import CouplingMode, build_sites, fuse_model
 from mailpp.autodiff import Tensor
-from mailpp.encoder import EncoderConfig
+from mailpp.encoder import ALL_POSITIONS, EncoderConfig
 from mailpp.verify import (
     CheckReport,
     check_counter_agreement,
@@ -26,23 +26,62 @@ TINY_SCALE = EncoderConfig(L=1, d_t=2, d_v=2, n_heads=1, N_t=4, N_v=3, vocab_siz
 
 
 def test_fd_quadratic():
-    g = finite_diff_grad(lambda x: float(x[0] ** 2), np.asarray([3.0]), h=1e-5)
+    g = finite_diff_grad(lambda xs: xs[:, 0] ** 2, np.asarray([3.0]), h=1e-5)
     assert abs(g[0] - 6.0) <= 1e-9
 
 
 def test_fd_linear_recovers_coefficients():
     c = np.asarray([2.0, -7.0, 0.25])
-    g = finite_diff_grad(lambda x: float(c @ x), np.asarray([1.0, 2.0, 3.0]), h=1e-5)
+    g = finite_diff_grad(lambda xs: xs @ c, np.asarray([1.0, 2.0, 3.0]), h=1e-5)
     assert np.allclose(g, c, atol=1e-9)
 
 
 def test_fd_rejects_bad_h_and_nonfinite():
     with pytest.raises(ValueError, match="positive"):
-        finite_diff_grad(lambda x: 0.0, np.zeros(1), h=0.0)
+        finite_diff_grad(lambda xs: np.zeros(len(xs)), np.zeros(1), h=0.0)
     from mailpp.autodiff import NonFiniteError
 
     with pytest.raises(NonFiniteError):
-        finite_diff_grad(lambda x: float("nan"), np.zeros(1), h=1e-5)
+        finite_diff_grad(lambda xs: np.full(len(xs), np.nan), np.zeros(1), h=1e-5)
+
+
+def test_fd_never_writes_the_callers_point(monkeypatch):
+    import mailpp.verify
+
+    def raising(xs):
+        if np.any(xs[:, 1] != 0.0):  # a point that moves coordinate 1
+            raise RuntimeError("objective failed")
+        return np.zeros(len(xs))
+
+    for trials in (1, 64):  # one point per call reaches coordinate 1 after coordinate 0's points
+        monkeypatch.setattr(mailpp.verify, "FD_TRIALS", trials)
+        x = np.zeros(3)
+        before = x.tobytes()
+        with pytest.raises(RuntimeError, match="objective failed"):
+            finite_diff_grad(raising, x, h=1e-5)
+        assert x.tobytes() == before
+
+
+# (points per call, coordinate, side): with 64 points per call, coordinate 31's
+# pair ends the first call and 32's starts the second; with 7, coordinate 3's
+# +h point ends the first call and its -h point starts the second
+@pytest.mark.parametrize("trials,coord,sign", [(64, 31, 1), (64, 32, 1), (64, 39, -1), (7, 3, -1), (7, 3, 1)])
+def test_fd_names_the_coordinate_of_a_non_finite_value(monkeypatch, trials, coord, sign):
+    import mailpp.verify
+    from mailpp.autodiff import NonFiniteError
+
+    monkeypatch.setattr(mailpp.verify, "FD_TRIALS", trials)
+
+    def f(xs):
+        return np.where(sign * xs[:, coord] > 0.0, np.inf, 0.0)
+
+    with pytest.raises(NonFiniteError, match=f"coordinate {coord}$"):
+        finite_diff_grad(f, np.zeros(40), h=1e-5)
+
+
+def test_fd_rejects_an_objective_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="shape"):
+        finite_diff_grad(lambda xs: np.zeros((len(xs), 1)), np.zeros(2), h=1e-5)
 
 
 def test_relative_error_metric():
@@ -215,8 +254,8 @@ def test_counter_agreement_at_full_scale():
 def test_ce_loss_gradient_matches_finite_differences():
     """Backward through the full matching loss on a toy model vs the FD oracle."""
     from mailpp.agents import build_scaling_map
-    from mailpp.encoder import init_dual_encoder
-    from mailpp.training import _feats_image, _feats_text, ce_loss
+    from mailpp.encoder import image_forward, init_dual_encoder, text_forward
+    from mailpp.training import ce_loss
     from mailpp.verify import gradient_check
 
     cfg = EncoderConfig(L=2, d_t=6, d_v=8, n_heads=2, N_t=5, N_v=3, mlp_ratio=2, vocab_size=12)
@@ -230,10 +269,98 @@ def test_ce_loss_gradient_matches_finite_differences():
 
     def loss_of_params(values):
         scalings = build_scaling_map(sites, values)
-        txt = _feats_text(model, tokens, scalings)
-        img = _feats_image(model, images, scalings)
+        txt = text_forward(tokens, cfg, model.text, scalings)
+        img = image_forward(images, cfg, model.image, scalings)
         return ce_loss(img, txt, labels, temperature=0.07)
 
     reports = gradient_check(model, sites, loss_of_params, h=1e-5, seed=0)
     for rep in reports:
         assert rep.worst_error <= 1e-4, rep.human_line()
+
+
+# ------------------------------------------------------------------
+# the trial-batched objective of gradient_check
+
+
+def _objective(model, sites, tokens, images, labels):
+    """The CLI's full gradient-check objective on a toy model; stacked values give one loss per trial."""
+    from mailpp.agents import build_scaling_map
+    from mailpp.encoder import image_forward, text_forward
+    from mailpp.training import ce_loss, reg_losses, total_loss
+
+    cfg = model.cfg
+    frozen_txt = text_forward(tokens, cfg, model.text).data
+    frozen_img = image_forward(images, cfg, model.image).data
+
+    def loss_of_params(values):
+        scalings = build_scaling_map(sites, values)
+        txt = text_forward(tokens, cfg, model.text, scalings)
+        img = image_forward(images, cfg, model.image, scalings)
+        ce = ce_loss(img, txt, labels, 0.07)
+        rv, rt = reg_losses(img, frozen_img, txt, frozen_txt)
+        return total_loss(ce, rv, rt, 0.5)
+
+    return loss_of_params
+
+
+def _objective_setup(seed, dtype, mode, bridge_shift, max_blocks=4, positions=ALL_POSITIONS):
+    from mailpp.verify import _flatten
+
+    model = random_toy_model(seed, dtype, max_blocks)
+    cfg = model.cfg
+    sites = build_sites(cfg, mode, 1, 3, rng.derive(seed, "s"), dtype, bridge_shift, positions)
+    randomize_sites(sites, rng.derive(seed, "p"))
+    gen = rng.derive(seed, "d")
+    tokens = [[1, 2], [1, 3, 4, 5], [2, 6, 1]]  # mixed lengths: the batch is right-padded
+    images = gen.standard_normal((3, cfg.N_v, cfg.d_v)).astype(dtype)
+    labels = np.asarray([0, 2, 1])
+    params = {f"{key}/{local}": arr for key, site in sites.items() for local, arr in site.params()}
+    x0, layout = _flatten(params)
+    return _objective(model, sites, tokens, images, labels), x0, layout
+
+
+_COUPLINGS = [(mode, False) for mode in CouplingMode] + [
+    (mode, True) for mode in CouplingMode if mode != CouplingMode.IVLU
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("mode,bridge_shift", _COUPLINGS, ids=[f"{m.value}-shift{int(s)}" for m, s in _COUPLINGS])
+def test_stacked_objective_equals_the_per_point_objective(dtype, mode, bridge_shift):
+    """Row k of one stacked call equals an unstacked loss_of_params call at point k."""
+    from mailpp.verify import _trial_objective
+
+    loss_of_params, x0, layout = _objective_setup(11, dtype, mode, bridge_shift)
+    gen = rng.derive(12, "points")
+    points = (x0[None, :] + 0.05 * gen.standard_normal((5, x0.size))).astype(dtype)
+    stacked = _trial_objective(layout, loss_of_params)(points)
+    assert stacked.shape == (5,) and stacked.dtype == dtype
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    for k, point in enumerate(points):
+        values = {name: Tensor(point[sl].reshape(shape)) for name, sl, shape in layout}
+        single = loss_of_params(values)
+        assert single.shape == ()
+        assert relative_error(stacked[k], single.item()) <= tol, (k, stacked[k], single.item())
+
+
+def test_fd_gradient_is_the_same_for_any_number_of_trials_per_call(monkeypatch):
+    import mailpp.verify
+    from mailpp.verify import _trial_objective
+
+    # one block and two sites keep the one-point-per-call run short
+    loss_of_params, x0, layout = _objective_setup(13, np.float64, CouplingMode.BIDIRECTIONAL, True, 1, ("2", "5"))
+    objective = _trial_objective(layout, loss_of_params)
+    grads = {}
+    for trials in (1, 7, 2 * x0.size, 2 * x0.size + 5):
+        monkeypatch.setattr(mailpp.verify, "FD_TRIALS", trials)
+        rows = []
+
+        def counting(xs):
+            rows.append(len(xs))
+            return objective(xs)
+
+        grads[trials] = finite_diff_grad(counting, x0, h=1e-5)
+        assert max(rows) <= trials and sum(rows) == 2 * x0.size
+    first = grads[1]
+    for trials, g in grads.items():
+        assert g.tobytes() == first.tobytes(), trials
