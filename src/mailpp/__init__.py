@@ -7,11 +7,8 @@ frozen weights exactly at export time.
 """
 
 from .agents import (
-    AgentLayer,
-    BridgeFunction,
     CoupledAgentSite,
     CouplingMode,
-    MetaScalingVector,
     SiteKey,
     bridge_norm,
     build_sites,

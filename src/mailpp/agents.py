@@ -17,6 +17,15 @@ transparent at initialization. ``bridge_shift`` applies the same rule
 (``_BRIDGES``) to the shifting vectors with separate bridges (and a
 separate meta shift vector in bidirectional mode); it is off by default.
 
+A site's trainable state is one table, ``arrays``: local name -> array,
+in a fixed order (``image/a``, ``image/b``, ``text/a``, ``text/b``, then
+per coupled pair the meta vector and each bridge's ``w_up``/``w_down``,
+e.g. ``meta/a_m``, ``bridge_v/w_up``, ``shift_meta/b_m``). Its full name
+is ``<site>/<local>`` (``named_params``); checkpoints store it under
+``agent/<site>/<local>``. ``set_param`` writes into the stored array in
+place, so ``flatten_params`` can make every entry a view into one
+contiguous buffer that the optimizer updates as a whole.
+
 The encoders see the sites only through ``build_scaling_map``: one
 (a_eff, b_eff) pair per hook key, (modality, block | None, position).
 
@@ -32,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import ItemsView, Iterator, Mapping
 
 import numpy as np
 
@@ -52,18 +61,17 @@ from .encoder import (
 
 __all__ = [
     "CouplingMode",
-    "AgentLayer",
-    "BridgeFunction",
-    "MetaScalingVector",
     "SiteKey",
     "CoupledAgentSite",
     "build_sites",
     "build_scaling_map",
+    "named_params",
+    "flatten_params",
+    "flat_views",
     "fuse_layernorm",
     "fuse_linear",
     "fuse_model",
     "bridge_norm",
-    "site_param_count",
     "trainable_param_count",
 ]
 
@@ -76,74 +84,6 @@ class CouplingMode(str, Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-@dataclass
-class AgentLayer:
-    """Scaling vector ``a`` (init ones) and shifting vector ``b`` (init zeros)."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        if self.a.shape != self.b.shape or self.a.ndim != 1:
-            raise ValueError(f"agent vectors must be equal-length 1-D, got {self.a.shape} and {self.b.shape}")
-
-    @classmethod
-    def identity(cls, dim: int, dtype=np.float32) -> "AgentLayer":
-        return cls(a=np.ones(dim, dtype=dtype), b=np.zeros(dim, dtype=dtype))
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
-
-@dataclass
-class BridgeFunction:
-    """Bottleneck map W_up . W_down (rank r) from a source vector into a target width."""
-
-    w_down: np.ndarray  # (r, in_dim)
-    w_up: np.ndarray  # (out_dim, r)
-
-    def __post_init__(self):
-        if self.w_down.ndim != 2 or self.w_up.ndim != 2 or self.w_up.shape[1] != self.w_down.shape[0]:
-            raise ValueError(f"bridge shapes {self.w_up.shape} / {self.w_down.shape} are inconsistent")
-        r = self.rank
-        if not 1 <= r <= min(self.in_dim, self.out_dim):
-            raise ValueError(f"bridge rank {r} outside [1, min({self.in_dim}, {self.out_dim})]")
-
-    @classmethod
-    def init(cls, in_dim: int, out_dim: int, rank: int, rng: np.random.Generator, dtype=np.float32) -> "BridgeFunction":
-        if not 1 <= rank <= min(in_dim, out_dim):
-            raise ValueError(f"bridge rank {rank} outside [1, min({in_dim}, {out_dim})]")
-        w_down = (rng.standard_normal((rank, in_dim)) / np.sqrt(in_dim)).astype(dtype)
-        w_up = np.zeros((out_dim, rank), dtype=dtype)
-        return cls(w_down=w_down, w_up=w_up)
-
-    @property
-    def rank(self) -> int:
-        return self.w_down.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.w_down.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.w_up.shape[0]
-
-
-@dataclass
-class MetaScalingVector:
-    a_m: np.ndarray
-
-    def __post_init__(self):
-        if self.a_m.ndim != 1:
-            raise ValueError("meta-scaling vector must be 1-D")
-
-    @property
-    def dim(self) -> int:
-        return self.a_m.shape[0]
 
 
 @dataclass(frozen=True)
@@ -193,90 +133,78 @@ def _has_meta(mode: CouplingMode) -> bool:
     return any(source == "meta" for _, _, source in _BRIDGES[mode])
 
 
+def _local_names(mode: CouplingMode, bridge_shift: bool) -> list[str]:
+    """Every trainable array's local name, in ``params()`` order."""
+    names = ["image/a", "image/b", "text/a", "text/b"]
+    for prefix, meta_name in _COUPLED_PAIRS[: 1 + bridge_shift]:
+        if _has_meta(mode):
+            names.append(meta_name)
+        for field, _, _ in _BRIDGES[mode]:
+            names += [f"{prefix}{field}/w_up", f"{prefix}{field}/w_down"]
+    return names
+
+
 @dataclass
 class CoupledAgentSite:
-    """One insertion position's image agent, text agent, and coupling state."""
+    """One insertion position's trainable arrays: local name -> array (see the module docstring)."""
 
     key: SiteKey
     mode: CouplingMode
-    image_agent: AgentLayer
-    text_agent: AgentLayer
-    bridge_v: BridgeFunction | None = None
-    bridge_t: BridgeFunction | None = None
-    meta: MetaScalingVector | None = None
-    bridge_shift: bool = False
-    shift_bridge_v: BridgeFunction | None = None
-    shift_bridge_t: BridgeFunction | None = None
-    shift_meta: MetaScalingVector | None = None
+    bridge_shift: bool
+    arrays: dict[str, np.ndarray]
 
     def __post_init__(self):
         if self.bridge_shift and self.mode == CouplingMode.IVLU:
             raise ValueError("bridge_shift requires a coupled mode")
-        for prefix, _ in _COUPLED_PAIRS:
-            bridges = _BRIDGES[self.mode] if self.bridge_shift or not prefix else ()
-            want = {prefix + field for field, _, _ in bridges}
-            if bridges and _has_meta(self.mode):
-                want.add(prefix + "meta")
-            fields = (prefix + "bridge_v", prefix + "bridge_t", prefix + "meta")
-            have = {f for f in fields if getattr(self, f) is not None}
-            if have != want:
-                raise ValueError(f"{self.mode.value} sites need exactly {sorted(want)}, got {sorted(have)}")
-            meta = getattr(self, prefix + "meta")
-            dims = {"image": self.image_agent.dim, "text": self.text_agent.dim, "meta": meta and meta.dim}
-            for field, side, source in bridges:
-                bridge = getattr(self, prefix + field)
-                if bridge.in_dim != dims[source] or bridge.out_dim != dims[side]:
+        want = _local_names(self.mode, self.bridge_shift)
+        if set(self.arrays) != set(want):
+            raise ValueError(f"{self.mode.value} sites need exactly {sorted(want)}, got {sorted(self.arrays)}")
+        self.arrays = {name: np.ascontiguousarray(self.arrays[name]) for name in want}
+        arr = self.arrays
+        for side in ("image", "text"):
+            a, b = arr[f"{side}/a"], arr[f"{side}/b"]
+            if a.ndim != 1 or a.shape != b.shape:
+                raise ValueError(f"agent vectors must be equal-length 1-D, got {a.shape} and {b.shape}")
+        for prefix, meta_name in _COUPLED_PAIRS[: 1 + self.bridge_shift]:
+            dims = {"image": arr["image/a"].shape[0], "text": arr["text/a"].shape[0]}
+            if _has_meta(self.mode):
+                if arr[meta_name].ndim != 1:
+                    raise ValueError("meta-scaling vector must be 1-D")
+                dims["meta"] = arr[meta_name].shape[0]
+            for field, side, source in _BRIDGES[self.mode]:
+                w_up, w_down = arr[f"{prefix}{field}/w_up"], arr[f"{prefix}{field}/w_down"]
+                if w_down.ndim != 2 or w_up.ndim != 2 or w_up.shape[1] != w_down.shape[0]:
+                    raise ValueError(f"bridge shapes {w_up.shape} / {w_down.shape} are inconsistent")
+                (out_dim, rank), in_dim = w_up.shape, w_down.shape[1]
+                if in_dim != dims[source] or out_dim != dims[side]:
                     raise ValueError(
-                        f"bridge dims ({bridge.in_dim} -> {bridge.out_dim}) do not match site "
-                        f"({dims[source]} -> {dims[side]})"
+                        f"bridge dims ({in_dim} -> {out_dim}) do not match site ({dims[source]} -> {dims[side]})"
                     )
+                if not 1 <= rank <= min(in_dim, out_dim):
+                    raise ValueError(f"bridge rank {rank} outside [1, min({in_dim}, {out_dim})]")
 
     # ---- trainable parameter registry -------------------------------
 
-    def params(self) -> Iterator[tuple[str, np.ndarray]]:
+    def params(self) -> ItemsView[str, np.ndarray]:
         """Trainable arrays in a fixed, documented order."""
-        yield "image/a", self.image_agent.a
-        yield "image/b", self.image_agent.b
-        yield "text/a", self.text_agent.a
-        yield "text/b", self.text_agent.b
-        for prefix, meta_name in _COUPLED_PAIRS:  # the shift fields are None without bridge_shift
-            if getattr(self, prefix + "meta") is not None:
-                yield meta_name, getattr(self, prefix + "meta").a_m
-            for field in (prefix + "bridge_v", prefix + "bridge_t"):
-                bridge = getattr(self, field)
-                if bridge is not None:
-                    yield f"{field}/w_up", bridge.w_up
-                    yield f"{field}/w_down", bridge.w_down
+        return self.arrays.items()
 
     def set_param(self, local_name: str, value: np.ndarray) -> None:
-        holder, _, leafname = local_name.partition("/")
-        targets = {
-            "image": self.image_agent,
-            "text": self.text_agent,
-            "meta": self.meta,
-            "bridge_v": self.bridge_v,
-            "bridge_t": self.bridge_t,
-            "shift_meta": self.shift_meta,
-            "shift_bridge_v": self.shift_bridge_v,
-            "shift_bridge_t": self.shift_bridge_t,
-        }
-        obj = targets.get(holder)
-        if obj is None:
+        """Write ``value`` into the stored array in place, cast to its dtype."""
+        arr = self.arrays.get(local_name)
+        if arr is None:
             raise KeyError(f"site {self.key} has no parameter {local_name!r}")
-        attr = {"a": "a", "b": "b", "a_m": "a_m", "b_m": "a_m", "w_up": "w_up", "w_down": "w_down"}[leafname]
-        current = getattr(obj, attr)
-        if current.shape != value.shape:
-            raise ValueError(f"shape mismatch writing {local_name!r}: {value.shape} != {current.shape}")
-        setattr(obj, attr, np.ascontiguousarray(value, dtype=current.dtype))
+        if arr.shape != value.shape:
+            raise ValueError(f"shape mismatch writing {local_name!r}: {value.shape} != {arr.shape}")
+        arr[...] = value
 
     # ---- effective vectors ------------------------------------------
 
-    def _value(self, values: Mapping[str, Tensor] | None, local_name: str, raw: np.ndarray) -> Tensor:
-        if values is not None:
-            full = f"{self.key}/{local_name}"
-            if full in values:
-                return values[full]
-        return Tensor(raw)
+    def _value(self, values: Mapping[str, Tensor] | None, local_name: str) -> Tensor:
+        full = f"{self.key}/{local_name}"
+        if values is not None and full in values:
+            return values[full]
+        return Tensor.view(self.arrays[local_name], full)
 
     def _couple(
         self, values: Mapping[str, Tensor] | None, v: Tensor, t: Tensor, prefix: str, meta_name: str
@@ -284,21 +212,20 @@ class CoupledAgentSite:
         """One (image, text) vector pair after the mode's bridges (``_BRIDGES``)."""
         vectors = {"image": v, "text": t}
         if _has_meta(self.mode):
-            vectors["meta"] = self._value(values, meta_name, getattr(self, prefix + "meta").a_m)
+            vectors["meta"] = self._value(values, meta_name)
         out = {"image": v, "text": t}
         for field, side, source in _BRIDGES[self.mode]:
-            bridge = getattr(self, prefix + field)
-            w_up = self._value(values, f"{prefix}{field}/w_up", bridge.w_up)
-            w_down = self._value(values, f"{prefix}{field}/w_down", bridge.w_down)
+            w_up = self._value(values, f"{prefix}{field}/w_up")
+            w_down = self._value(values, f"{prefix}{field}/w_down")
             out[side] = ad.add(out[side], ad.matmul(w_up, ad.matmul(w_down, vectors[source])))
         return out["image"], out["text"]
 
     def effective(self, values: Mapping[str, Tensor] | None = None) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         """(a_v_eff, a_t_eff, b_v_eff, b_t_eff), on the tape if values are leaves."""
-        a_v = self._value(values, "image/a", self.image_agent.a)
-        a_t = self._value(values, "text/a", self.text_agent.a)
-        b_v = self._value(values, "image/b", self.image_agent.b)
-        b_t = self._value(values, "text/b", self.text_agent.b)
+        a_v = self._value(values, "image/a")
+        a_t = self._value(values, "text/a")
+        b_v = self._value(values, "image/b")
+        b_t = self._value(values, "text/b")
         a_v, a_t = self._couple(values, a_v, a_t, *_COUPLED_PAIRS[0])
         if self.bridge_shift:
             b_v, b_t = self._couple(values, b_v, b_t, *_COUPLED_PAIRS[1])
@@ -319,7 +246,11 @@ def build_sites(
     bridge_shift: bool = False,
     positions: tuple[Position, ...] = ALL_POSITIONS,
 ) -> dict[SiteKey, CoupledAgentSite]:
-    """Freshly initialized sites for every requested position, in canonical order."""
+    """Freshly initialized sites for every requested position, in canonical order.
+
+    Agents start at a = 1, b = 0, meta vectors at 1, every W_up at 0; each
+    W_down is drawn with std 1/sqrt(in_dim), site by site in ``params()`` order.
+    """
     mode = CouplingMode(mode)
     for p in positions:
         if p not in ALL_POSITIONS:
@@ -332,20 +263,18 @@ def build_sites(
     sites: dict[SiteKey, CoupledAgentSite] = {}
     for key in keys:
         widths = {"image": cfg.hook_width("image", key.pos), "text": cfg.hook_width("text", key.pos), "meta": d_m}
-        coupling = {}
-        for prefix, _ in _COUPLED_PAIRS[: 1 + bridge_shift]:
+        arrays = {}
+        for side in ("image", "text"):
+            arrays[f"{side}/a"] = np.ones(widths[side], dtype=dtype)
+            arrays[f"{side}/b"] = np.zeros(widths[side], dtype=dtype)
+        for prefix, meta_name in _COUPLED_PAIRS[: 1 + bridge_shift]:
             if _has_meta(mode):
-                coupling[prefix + "meta"] = MetaScalingVector(np.ones(d_m, dtype=dtype))
+                arrays[meta_name] = np.ones(d_m, dtype=dtype)
             for field, side, source in _BRIDGES[mode]:
-                coupling[prefix + field] = BridgeFunction.init(widths[source], widths[side], rank, rng, dtype)
-        sites[key] = CoupledAgentSite(
-            key=key,
-            mode=mode,
-            image_agent=AgentLayer.identity(widths["image"], dtype),
-            text_agent=AgentLayer.identity(widths["text"], dtype),
-            bridge_shift=bridge_shift,
-            **coupling,
-        )
+                n_in = widths[source]
+                arrays[f"{prefix}{field}/w_up"] = np.zeros((widths[side], rank), dtype=dtype)
+                arrays[f"{prefix}{field}/w_down"] = (rng.standard_normal((rank, n_in)) / np.sqrt(n_in)).astype(dtype)
+        sites[key] = CoupledAgentSite(key=key, mode=mode, bridge_shift=bridge_shift, arrays=arrays)
     return sites
 
 
@@ -362,34 +291,65 @@ def build_scaling_map(
 
 
 # ------------------------------------------------------------------
+# the one name table and the flat buffer
+
+
+def named_params(sites: Mapping[SiteKey, CoupledAgentSite]) -> Iterator[tuple[str, np.ndarray]]:
+    """Every trainable array as (``<site>/<local>``, array), site by site in ``params()`` order."""
+    for key, site in sites.items():
+        for local, arr in site.params():
+            yield f"{key}/{local}", arr
+
+
+def flat_views(flat: np.ndarray, sites: Mapping[SiteKey, CoupledAgentSite]) -> dict[str, np.ndarray]:
+    """``flat``'s last axis cut into one piece per ``named_params`` entry, shaped like it.
+
+    For a 1-D ``flat`` each piece is a view; leading axes stay in front,
+    so a (K, n) stack of flat points gives (K, *shape) per name.
+    """
+    pieces: dict[str, np.ndarray] = {}
+    offset = 0
+    for name, arr in named_params(sites):
+        pieces[name] = flat[..., offset : offset + arr.size].reshape(flat.shape[:-1] + arr.shape)
+        offset += arr.size
+    if offset != flat.shape[-1]:
+        raise ValueError(f"flat_views: {flat.shape[-1]} values for {offset} trainable parameters")
+    return pieces
+
+
+def flatten_params(sites: Mapping[SiteKey, CoupledAgentSite]) -> np.ndarray:
+    """Copy every trainable array into one contiguous buffer and make each entry a view of it.
+
+    The buffer is in ``named_params`` order; writing into it writes the
+    sites' parameters, and ``set_param`` writes into it.
+    """
+    named = list(named_params(sites))
+    dtypes = {arr.dtype for _, arr in named}
+    if len(dtypes) != 1:
+        raise ValueError(f"flatten_params needs one dtype across the sites' arrays, got {sorted(map(str, dtypes))}")
+    flat = np.concatenate([arr.reshape(-1) for _, arr in named])
+    views = iter(flat_views(flat, sites).values())
+    for site in sites.values():
+        for local in site.arrays:
+            site.arrays[local] = next(views)
+    return flat
+
+
+# ------------------------------------------------------------------
 # folding
 
 
 def fuse_layernorm(
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    agent: AgentLayer,
-    effective_a: np.ndarray | None = None,
-    effective_b: np.ndarray | None = None,
+    gamma: np.ndarray, beta: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """gamma' = gamma * a, beta' = beta * a + b."""
-    a = agent.a if effective_a is None else effective_a
-    b = agent.b if effective_b is None else effective_b
     if gamma.shape != a.shape or beta.shape != a.shape:
         raise ValueError(f"fuse_layernorm: agent width {a.shape} does not match gamma {gamma.shape}")
     return gamma * a, beta * a + b
 
 
-def fuse_linear(
-    w: np.ndarray,
-    bias: np.ndarray,
-    agent: AgentLayer,
-    effective_a: np.ndarray | None = None,
-    effective_b: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def fuse_linear(w: np.ndarray, bias: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row i of W scales by a[i]; bias' = bias * a + b."""
-    a = agent.a if effective_a is None else effective_a
-    b = agent.b if effective_b is None else effective_b
     if w.ndim != 2 or w.shape[0] != a.shape[0] or bias.shape != a.shape:
         raise ValueError(f"fuse_linear: agent width {a.shape} does not match weight {w.shape}")
     return w * a[:, None], bias * a + b
@@ -412,11 +372,11 @@ def _fuse_encoder(
     arrays = {name: arr.copy() for name, arr in weights.arrays.items()}
     for key, site in sites.items():
         a_v, a_t, b_v, b_t = site.effective(None)
-        a, b, agent = (a_v, b_v, site.image_agent) if modality == "image" else (a_t, b_t, site.text_agent)
+        a, b = (a_v, b_v) if modality == "image" else (a_t, b_t)
         fold, scale_name, shift_name = _FOLDS[key.pos]
         p = f"frozen/{modality}/" if key.block is None else f"frozen/{modality}/block{key.block}/"
         arrays[p + scale_name], arrays[p + shift_name] = fold(
-            arrays[p + scale_name], arrays[p + shift_name], agent, a.data, b.data
+            arrays[p + scale_name], arrays[p + shift_name], a.data, b.data
         )
     return EncoderWeights(modality, arrays)
 
@@ -436,18 +396,15 @@ def fuse_model(model: DualEncoder, sites: Mapping[SiteKey, CoupledAgentSite]) ->
 
 def bridge_norm(site: CoupledAgentSite, side: Modality) -> float:
     """Scaled norm (100 / sqrt(d)) * ||W_up . W_down . a_m|| of one side's coupling term."""
-    if site.mode != CouplingMode.BIDIRECTIONAL or site.meta is None:
+    if site.mode != CouplingMode.BIDIRECTIONAL:
         raise ValueError("bridge_norm needs a bidirectional site with a meta vector")
-    bridge = site.bridge_v if side == "image" else site.bridge_t
-    vec = bridge.w_up @ (bridge.w_down @ site.meta.a_m)
+    field = "bridge_v" if side == "image" else "bridge_t"
+    arr = site.arrays
+    vec = arr[f"{field}/w_up"] @ (arr[f"{field}/w_down"] @ arr["meta/a_m"])
     d = vec.shape[0]
     return float(100.0 / np.sqrt(d) * np.linalg.norm(vec))
 
 
-def site_param_count(site: CoupledAgentSite) -> int:
-    return sum(arr.size for _, arr in site.params())
-
-
 def trainable_param_count(sites: Mapping[SiteKey, CoupledAgentSite]) -> int:
     """Enumeration-based count: sums the actually registered trainable arrays."""
-    return sum(site_param_count(s) for s in sites.values())
+    return sum(arr.size for _, arr in named_params(sites))

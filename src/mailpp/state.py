@@ -8,7 +8,11 @@ different ``kind`` marker.
 The frozen weights are stored under their ``EncoderWeights.arrays``
 names, so packing reads each table as it is, and unpacking selects the
 ``weight_shapes`` names of each modality from the loaded tensors, after
-checking them, without copying.
+checking them, without copying. The trainable arrays are stored as
+``agent/<site>/<local>`` in ``named_params`` order, and the optimizer's
+flat moments as ``opt/m/<site>/<local>`` and ``opt/v/<site>/<local>``,
+cut in the same order; unpacking writes the arrays into freshly built
+sites and concatenates the moments back.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .agents import CoupledAgentSite, SiteKey, build_sites
+from .agents import CoupledAgentSite, SiteKey, build_sites, flat_views, named_params
 from .checkpoint import CheckpointError
 from .config import RunConfig, parse_config_doc
 from .encoder import DualEncoder, EncoderWeights, weight_shapes
@@ -61,14 +65,14 @@ def pack_state(
     for name, arr in model.named_tensors():
         tensors[name] = arr
     if sites is not None:
-        for key, site in sites.items():
-            for local, arr in site.params():
-                tensors[f"agent/{key}/{local}"] = arr
+        for name, arr in named_params(sites):
+            tensors[f"agent/{name}"] = arr
     if opt_state is not None:
-        for pname, arr in opt_state.m.items():
-            tensors[f"opt/m/{pname}"] = arr
-        for pname, arr in opt_state.v.items():
-            tensors[f"opt/v/{pname}"] = arr
+        if sites is None:
+            raise ValueError("pack_state: optimizer moments need the sites they belong to")
+        for moment, flat in (("m", opt_state.m), ("v", opt_state.v)):
+            for name, view in flat_views(flat, sites).items():
+                tensors[f"opt/{moment}/{name}"] = view
     doc = {
         "kind": "checkpoint",
         "run_config": run_cfg.to_doc(),
@@ -127,7 +131,7 @@ def unpack_state(tensors: dict[str, np.ndarray], doc: dict) -> RestoredState:
             t.bridge_shift,
             t.positions,
         )
-        params = {f"{key}/{local}": arr.shape for key, site in sites.items() for local, arr in site.params()}
+        params = {name: arr.shape for name, arr in named_params(sites)}
         expected.update({f"agent/{pname}": shape for pname, shape in params.items()})
         has_opt = any(n.startswith("opt/") for n in tensors)
         if has_opt:
@@ -141,15 +145,11 @@ def unpack_state(tensors: dict[str, np.ndarray], doc: dict) -> RestoredState:
     )
     opt_state: AdamState | None = None
     if sites is not None:
-        for key, site in sites.items():
-            for local, _ in list(site.params()):
-                site.set_param(local, tensors[f"agent/{key}/{local}"])
+        for name, arr in named_params(sites):
+            arr[...] = tensors[f"agent/{name}"]
         if has_opt:
-            opt_state = AdamState(
-                step=int(doc.get("opt_step", 0)),
-                m={pname: tensors[f"opt/m/{pname}"] for pname in params},
-                v={pname: tensors[f"opt/v/{pname}"] for pname in params},
-            )
+            m, v = (np.concatenate([tensors[f"opt/{moment}/{name}"].reshape(-1) for name in params]) for moment in "mv")
+            opt_state = AdamState(step=int(doc.get("opt_step", 0)), m=m, v=v)
     return RestoredState(
         run_cfg=run_cfg,
         model=model,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import rng as rngmod
-from .agents import CoupledAgentSite, CouplingMode, SiteKey, build_scaling_map
+from .agents import CoupledAgentSite, CouplingMode, SiteKey, build_scaling_map, flatten_params, named_params
 from .autodiff import NonFiniteError, Tensor
 from .encoder import ALL_POSITIONS, DualEncoder, Position, ScalingMap, image_forward, text_forward
 
@@ -291,49 +291,44 @@ def total_loss(ce: Tensor, reg_v: Tensor, reg_t: Tensor, lam: float) -> Tensor:
 
 @dataclass
 class AdamState:
+    """Step count and the first and second moments, flat like the parameters they update."""
+
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
 
-def adamw_init(params: Mapping[str, np.ndarray]) -> AdamState:
-    return AdamState(
-        step=0,
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
-    )
+def adamw_init(params: np.ndarray) -> AdamState:
+    return AdamState(step=0, m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adamw_step(
-    params: Mapping[str, np.ndarray],
-    grads: Mapping[str, np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     lr: float,
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
     weight_decay: float = 0.01,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One decoupled-weight-decay Adam update; pure function of its inputs."""
+) -> tuple[np.ndarray, AdamState]:
+    """One decoupled-weight-decay Adam update of a flat parameter vector; pure function of its inputs.
+
+    The update is elementwise, so each element gets the bits it would get
+    from the same update applied to its own array.
+    """
+    if grads.shape != params.shape:
+        raise ValueError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
+    if not np.all(np.isfinite(grads)):
+        raise NonFiniteError(f"NaN/Inf gradient at flat index {np.flatnonzero(~np.isfinite(grads))[0]}")
     b1, b2 = betas
     t = state.step + 1
-    new_params: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"NaN/Inf gradient for {name!r}")
-        m = b1 * state.m[name] + (1.0 - b1) * g
-        v = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p_out = p * (1.0 - lr * weight_decay) - lr * m_hat / (np.sqrt(v_hat) + eps)
-        new_params[name] = p_out.astype(p.dtype)
-        new_m[name] = m.astype(p.dtype)
-        new_v[name] = v.astype(p.dtype)
-    return new_params, AdamState(step=t, m=new_m, v=new_v)
+    m = b1 * state.m + (1.0 - b1) * grads
+    v = b2 * state.v + (1.0 - b2) * (grads * grads)
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    new = params * (1.0 - lr * weight_decay) - lr * m_hat / (np.sqrt(v_hat) + eps)
+    dtype = params.dtype
+    return new.astype(dtype), AdamState(step=t, m=m.astype(dtype), v=v.astype(dtype))
 
 
 # ------------------------------------------------------------------
@@ -441,11 +436,8 @@ def train(
     if n_train == 0:
         raise ValueError("episode has no training samples")
 
-    params: dict[str, np.ndarray] = {}
-    for key, site in sites.items():
-        for local, arr in site.params():
-            params[f"{key}/{local}"] = arr
-    opt = adamw_init(params)
+    flat = flatten_params(sites)  # the sites' arrays are views into it from here on
+    opt = adamw_init(flat)
 
     # frozen features never change during the episode; compute them once
     frozen_txt = _feats_text(model, episode.base_tokens).data
@@ -471,7 +463,7 @@ def train(
             lr = cfg.lr * 0.5 * (1.0 + np.cos(np.pi * step / (cfg.steps - 1)))
 
         tape = ad.Tape()
-        values: dict[str, Tensor] = {name: tape.leaf(arr) for name, arr in params.items()}
+        values: dict[str, Tensor] = {name: tape.leaf(arr) for name, arr in named_params(sites)}
         scalings = build_scaling_map(sites, values)
         try:
             adapted_txt = _feats_text(model, episode.base_tokens, scalings)
@@ -483,15 +475,10 @@ def train(
             raise NonFiniteError(f"non-finite loss at step {step}: {e}") from e
 
         acc = _accuracy(adapted_img.data, adapted_txt.data, episode.train_labels[batch_idx])
-        grads_by_node = tape.backward(loss)
-        grads = {name: grads_by_node[values[name].node].data for name in params}
-        params, opt = adamw_step(
-            params, grads, opt, lr=lr, betas=cfg.betas, eps=cfg.adam_eps, weight_decay=cfg.weight_decay
-        )
-        for key, site in sites.items():
-            prefix = f"{key}/"
-            for local, _ in list(site.params()):
-                site.set_param(local, params[prefix + local])
+        grads = tape.backward(loss)
+        grad = np.concatenate([grads[leaf.node].data.reshape(-1) for leaf in values.values()])
+        new, opt = adamw_step(flat, grad, opt, lr=lr, betas=cfg.betas, eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
+        flat[...] = new
 
         metrics.append(
             MetricRow(

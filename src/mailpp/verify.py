@@ -7,11 +7,11 @@ counter never instantiates a site, so it can be cross-checked against
 an enumeration of actually allocated arrays.
 
 The finite differences run on a leading trial axis: each objective call
-takes a stack of up to ``FD_TRIALS`` perturbed parameter points and
-returns one loss per point. ``gradient_check`` hands each stack to the same
-``loss_of_params`` that the tape differentiates, as ``name -> (K, *shape)``
-Tensors, and the encoders and losses carry the trial axis through (one
-agent-value set per trial). ``tests/test_verify.py`` ties the stacked
+takes a stack of up to ``FD_TRIALS`` perturbed parameter points (flat, in
+``named_params`` order) and returns one loss per point. ``gradient_check``
+hands each stack to the same ``loss_of_params`` that the tape
+differentiates, as ``name -> (K, *shape)`` Tensors, and the encoders and
+losses carry the trial axis through (one agent-value set per trial). ``tests/test_verify.py`` ties the stacked
 objective to the per-point one: row k of a stacked call equals an
 unstacked call at point k.
 """
@@ -30,7 +30,9 @@ from .agents import (
     SiteKey,
     build_scaling_map,
     build_sites,
+    flat_views,
     fuse_model,
+    named_params,
     trainable_param_count,
 )
 from .autodiff import NonFiniteError, Tape, Tensor
@@ -358,28 +360,14 @@ def check_counter_agreement(
 # gradient fidelity
 
 
-def _flatten(params: Mapping[str, np.ndarray]) -> tuple[np.ndarray, list[tuple[str, slice, tuple[int, ...]]]]:
-    layout = []
-    offset = 0
-    chunks = []
-    for name in sorted(params):
-        arr = params[name]
-        layout.append((name, slice(offset, offset + arr.size), arr.shape))
-        chunks.append(arr.reshape(-1))
-        offset += arr.size
-    return np.concatenate(chunks).astype(np.float64), layout
-
-
 def _trial_objective(
-    layout: list[tuple[str, slice, tuple[int, ...]]],
+    sites: Mapping[SiteKey, CoupledAgentSite],
     loss_of_params: Callable[[Mapping[str, Tensor] | None], Tensor],
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The stacked objective: (K, n) flat points -> K losses, one ``loss_of_params`` call."""
 
     def f(points: np.ndarray) -> np.ndarray:
-        k = points.shape[0]
-        values = {name: Tensor(points[:, sl].reshape((k, *shape))) for name, sl, shape in layout}
-        return loss_of_params(values).data
+        return loss_of_params({name: Tensor(v) for name, v in flat_views(points, sites).items()}).data
 
     return f
 
@@ -404,34 +392,38 @@ def gradient_check(
     values) to a scalar loss tensor, and a dict of stacked values,
     name -> (K, *shape), to K losses. It is differentiated on a tape once
     and evaluated on stacks of perturbed points for the differences.
+
+    The model and every site array must be float64: the closure owns the
+    model, so this function cannot cast it, and the parameter values it
+    passes are float64. Anything else raises ``ValueError`` up front.
     """
-    base: dict[str, np.ndarray] = {}
-    for key, site in sites.items():
-        for local, arr in site.params():
-            base[f"{key}/{local}"] = arr.astype(np.float64)
-    x0, layout = _flatten(base)
+    named = dict(named_params(sites))
+    dtypes = sorted({str(arr.dtype) for arr in named.values()})
+    if model.dtype != np.float64 or dtypes != ["float64"]:
+        raise ValueError(
+            f"gradient_check needs float64; got a {model.dtype} model and {'/'.join(dtypes)} "
+            "site arrays: cast both first"
+        )
+    x0 = np.concatenate([arr.reshape(-1) for arr in named.values()])
 
     tape = Tape()
-    leaves = {name: tape.leaf(arr) for name, arr in base.items()}
+    leaves = {name: tape.leaf(view) for name, view in flat_views(x0, sites).items()}
     loss = loss_of_params(leaves)
     grads = tape.backward(loss)
-    analytic = np.empty_like(x0)
-    for name, sl, shape in layout:
-        analytic[sl] = grads[leaves[name].node].data.reshape(-1)
-
-    numeric = finite_diff_grad(_trial_objective(layout, loss_of_params), x0, h)
+    analytic = {name: grads[leaf.node].data for name, leaf in leaves.items()}
+    numeric = flat_views(finite_diff_grad(_trial_objective(sites, loss_of_params), x0, h), sites)
 
     reports = []
     for cls in PARAM_CLASSES:
-        sls = [sl for name, sl, _ in layout if _param_class(name) == cls]
-        if not sls:
+        names = [name for name in named if _param_class(name) == cls]
+        if not names:
             reports.append(
                 CheckReport(
                     name=f"grad_fd[{cls}]", worst_error=0.0, tolerance=1e-4, trials=0, seed=seed, detail="no trials"
                 )
             )
             continue
-        worst = max(relative_error(analytic[sl], numeric[sl]) for sl in sls)
-        n = sum(sl.stop - sl.start for sl in sls)
+        worst = max(relative_error(analytic[name], numeric[name]) for name in names)
+        n = sum(named[name].size for name in names)
         reports.append(CheckReport(name=f"grad_fd[{cls}]", worst_error=worst, tolerance=1e-4, trials=n, seed=seed))
     return reports

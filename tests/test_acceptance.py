@@ -18,6 +18,7 @@ from mailpp.agents import (
     build_scaling_map,
     build_sites,
     fuse_model,
+    named_params,
 )
 from mailpp.autodiff import Tape
 from mailpp.checkpoint import load_checkpoint, save_checkpoint
@@ -260,9 +261,7 @@ def test_criterion_6_ablation_structure(episode_setup, trained_runs):
         from mailpp.training import _feats_image, _feats_text
 
         tape = Tape()
-        values = {
-            f"{k}/{n}": tape.leaf(a) for k, site in sites.items() for n, a in site.params()
-        }
+        values = {name: tape.leaf(a) for name, a in named_params(sites)}
         scalings = build_scaling_map(sites, values)
         txt = _feats_text(model, episode.base_tokens, scalings)
         img = _feats_image(model, episode.train_images[:4], scalings)

@@ -5,49 +5,50 @@ from hypothesis import strategies as st
 
 from mailpp import rng
 from mailpp.agents import (
-    AgentLayer,
-    BridgeFunction,
     CoupledAgentSite,
     CouplingMode,
-    MetaScalingVector,
     SiteKey,
     bridge_norm,
     build_scaling_map,
     build_sites,
+    flat_views,
+    flatten_params,
     fuse_layernorm,
     fuse_linear,
     fuse_model,
+    named_params,
     trainable_param_count,
 )
 from mailpp.autodiff import Tape, Tensor
 from mailpp.autodiff import affine as ad_affine
 from mailpp.autodiff import layernorm as ad_layernorm
 from mailpp.autodiff import linear as ad_linear
-from mailpp.encoder import image_forward, text_forward
-from mailpp.verify import randomize_sites
+from mailpp.encoder import BLOCK_POSITIONS, EncoderConfig, image_forward, text_forward
+from mailpp.verify import count_trainable_params, randomize_sites
 
 
-def _agent(a, b):
-    return AgentLayer(np.asarray(a, np.float64), np.asarray(b, np.float64))
+def _identity(w_v, w_t):
+    """Identity agents of the given widths, as site table entries."""
+    return {"image/a": np.ones(w_v), "image/b": np.zeros(w_v), "text/a": np.ones(w_t), "text/b": np.zeros(w_t)}
+
+
+def _bridge(field, w_down, w_up):
+    """One bridge's table entries from its W_down and W_up."""
+    return {f"{field}/w_up": np.asarray(w_up, np.float64), f"{field}/w_down": np.asarray(w_down, np.float64)}
 
 
 def _scalar_site(mode, a_v, a_t, w_up_v=0.0, w_down_v=0.0, w_up_t=0.0, w_down_t=0.0, a_m=None):
     """Width-1 site with explicit bridge entries, for hand-checkable arithmetic."""
-    kwargs = dict(
-        key=SiteKey(None, "5"),
-        mode=mode,
-        image_agent=_agent([a_v], [0.0]),
-        text_agent=_agent([a_t], [0.0]),
-    )
+    arrays = {"image/a": np.asarray([a_v]), "image/b": np.zeros(1), "text/a": np.asarray([a_t]), "text/b": np.zeros(1)}
     if mode == CouplingMode.TEXT_TO_IMAGE:
-        kwargs["bridge_v"] = BridgeFunction(np.asarray([[w_down_v]]), np.asarray([[w_up_v]]))
+        arrays |= _bridge("bridge_v", [[w_down_v]], [[w_up_v]])
     elif mode == CouplingMode.IMAGE_TO_TEXT:
-        kwargs["bridge_t"] = BridgeFunction(np.asarray([[w_down_t]]), np.asarray([[w_up_t]]))
+        arrays |= _bridge("bridge_t", [[w_down_t]], [[w_up_t]])
     elif mode == CouplingMode.BIDIRECTIONAL:
-        kwargs["bridge_v"] = BridgeFunction(np.asarray([[w_down_v]]), np.asarray([[w_up_v]]))
-        kwargs["bridge_t"] = BridgeFunction(np.asarray([[w_down_t]]), np.asarray([[w_up_t]]))
-        kwargs["meta"] = MetaScalingVector(np.asarray([float(a_m)]))
-    return CoupledAgentSite(**kwargs)
+        arrays |= _bridge("bridge_v", [[w_down_v]], [[w_up_v]])
+        arrays |= _bridge("bridge_t", [[w_down_t]], [[w_up_t]])
+        arrays["meta/a_m"] = np.asarray([float(a_m)])
+    return CoupledAgentSite(key=SiteKey(None, "5"), mode=mode, bridge_shift=False, arrays=arrays)
 
 
 # ------------------------------------------------------------------
@@ -59,8 +60,8 @@ def test_effective_fresh_bridges_are_transparent(tiny_cfg):
         sites = build_sites(tiny_cfg, mode, 2, 4, rng.derive(0, "t", mode.value), np.float64)
         for site in sites.values():
             a_v, a_t = site.effective()[:2]
-            assert np.array_equal(a_v.data, site.image_agent.a)
-            assert np.array_equal(a_t.data, site.text_agent.a)
+            assert np.array_equal(a_v.data, site.arrays["image/a"])
+            assert np.array_equal(a_t.data, site.arrays["text/a"])
 
 
 def test_effective_scalar_text_to_image():
@@ -98,53 +99,75 @@ def test_site_mode_field_consistency():
         CoupledAgentSite(
             key=SiteKey(None, "4"),
             mode=CouplingMode.IVLU,
-            image_agent=AgentLayer.identity(2, np.float64),
-            text_agent=AgentLayer.identity(2, np.float64),
-            bridge_v=BridgeFunction(np.zeros((1, 2)), np.zeros((2, 1))),
+            bridge_shift=False,
+            arrays=_identity(2, 2) | _bridge("bridge_v", np.zeros((1, 2)), np.zeros((2, 1))),
         )
     with pytest.raises(ValueError, match="bidirectional"):
         CoupledAgentSite(
-            key=SiteKey(None, "4"),
-            mode=CouplingMode.BIDIRECTIONAL,
-            image_agent=AgentLayer.identity(2, np.float64),
-            text_agent=AgentLayer.identity(2, np.float64),
+            key=SiteKey(None, "4"), mode=CouplingMode.BIDIRECTIONAL, bridge_shift=False, arrays=_identity(2, 2)
         )
+
+
+def test_site_table_is_kept_in_params_order():
+    site = _scalar_site(CouplingMode.BIDIRECTIONAL, 1.0, 1.0, a_m=1.0)  # built with meta/a_m last
+    assert [name for name, _ in site.params()] == [
+        "image/a",
+        "image/b",
+        "text/a",
+        "text/b",
+        "meta/a_m",
+        "bridge_v/w_up",
+        "bridge_v/w_down",
+        "bridge_t/w_up",
+        "bridge_t/w_down",
+    ]
 
 
 def test_shift_coupling_follows_the_scale_rule():
-    def site(mode, **coupling):
-        return CoupledAgentSite(
-            key=SiteKey(None, "4"),
-            mode=mode,
-            image_agent=AgentLayer.identity(3, np.float64),
-            text_agent=AgentLayer.identity(2, np.float64),
-            **coupling,
-        )
+    def site(mode, bridge_shift, *coupling):
+        arrays = _identity(3, 2)
+        for entries in coupling:
+            arrays |= entries
+        return CoupledAgentSite(key=SiteKey(None, "4"), mode=mode, bridge_shift=bridge_shift, arrays=arrays)
 
-    t2i = BridgeFunction(np.zeros((1, 2)), np.zeros((3, 1)))  # text (2) -> image (3)
-    i2t = BridgeFunction(np.zeros((1, 3)), np.zeros((2, 1)))
-    site(CouplingMode.TEXT_TO_IMAGE, bridge_v=t2i, bridge_shift=True, shift_bridge_v=t2i)
+    def t2i(field):  # text (2) -> image (3)
+        return _bridge(field, np.zeros((1, 2)), np.zeros((3, 1)))
+
+    def i2t(field):
+        return _bridge(field, np.zeros((1, 3)), np.zeros((2, 1)))
+
+    site(CouplingMode.TEXT_TO_IMAGE, True, t2i("bridge_v"), t2i("shift_bridge_v"))
     with pytest.raises(ValueError, match="dims"):  # an image -> text shift bridge where text -> image belongs
-        site(CouplingMode.TEXT_TO_IMAGE, bridge_v=t2i, bridge_shift=True, shift_bridge_v=i2t)
-    with pytest.raises(ValueError, match="text_to_image"):
-        site(CouplingMode.TEXT_TO_IMAGE, bridge_v=t2i, shift_bridge_v=t2i)  # shift bridge without bridge_shift
-    m2v = BridgeFunction(np.zeros((1, 4)), np.zeros((3, 1)))
-    m2t = BridgeFunction(np.zeros((1, 4)), np.zeros((2, 1)))
-    coupled = dict(bridge_v=m2v, bridge_t=m2t, meta=MetaScalingVector(np.ones(4)))
+        site(CouplingMode.TEXT_TO_IMAGE, True, t2i("bridge_v"), i2t("shift_bridge_v"))
+    with pytest.raises(ValueError, match="text_to_image"):  # shift bridge without bridge_shift
+        site(CouplingMode.TEXT_TO_IMAGE, False, t2i("bridge_v"), t2i("shift_bridge_v"))
+
+    def m2v(field):
+        return _bridge(field, np.zeros((1, 4)), np.zeros((3, 1)))
+
+    def m2t(field):
+        return _bridge(field, np.zeros((1, 4)), np.zeros((2, 1)))
+
+    coupled = (m2v("bridge_v"), m2t("bridge_t"), {"meta/a_m": np.ones(4)})
     with pytest.raises(ValueError, match="bidirectional"):  # shift bridges without a shift meta vector
-        site(CouplingMode.BIDIRECTIONAL, **coupled, bridge_shift=True, shift_bridge_v=m2v, shift_bridge_t=m2t)
+        site(CouplingMode.BIDIRECTIONAL, True, *coupled, m2v("shift_bridge_v"), m2t("shift_bridge_t"))
     with pytest.raises(ValueError, match="coupled mode"):
-        site(CouplingMode.IVLU, bridge_shift=True)
+        site(CouplingMode.IVLU, True)
 
 
 def test_bridge_init_distribution_and_rank():
     gen = rng.derive(0, "bridge-init")
-    samples = [BridgeFunction.init(64, 32, 4, gen, np.float64) for _ in range(40)]
-    assert all(np.all(b.w_up == 0.0) for b in samples)
-    downs = np.concatenate([b.w_down.ravel() for b in samples])
+    # 40 in-block sites, each with one text (64) -> image (32) bridge of rank 4
+    cfg = EncoderConfig(L=10, d_t=64, d_v=32)
+    sites = build_sites(cfg, CouplingMode.TEXT_TO_IMAGE, 4, 1, gen, np.float64, positions=BLOCK_POSITIONS)
+    assert len(sites) == 40
+    assert all(np.all(s.arrays["bridge_v/w_up"] == 0.0) for s in sites.values())
+    downs = np.concatenate([s.arrays["bridge_v/w_down"].ravel() for s in sites.values()])
+    assert downs.size == 40 * 4 * 64
     assert abs(float(downs.std()) - 1.0 / np.sqrt(64)) < 0.01  # std = 1/sqrt(in_dim)
-    with pytest.raises(ValueError, match="rank"):
-        BridgeFunction.init(4, 8, 5, gen)
+    for rank in (0, 5):
+        with pytest.raises(ValueError, match="rank"):
+            build_sites(EncoderConfig(d_t=4, d_v=8), CouplingMode.TEXT_TO_IMAGE, rank, 1, gen)
 
 
 # ------------------------------------------------------------------
@@ -154,12 +177,10 @@ def test_bridge_init_distribution_and_rank():
 def test_fuse_layernorm_identity_and_arithmetic():
     gamma = np.asarray([1.0, 1.0])
     beta = np.asarray([0.5, 0.0])
-    ident = AgentLayer.identity(2, np.float64)
-    g2, b2 = fuse_layernorm(gamma, beta, ident)
+    g2, b2 = fuse_layernorm(gamma, beta, np.ones(2), np.zeros(2))
     assert np.array_equal(g2, gamma) and np.array_equal(b2, beta)
 
-    agent = _agent([2.0, 3.0], [1.0, 1.0])
-    g2, b2 = fuse_layernorm(gamma, beta, agent)
+    g2, b2 = fuse_layernorm(gamma, beta, np.asarray([2.0, 3.0]), np.asarray([1.0, 1.0]))
     assert g2.tolist() == [2.0, 3.0]
     assert b2.tolist() == [2.0, 1.0]
 
@@ -171,12 +192,10 @@ def test_fuse_layernorm_matches_unfused_path():
         x = Tensor(gen.standard_normal((4, d)).astype(np.float32))
         gamma = (1.0 + 0.3 * gen.standard_normal(d)).astype(np.float32)
         beta = (0.2 * gen.standard_normal(d)).astype(np.float32)
-        agent = AgentLayer(
-            (1.0 + 0.5 * gen.standard_normal(d)).astype(np.float32),
-            (0.5 * gen.standard_normal(d)).astype(np.float32),
-        )
-        unfused = ad_affine(ad_layernorm(x, Tensor(gamma), Tensor(beta), 1e-5), Tensor(agent.a), Tensor(agent.b)).data
-        g2, b2 = fuse_layernorm(gamma, beta, agent)
+        a = (1.0 + 0.5 * gen.standard_normal(d)).astype(np.float32)
+        b = (0.5 * gen.standard_normal(d)).astype(np.float32)
+        unfused = ad_affine(ad_layernorm(x, Tensor(gamma), Tensor(beta), 1e-5), Tensor(a), Tensor(b)).data
+        g2, b2 = fuse_layernorm(gamma, beta, a, b)
         fused = ad_layernorm(x, Tensor(g2), Tensor(b2), 1e-5).data
         assert np.max(np.abs(unfused - fused)) <= 1e-6
 
@@ -184,12 +203,10 @@ def test_fuse_layernorm_matches_unfused_path():
 def test_fuse_linear_identity_and_arithmetic():
     w = np.asarray([[1.0, 2.0], [3.0, 4.0]])
     bias = np.asarray([1.0, 1.0])
-    ident = AgentLayer.identity(2, np.float64)
-    w2, b2 = fuse_linear(w, bias, ident)
+    w2, b2 = fuse_linear(w, bias, np.ones(2), np.zeros(2))
     assert np.array_equal(w2, w) and np.array_equal(b2, bias)
 
-    agent = _agent([2.0, 0.5], [0.0, 1.0])
-    w2, b2 = fuse_linear(w, bias, agent)
+    w2, b2 = fuse_linear(w, bias, np.asarray([2.0, 0.5]), np.asarray([0.0, 1.0]))
     assert w2.tolist() == [[2.0, 4.0], [1.5, 2.0]]
     assert b2.tolist() == [2.0, 1.5]
 
@@ -201,12 +218,10 @@ def test_fuse_linear_matches_unfused_path():
         x = Tensor(gen.standard_normal((3, d_in)).astype(np.float32))
         w = (gen.standard_normal((d_out, d_in)) / np.sqrt(d_in)).astype(np.float32)
         bias = gen.standard_normal(d_out).astype(np.float32)
-        agent = AgentLayer(
-            (1.0 + 0.5 * gen.standard_normal(d_out)).astype(np.float32),
-            (0.5 * gen.standard_normal(d_out)).astype(np.float32),
-        )
-        unfused = ad_affine(ad_linear(x, Tensor(w), Tensor(bias)), Tensor(agent.a), Tensor(agent.b)).data
-        w2, b2 = fuse_linear(w, bias, agent)
+        a = (1.0 + 0.5 * gen.standard_normal(d_out)).astype(np.float32)
+        b = (0.5 * gen.standard_normal(d_out)).astype(np.float32)
+        unfused = ad_affine(ad_linear(x, Tensor(w), Tensor(bias)), Tensor(a), Tensor(b)).data
+        w2, b2 = fuse_linear(w, bias, a, b)
         fused = ad_linear(x, Tensor(w2), Tensor(b2)).data
         assert np.max(np.abs(unfused - fused)) <= 1e-6
 
@@ -215,10 +230,9 @@ def test_fuse_linear_row_locality():
     gen = rng.derive(3, "locality")
     w = gen.standard_normal((5, 4))
     bias = gen.standard_normal(5)
-    agent = AgentLayer.identity(5, np.float64)
     a_eff = np.ones(5)
     a_eff[2] = 3.5
-    w2, _ = fuse_linear(w, bias, agent, effective_a=a_eff)
+    w2, _ = fuse_linear(w, bias, a_eff, np.zeros(5))
     changed = np.any(w2 != w, axis=1)
     assert changed.tolist() == [False, False, True, False, False]
 
@@ -306,10 +320,7 @@ def _loss_on(feat):
 def _grads_for_losses(model, sites, which):
     """Backward of an image-only or text-only loss; returns nonzero-grad names."""
     tape = Tape()
-    values = {}
-    for key, site in sites.items():
-        for local, arr in site.params():
-            values[f"{key}/{local}"] = tape.leaf(arr)
+    values = {name: tape.leaf(arr) for name, arr in named_params(sites)}
     scalings = build_scaling_map(sites, values)
     if which == "image":
         patches = rng.derive(12, "gi").standard_normal((model.cfg.N_v, model.cfg.d_v))
@@ -369,8 +380,8 @@ def test_bridge_norm_sign_flip_invariant(tiny_cfg):
     randomize_sites(sites, rng.derive(18, "p"))
     site = next(iter(sites.values()))
     before = bridge_norm(site, "image")
-    site.bridge_v.w_up = -site.bridge_v.w_up
-    site.bridge_v.w_down = -site.bridge_v.w_down
+    site.set_param("bridge_v/w_up", -site.arrays["bridge_v/w_up"])
+    site.set_param("bridge_v/w_down", -site.arrays["bridge_v/w_down"])
     assert bridge_norm(site, "image") == pytest.approx(before, rel=1e-12)
 
 
@@ -415,3 +426,39 @@ def test_counter_matches_enumeration(mode, rank, d_m, positions, shift):
     assert set(breakdown) == {str(k) for k in sites}
     for key, site in sites.items():
         assert breakdown[str(key)] == sum(a.size for _, a in site.params())
+
+
+_ALL_COUPLINGS = [(mode, False) for mode in CouplingMode] + [
+    (mode, True) for mode in CouplingMode if mode != CouplingMode.IVLU
+]
+
+
+@pytest.mark.parametrize(
+    "mode,bridge_shift", _ALL_COUPLINGS, ids=[f"{m.value}-shift{int(s)}" for m, s in _ALL_COUPLINGS]
+)
+def test_flatten_params_makes_every_entry_a_view_of_one_buffer(mode, bridge_shift):
+    cfg = EncoderConfig(L=2, d_t=8, d_v=12, n_heads=2, N_t=6, N_v=5, mlp_ratio=2, vocab_size=24)
+    sites = build_sites(cfg, mode, 2, 3, rng.derive(24, "s"), np.float32, bridge_shift)
+    randomize_sites(sites, rng.derive(25, "p"))
+    before = [(name, arr.copy()) for name, arr in named_params(sites)]
+    flat = flatten_params(sites)
+    total, _ = count_trainable_params(cfg, mode, 2, 3, bridge_shift)
+    assert flat.shape == (total,) and flat.dtype == np.float32 and flat.flags.c_contiguous
+    offset = 0
+    for (name, arr), (name0, arr0) in zip(named_params(sites), before, strict=True):
+        assert name == name0 and arr.shape == arr0.shape and np.array_equal(arr, arr0)
+        assert np.shares_memory(arr, flat)
+        assert np.array_equal(flat[offset : offset + arr.size], arr0.reshape(-1))  # named_params order
+        offset += arr.size
+    assert offset == flat.size
+
+    key, site = next(iter(sites.items()))
+    arr = site.arrays["text/b"]
+    site.set_param("text/b", np.full(arr.shape, 7.0, np.float32))
+    assert site.arrays["text/b"] is arr
+    assert np.all(flat_views(flat, sites)[f"{key}/text/b"] == 7.0)
+    assert np.count_nonzero(flat == 7.0) == arr.size
+    with pytest.raises(KeyError):
+        site.set_param("text/c", np.zeros(arr.shape, np.float32))
+    with pytest.raises(ValueError, match="shape"):
+        site.set_param("text/b", np.zeros(arr.size + 1, np.float32))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mailpp import rng
-from mailpp.agents import CouplingMode, build_sites
+from mailpp.agents import CouplingMode, build_sites, named_params
 from mailpp.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from mailpp.config import RunConfig
 from mailpp.encoder import EncoderConfig, init_dual_encoder
@@ -187,9 +187,25 @@ def _full_state(dtype=np.float32, mode=CouplingMode.BIDIRECTIONAL):
     model = init_dual_encoder(cfg, rng.derive(5, "w"), dtype)
     sites = build_sites(cfg, mode, 2, 4, rng.derive(6, "s"), dtype)
     randomize_sites(sites, rng.derive(7, "p"))
-    params = {f"{k}/{n}": a for k, site in sites.items() for n, a in site.params()}
-    opt = adamw_init(params)
+    opt = adamw_init(np.concatenate([a.reshape(-1) for _, a in named_params(sites)]))
+    opt.m[:] = rng.derive(8, "m").standard_normal(opt.m.size)
+    opt.v[:] = rng.derive(8, "v").random(opt.v.size)
     return run_cfg, model, sites, opt
+
+
+def test_packed_tensors_keep_the_layout_order_and_each_moment_its_own_slice():
+    run_cfg, model, sites, opt = _full_state()
+    tensors, _ = pack_state(model, sites, opt, run_cfg, seed=3, step=17)
+    names = [name for name, _ in named_params(sites)]
+    frozen = [name for name, _ in model.named_tensors()]
+    want = frozen + [f"agent/{n}" for n in names] + [f"opt/m/{n}" for n in names] + [f"opt/v/{n}" for n in names]
+    assert list(tensors) == want
+    offset = 0
+    for name, arr in named_params(sites):
+        for moment, flat in (("m", opt.m), ("v", opt.v)):
+            assert np.array_equal(tensors[f"opt/{moment}/{name}"].reshape(-1), flat[offset : offset + arr.size])
+        offset += arr.size
+    assert offset == opt.m.size == opt.v.size
 
 
 def test_state_round_trip(tmp_path):
@@ -208,9 +224,8 @@ def test_state_round_trip(tmp_path):
         for (n1, a), (n2, b) in zip(site.params(), other.params()):
             assert n1 == n2 and np.array_equal(a, b)
     assert restored.opt_state is not None
-    for name in opt.m:
-        assert np.array_equal(restored.opt_state.m[name], opt.m[name])
-        assert np.array_equal(restored.opt_state.v[name], opt.v[name])
+    assert np.array_equal(restored.opt_state.m, opt.m)
+    assert np.array_equal(restored.opt_state.v, opt.v)
 
 
 def test_fused_state_round_trip(tmp_path):

@@ -101,56 +101,110 @@ def test_total_loss_decomposition_exact_f64():
 
 
 def test_adamw_zero_grad_shrinks_by_decoupled_decay():
-    params = {"w": np.asarray([1.0, -2.0])}
-    grads = {"w": np.zeros(2)}
+    params = np.asarray([1.0, -2.0])
+    grads = np.zeros(2)
     state = adamw_init(params)
     lr, wd = 0.1, 0.5
     new, state2 = adamw_step(params, grads, state, lr=lr, weight_decay=wd)
-    assert np.allclose(new["w"], params["w"] * (1.0 - lr * wd))
+    assert np.allclose(new, params * (1.0 - lr * wd))
     assert state2.step == 1
 
 
 def test_adamw_first_step_is_signlike():
     g = np.asarray([0.3, -4.0, 1e-3])
-    params = {"w": np.zeros(3)}
+    params = np.zeros(3)
     state = adamw_init(params)
     lr, eps = 0.01, 1e-8
-    new, _ = adamw_step(params, {"w": g}, state, lr=lr, eps=eps, weight_decay=0.0)
+    new, _ = adamw_step(params, g, state, lr=lr, eps=eps, weight_decay=0.0)
     expect = -lr * g / (np.abs(g) + eps)
-    assert np.allclose(new["w"], expect, rtol=1e-12)
+    assert np.allclose(new, expect, rtol=1e-12)
 
 
 def test_adamw_deterministic():
     gen = rng.derive(3, "adamw")
-    params = {"a": gen.standard_normal(4), "b": gen.standard_normal((2, 3))}
-    grads = {"a": gen.standard_normal(4), "b": gen.standard_normal((2, 3))}
+    params = np.concatenate([gen.standard_normal(4), gen.standard_normal((2, 3)).reshape(-1)])
+    grads = np.concatenate([gen.standard_normal(4), gen.standard_normal((2, 3)).reshape(-1)])
     state = adamw_init(params)
     out1 = adamw_step(params, grads, state, lr=1e-3)
     out2 = adamw_step(params, grads, state, lr=1e-3)
-    for k in params:
-        assert np.array_equal(out1[0][k], out2[0][k])
-        assert np.array_equal(out1[1].m[k], out2[1].m[k])
+    assert np.array_equal(out1[0], out2[0])
+    assert np.array_equal(out1[1].m, out2[1].m)
 
 
 def test_adamw_rejects_nan_gradient():
-    params = {"w": np.ones(2)}
+    params = np.ones(2)
     state = adamw_init(params)
     with pytest.raises(NonFiniteError, match="gradient"):
-        adamw_step(params, {"w": np.asarray([np.nan, 0.0])}, state, lr=1e-3)
+        adamw_step(params, np.asarray([np.nan, 0.0]), state, lr=1e-3)
 
 
 def test_adamw_bias_corrected_moments_match_constant_gradient():
-    params = {"w": np.zeros(1)}
+    params = np.zeros(1)
     state = adamw_init(params)
-    g = {"w": np.asarray([2.0])}
+    g = np.asarray([2.0])
     p = params
     for _ in range(500):
         p, state = adamw_step(p, g, state, lr=0.0, weight_decay=0.0)
     t = state.step
-    m_hat = state.m["w"][0] / (1.0 - 0.9**t)
-    v_hat = state.v["w"][0] / (1.0 - 0.999**t)
+    m_hat = state.m[0] / (1.0 - 0.9**t)
+    v_hat = state.v[0] / (1.0 - 0.999**t)
     assert m_hat == pytest.approx(2.0, rel=1e-9)
     assert v_hat == pytest.approx(4.0, rel=1e-9)
+
+
+def _per_array_adamw_step(params, grads, m, v, step, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
+    """Reference: the AdamW update applied array by array over name -> array tables."""
+    b1, b2 = betas
+    t = step + 1
+    new_params, new_m, new_v = {}, {}, {}
+    for name, p in params.items():
+        g = grads[name]
+        m_n = b1 * m[name] + (1.0 - b1) * g
+        v_n = b2 * v[name] + (1.0 - b2) * (g * g)
+        m_hat = m_n / (1.0 - b1**t)
+        v_hat = v_n / (1.0 - b2**t)
+        p_out = p * (1.0 - lr * weight_decay) - lr * m_hat / (np.sqrt(v_hat) + eps)
+        new_params[name] = p_out.astype(p.dtype)
+        new_m[name] = m_n.astype(p.dtype)
+        new_v[name] = v_n.astype(p.dtype)
+    return new_params, new_m, new_v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_flat_adamw_equals_the_per_array_update_bitwise(dtype):
+    from mailpp.agents import flatten_params, named_params
+    from mailpp.encoder import EncoderConfig
+    from mailpp.verify import randomize_sites
+
+    cfg = EncoderConfig(L=2, d_t=8, d_v=12, n_heads=2, N_t=6, N_v=5, mlp_ratio=2, vocab_size=24)
+    sites = build_sites(cfg, CouplingMode.BIDIRECTIONAL, 2, 3, rng.derive(40, "s"), dtype, bridge_shift=True)
+    randomize_sites(sites, rng.derive(41, "p"))
+    ref = {name: arr.copy() for name, arr in named_params(sites)}
+    ref_m = {name: np.zeros_like(arr) for name, arr in ref.items()}
+    ref_v = {name: np.zeros_like(arr) for name, arr in ref.items()}
+    flat = flatten_params(sites)
+    state = adamw_init(flat)
+    gen = rng.derive(42, "grads")
+
+    def as_flat(table):
+        return np.concatenate([arr.reshape(-1) for arr in table.values()])
+
+    for step in range(20):
+        grads = {
+            name: (gen.standard_normal(arr.shape) * 10.0 ** gen.integers(-3, 2)).astype(dtype)
+            for name, arr in ref.items()
+        }
+        # a Python float, and a float64 scalar as the cosine schedule gives
+        lr = 1e-2 if step % 2 else np.float64(1e-2) * 0.5 * (1.0 + np.cos(np.pi * step / 19))
+        ref, ref_m, ref_v = _per_array_adamw_step(ref, grads, ref_m, ref_v, step, lr)
+        new, state = adamw_step(flat, as_flat(grads), state, lr=lr)
+        flat[...] = new
+        assert state.step == step + 1
+        assert flat.tobytes() == as_flat(ref).tobytes(), step
+        assert state.m.tobytes() == as_flat(ref_m).tobytes(), step
+        assert state.v.tobytes() == as_flat(ref_v).tobytes(), step
+    for name, arr in named_params(sites):  # the sites see the update through their views
+        assert arr.tobytes() == ref[name].tobytes(), name
 
 
 # ------------------------------------------------------------------
@@ -233,7 +287,7 @@ def test_train_zero_steps_keeps_initial_state():
     assert st.metrics == []
     assert st.final_train_accuracy == pytest.approx(frozen_acc)
     for site in sites.values():
-        assert np.all(site.image_agent.a == 1.0) and np.all(site.image_agent.b == 0.0)
+        assert np.all(site.arrays["image/a"] == 1.0) and np.all(site.arrays["image/b"] == 0.0)
 
 
 def test_train_frozen_weights_unchanged():
@@ -255,7 +309,7 @@ def test_train_loss_decreases_and_agents_move():
     model, sites, tcfg, ep = _episode_setup(steps=25)
     st = train(model, sites, tcfg, ep, seed=0)
     assert st.metrics[-1].l_total < st.metrics[0].l_total
-    moved = any(not np.all(s.image_agent.a == 1.0) for s in sites.values())
+    moved = any(not np.all(s.arrays["image/a"] == 1.0) for s in sites.values())
     assert moved
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mailpp import rng
-from mailpp.agents import CouplingMode, build_sites, fuse_model
+from mailpp.agents import CouplingMode, build_sites, flat_views, fuse_model, named_params
 from mailpp.autodiff import Tensor
 from mailpp.encoder import ALL_POSITIONS, EncoderConfig
 from mailpp.verify import (
@@ -114,7 +114,7 @@ def test_identity_check_fault_injection():
     from mailpp.encoder import text_forward
 
     site = next(iter(sites.values()))
-    site.text_agent.b = site.text_agent.b + 1e-3  # perturb one shifting vector
+    site.set_param("text/b", site.arrays["text/b"] + 1e-3)  # perturb one shifting vector
     scalings = build_scaling_map(sites)
     plain = text_forward([1, 2], model.cfg, model.text).data
     hooked = text_forward([1, 2], model.cfg, model.text, scalings).data
@@ -278,6 +278,27 @@ def test_ce_loss_gradient_matches_finite_differences():
         assert rep.worst_error <= 1e-4, rep.human_line()
 
 
+@pytest.mark.parametrize("cast", ["model", "sites"])
+def test_gradient_check_rejects_a_float32_model_or_sites_up_front(cast):
+    from mailpp.verify import gradient_check
+
+    model = random_toy_model(0, np.float64)
+    sites = build_sites(model.cfg, CouplingMode.IVLU, 1, 2, rng.derive(0, "s"), np.float64)
+    if cast == "model":
+        model = random_toy_model(0, np.float32)
+    else:
+        sites = build_sites(model.cfg, CouplingMode.IVLU, 1, 2, rng.derive(0, "s"), np.float32)
+    calls = []
+
+    def loss_of_params(values):
+        calls.append(values)
+        raise AssertionError("the objective must not run")
+
+    with pytest.raises(ValueError, match="float32"):
+        gradient_check(model, sites, loss_of_params)
+    assert calls == []
+
+
 # ------------------------------------------------------------------
 # the trial-batched objective of gradient_check
 
@@ -304,8 +325,6 @@ def _objective(model, sites, tokens, images, labels):
 
 
 def _objective_setup(seed, dtype, mode, bridge_shift, max_blocks=4, positions=ALL_POSITIONS):
-    from mailpp.verify import _flatten
-
     model = random_toy_model(seed, dtype, max_blocks)
     cfg = model.cfg
     sites = build_sites(cfg, mode, 1, 3, rng.derive(seed, "s"), dtype, bridge_shift, positions)
@@ -314,9 +333,8 @@ def _objective_setup(seed, dtype, mode, bridge_shift, max_blocks=4, positions=AL
     tokens = [[1, 2], [1, 3, 4, 5], [2, 6, 1]]  # mixed lengths: the batch is right-padded
     images = gen.standard_normal((3, cfg.N_v, cfg.d_v)).astype(dtype)
     labels = np.asarray([0, 2, 1])
-    params = {f"{key}/{local}": arr for key, site in sites.items() for local, arr in site.params()}
-    x0, layout = _flatten(params)
-    return _objective(model, sites, tokens, images, labels), x0, layout
+    x0 = np.concatenate([arr.reshape(-1) for _, arr in named_params(sites)]).astype(np.float64)
+    return _objective(model, sites, tokens, images, labels), x0, sites
 
 
 _COUPLINGS = [(mode, False) for mode in CouplingMode] + [
@@ -330,14 +348,14 @@ def test_stacked_objective_equals_the_per_point_objective(dtype, mode, bridge_sh
     """Row k of one stacked call equals an unstacked loss_of_params call at point k."""
     from mailpp.verify import _trial_objective
 
-    loss_of_params, x0, layout = _objective_setup(11, dtype, mode, bridge_shift)
+    loss_of_params, x0, sites = _objective_setup(11, dtype, mode, bridge_shift)
     gen = rng.derive(12, "points")
     points = (x0[None, :] + 0.05 * gen.standard_normal((5, x0.size))).astype(dtype)
-    stacked = _trial_objective(layout, loss_of_params)(points)
+    stacked = _trial_objective(sites, loss_of_params)(points)
     assert stacked.shape == (5,) and stacked.dtype == dtype
     tol = 1e-12 if dtype == np.float64 else 1e-5
     for k, point in enumerate(points):
-        values = {name: Tensor(point[sl].reshape(shape)) for name, sl, shape in layout}
+        values = {name: Tensor(v) for name, v in flat_views(point, sites).items()}
         single = loss_of_params(values)
         assert single.shape == ()
         assert relative_error(stacked[k], single.item()) <= tol, (k, stacked[k], single.item())
@@ -348,8 +366,8 @@ def test_fd_gradient_is_the_same_for_any_number_of_trials_per_call(monkeypatch):
     from mailpp.verify import _trial_objective
 
     # one block and two sites keep the one-point-per-call run short
-    loss_of_params, x0, layout = _objective_setup(13, np.float64, CouplingMode.BIDIRECTIONAL, True, 1, ("2", "5"))
-    objective = _trial_objective(layout, loss_of_params)
+    loss_of_params, x0, sites = _objective_setup(13, np.float64, CouplingMode.BIDIRECTIONAL, True, 1, ("2", "5"))
+    objective = _trial_objective(sites, loss_of_params)
     grads = {}
     for trials in (1, 7, 2 * x0.size, 2 * x0.size + 5):
         monkeypatch.setattr(mailpp.verify, "FD_TRIALS", trials)
