@@ -10,10 +10,8 @@ import argparse
 import dataclasses
 import time
 
-import numpy as np
-
 from mailpp import rng
-from mailpp.agents import CouplingMode, bridge_norm, build_sites
+from mailpp.agents import CouplingMode, bridge_norm
 from mailpp.config import RunConfig
 from mailpp.encoder import init_dual_encoder
 from mailpp.training import evaluate, gen_synthetic, sample_few_shot, train
@@ -26,7 +24,7 @@ def main():
     args = ap.parse_args()
 
     run_cfg = RunConfig()
-    model = init_dual_encoder(run_cfg.encoder, rng.derive(args.seed, "frozen-weights"), np.float32)
+    model = init_dual_encoder(run_cfg.encoder, rng.derive(args.seed, "frozen-weights"), run_cfg.dtype)
     ds = gen_synthetic(
         C=run_cfg.training.classes,
         k_pool=run_cfg.data.pool_per_class,
@@ -41,9 +39,7 @@ def main():
 
     for mode in CouplingMode:
         tcfg = dataclasses.replace(run_cfg.training, mode=mode, steps=args.steps)
-        sites = build_sites(
-            run_cfg.encoder, mode, tcfg.rank, tcfg.d_m, rng.derive(args.seed, "sites"), np.float32
-        )
+        sites = dataclasses.replace(run_cfg, training=tcfg).sites(rng.derive(args.seed, "sites"))
         t0 = time.monotonic()
         state = train(model, sites, tcfg, episode, args.seed)
         secs = time.monotonic() - t0

@@ -9,10 +9,7 @@ model on both modalities.
 import argparse
 import dataclasses
 
-import numpy as np
-
 from mailpp import rng
-from mailpp.agents import build_sites
 from mailpp.config import RunConfig
 from mailpp.encoder import init_dual_encoder
 from mailpp.training import gen_synthetic, sample_few_shot, train
@@ -37,11 +34,9 @@ def main():
 
     print(f"{'lambda':>8}  {'train':>6}  {'drift_img':>9}  {'drift_txt':>9}  {'L_ce final':>10}")
     for lam in args.lambdas:
-        model = init_dual_encoder(run_cfg.encoder, rng.derive(args.seed, "frozen-weights"), np.float32)
+        model = init_dual_encoder(run_cfg.encoder, rng.derive(args.seed, "frozen-weights"), run_cfg.dtype)
         tcfg = dataclasses.replace(run_cfg.training, lam=lam, steps=args.steps)
-        sites = build_sites(
-            run_cfg.encoder, tcfg.mode, tcfg.rank, tcfg.d_m, rng.derive(args.seed, "sites"), np.float32
-        )
+        sites = dataclasses.replace(run_cfg, training=tcfg).sites(rng.derive(args.seed, "sites"))
         state = train(model, sites, tcfg, episode, args.seed)
         dv, dt = state.feature_drift
         print(

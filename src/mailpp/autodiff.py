@@ -216,7 +216,7 @@ class Tape:
 
     def __init__(self):
         self._records: list[_Record] = []
-        self._leaves: dict[int, Tensor] = {}
+        self._leaves: dict[int, tuple[Tensor, str | None]] = {}
         self._n_nodes = 0
         self._consumed = False
 
@@ -225,11 +225,11 @@ class Tape:
         self._n_nodes += 1
         return nid
 
-    def leaf(self, value) -> Tensor:
-        """Register a trainable leaf; its gradient is collected by backward()."""
+    def leaf(self, value, name: str | None = None) -> Tensor:
+        """Register a trainable leaf; its gradient is collected by backward(), which names it on a NaN/Inf."""
         base = value if isinstance(value, Tensor) else Tensor(value)
         t = Tensor._wrap(np.asarray(base.data), self, self._new_node())
-        self._leaves[t.node] = t
+        self._leaves[t.node] = (t, name)
         return t
 
     @property
@@ -256,7 +256,7 @@ class Tape:
         leaves, self._leaves = self._leaves, {}
         if loss.tape is None:
             # constant loss: depends on no leaf, so every gradient is zero
-            return {nid: Tensor._wrap(np.zeros_like(leaf.data)) for nid, leaf in leaves.items()}
+            return {nid: Tensor._wrap(np.zeros_like(leaf.data)) for nid, (leaf, _) in leaves.items()}
 
         grads: list[np.ndarray | None] = [None] * self._n_nodes
         grads[loss.node] = np.ones_like(loss.data)
@@ -275,12 +275,12 @@ class Tape:
             grads[rec.out] = None  # free as we go
 
         out: dict[int, Tensor] = {}
-        for nid, leaf in leaves.items():
+        for nid, (leaf, name) in leaves.items():
             g = grads[nid]
             if g is None:
                 g = np.zeros_like(leaf.data)
             else:
-                _check_finite(g, "backward")
+                _check_finite(g, "backward" if name is None else f"backward: gradient of {name}")
             out[nid] = Tensor._wrap(np.ascontiguousarray(g))
         return out
 

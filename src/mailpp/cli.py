@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import rng as rngmod
-from .agents import CouplingMode, bridge_norm, build_scaling_map, build_sites, fuse_model
+from .agents import CouplingMode, bridge_norm, build_scaling_map, fuse_model
 from .autodiff import NonFiniteError, Tensor
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, parse_config
@@ -34,12 +35,14 @@ from .training import (
 )
 from .verify import (
     CHECK_CSV_HEADER,
+    FUSION_TOL,
     CheckReport,
     check_counter_agreement,
     check_fusion_equivalence,
     check_identity_at_init,
     count_trainable_params,
     gradient_check,
+    random_toy_model,
     randomize_sites,
 )
 
@@ -66,33 +69,13 @@ def _load_run_config(path: str) -> RunConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
-def _dtype(run_cfg: RunConfig):
-    return np.float64 if run_cfg.precision == "f64" else np.float32
-
-
 def _build_model(run_cfg: RunConfig, seed: int):
-    return init_dual_encoder(run_cfg.encoder, rngmod.derive(seed, "frozen-weights"), _dtype(run_cfg))
-
-
-def _build_sites(run_cfg: RunConfig, seed: int):
-    t = run_cfg.training
-    return build_sites(
-        run_cfg.encoder,
-        t.mode,
-        t.rank,
-        t.d_m,
-        rngmod.derive(seed, "sites"),
-        _dtype(run_cfg),
-        t.bridge_shift,
-        t.positions,
-    )
+    return init_dual_encoder(run_cfg.encoder, rngmod.derive(seed, "frozen-weights"), run_cfg.dtype)
 
 
 def _write(path: str, text: str) -> None:
-    p = Path(path)
-    if p.parent != Path(""):
-        p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(text, encoding="utf-8")
+    _ensure_parent(path)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _ensure_parent(path: str) -> None:
@@ -124,7 +107,7 @@ def cmd_gen_data(args) -> int:
         seed=seed,
         dims=(run_cfg.encoder.N_v, run_cfg.encoder.d_v),
         text_len=run_cfg.data.text_len,
-        dtype=_dtype(run_cfg),
+        dtype=run_cfg.dtype,
     )
     tensors, doc = pack_dataset(ds)
     _ensure_parent(out)
@@ -144,7 +127,7 @@ def cmd_train(args) -> int:
         )
     out = _resolve_out(args, run_cfg, "trained.ckpt")
     model = _build_model(run_cfg, seed)
-    sites = _build_sites(run_cfg, seed)
+    sites = run_cfg.sites(rngmod.derive(seed, "sites"))
     episode = sample_few_shot(ds, run_cfg.training.shots, seed)
     state = train(model, sites, run_cfg.training, episode, seed)
 
@@ -168,7 +151,7 @@ def cmd_fuse(args) -> int:
     if restored.fused or restored.sites is None:
         raise CheckpointError("checkpoint is already fused; nothing to fold")
     fused = fuse_model(restored.model, restored.sites)
-    tol = 1e-10 if restored.model.dtype == np.float64 else 1e-5
+    tol = FUSION_TOL[restored.run_cfg.precision]
     report = check_fusion_equivalence(
         restored.model, restored.sites, n_inputs=8, tol=tol, seed=restored.seed, fused=fused
     )
@@ -207,9 +190,7 @@ def _gradcheck_reports(run_cfg: RunConfig, seed: int) -> list[CheckReport]:
     enc = run_cfg.encoder
     t = run_cfg.training
     model = _build_model(run_cfg, seed).astype(np.float64)
-    sites = build_sites(
-        enc, t.mode, t.rank, t.d_m, rngmod.derive(seed, "gradcheck-sites"), np.float64, t.bridge_shift, t.positions
-    )
+    sites = run_cfg.sites(rngmod.derive(seed, "gradcheck-sites"), np.float64)
     randomize_sites(sites, rngmod.derive(seed, "gradcheck-perturb"))
 
     gen = rngmod.derive(seed, "gradcheck-data")
@@ -248,12 +229,9 @@ def cmd_gradcheck(args) -> int:
 def cmd_check(args) -> int:
     run_cfg = _load_run_config(args.config)
     seed = _resolve_seed(args, run_cfg)
-    t = run_cfg.training
     reports: list[CheckReport] = []
 
     # identity at init over several random toy models, all modes
-    from .verify import random_toy_model
-
     worst = CheckReport(name="identity_at_init", worst_error=0.0, tolerance=0.0, trials=0, seed=seed)
     trials = 0
     for i in range(args.models):
@@ -262,33 +240,14 @@ def cmd_check(args) -> int:
         trials += rep.trials
         if rep.worst_error > worst.worst_error:
             worst = rep
-    reports.append(
-        CheckReport(
-            name="identity_at_init",
-            worst_error=worst.worst_error,
-            tolerance=0.0,
-            trials=trials,
-            seed=seed,
-            detail=worst.detail,
-        )
-    )
+    reports.append(replace(worst, trials=trials, seed=seed))
 
     # fusion equivalence with randomized agents, both precisions
-    for dtype, tol, label in ((np.float64, 1e-10, "f64"), (np.float32, 1e-5, "f32")):
-        model = _build_model(run_cfg, seed)
-        model = model.astype(dtype)
+    for label, tol in FUSION_TOL.items():
+        model = _build_model(run_cfg, seed).astype(replace(run_cfg, precision=label).dtype)
         worst_err = 0.0
         for trial in range(args.fusion_trials):
-            sites = build_sites(
-                run_cfg.encoder,
-                t.mode,
-                t.rank,
-                t.d_m,
-                rngmod.derive(seed, "check-fusion-sites", label, trial),
-                dtype,
-                t.bridge_shift,
-                t.positions,
-            )
+            sites = run_cfg.sites(rngmod.derive(seed, "check-fusion-sites", label, trial), model.dtype)
             randomize_sites(sites, rngmod.derive(seed, "check-fusion-perturb", label, trial))
             rep = check_fusion_equivalence(model, sites, n_inputs=1, tol=tol, seed=seed + trial)
             worst_err = max(worst_err, rep.worst_error)
@@ -303,11 +262,7 @@ def cmd_check(args) -> int:
         )
 
     reports.extend(_gradcheck_reports(run_cfg, seed))
-    reports.append(
-        check_counter_agreement(
-            run_cfg.encoder, t.mode, t.rank, t.d_m, t.bridge_shift, t.positions, seed=seed
-        )
-    )
+    reports.append(check_counter_agreement(*run_cfg.layout, seed=seed))
 
     ok = True
     for r in reports:
@@ -320,11 +275,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_count_params(args) -> int:
-    run_cfg = _load_run_config(args.config)
-    t = run_cfg.training
-    total, breakdown = count_trainable_params(
-        run_cfg.encoder, t.mode, t.rank, t.d_m, t.bridge_shift, t.positions
-    )
+    total, breakdown = count_trainable_params(*_load_run_config(args.config).layout)
     print(total)
     if args.breakdown:
         for site, n in breakdown.items():

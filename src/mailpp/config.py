@@ -1,5 +1,13 @@
 """Run configuration: a strict JSON document with defaults.
 
+The dataclasses are the schema. ``RunConfig`` and its three sections
+(``EncoderConfig``, ``TrainingConfig``, ``DataConfig``) state each
+field's name, type and default once. At import, ``_SCHEMA`` is built
+from their ``dataclasses.fields`` and type hints: per JSON key, the
+field, a coercion chosen by the field's type, and the default. Parsing
+and ``to_doc`` walk that table. The JSON key is the field name, except
+``lambda`` for ``TrainingConfig.lam``, the one alias.
+
 Unknown keys and duplicate keys are rejected outright so a typo in a
 hyperparameter name cannot silently fall back to a default. Validation
 errors always name the offending key.
@@ -7,10 +15,17 @@ errors always name the offending key.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, field
+from enum import Enum
+from typing import Any, Callable, Literal, NamedTuple
 
-from .agents import CouplingMode
+import numpy as np
+
+from .agents import CouplingMode, build_sites
 from .encoder import ALL_POSITIONS, EncoderConfig
 from .training import TrainingConfig
 
@@ -45,59 +60,154 @@ class DataConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    precision: Literal["f32", "f64"] = "f32"
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)
     data: DataConfig = field(default_factory=DataConfig)
-    precision: str = "f32"
     seed: int | None = None
     out_dir: str | None = None
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The float dtype of every tensor the run makes."""
+        return np.dtype(np.float64 if self.precision == "f64" else np.float32)
+
+    @property
+    def layout(self) -> tuple:
+        """What places and shapes the agent sites: (encoder, mode, rank, d_m, bridge_shift, positions)."""
+        t = self.training
+        return self.encoder, t.mode, t.rank, t.d_m, t.bridge_shift, t.positions
+
+    def sites(self, rng: np.random.Generator, dtype=None):
+        """Fresh agent sites of this layout, drawn from ``rng``, in ``dtype`` (default: the run's)."""
+        enc, mode, rank, d_m, bridge_shift, positions = self.layout
+        dtype = self.dtype if dtype is None else dtype
+        return build_sites(enc, mode, rank, d_m, rng, dtype, bridge_shift, positions)
+
     def to_doc(self) -> dict:
-        doc = {
-            "precision": self.precision,
-            "encoder": {
-                "L": self.encoder.L,
-                "d_t": self.encoder.d_t,
-                "d_v": self.encoder.d_v,
-                "n_heads": self.encoder.n_heads,
-                "N_t": self.encoder.N_t,
-                "N_v": self.encoder.N_v,
-                "mlp_ratio": self.encoder.mlp_ratio,
-                "eps": self.encoder.eps,
-                "vocab_size": self.encoder.vocab_size,
-            },
-            "training": {
-                "shots": self.training.shots,
-                "classes": self.training.classes,
-                "batch_size": self.training.batch_size,
-                "steps": self.training.steps,
-                "lr": self.training.lr,
-                "weight_decay": self.training.weight_decay,
-                "betas": list(self.training.betas),
-                "adam_eps": self.training.adam_eps,
-                "lambda": self.training.lam,
-                "temperature": self.training.temperature,
-                "mode": self.training.mode.value,
-                "rank": self.training.rank,
-                "d_m": self.training.d_m,
-                "bridge_shift": self.training.bridge_shift,
-                "positions": list(self.training.positions),
-                "cosine_lr": self.training.cosine_lr,
-            },
-            "data": {
-                "pool_per_class": self.data.pool_per_class,
-                "noise": self.data.noise,
-                "text_len": self.data.text_len,
-            },
-        }
-        if self.seed is not None:
-            doc["seed"] = self.seed
-        if self.out_dir is not None:
-            doc["out_dir"] = self.out_dir
-        return doc
+        """The JSON document: enums as their values, tuples as lists, a ``None`` seed or out_dir left out."""
+        return _to_doc(self)
+
+
+# ------------------------------------------------------------------
+# the schema, derived from the dataclasses
+
+
+def _typed(what: str, ok: Callable[[Any], bool], convert: Callable[[Any], Any] | None = None):
+    """A coercion that takes the JSON values ``ok`` accepts and says ``<path> must be <what>`` of the rest."""
+
+    def coerce(value, path):
+        if not ok(value):
+            raise ConfigError(f"{path} must be {what}")
+        return value if convert is None else convert(value)
+
+    return coerce
+
+
+def _list_of(kinds, length: int | None = None) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, list) and length in (None, len(v)) and all(isinstance(x, kinds) for x in v)
+
+
+_COERCIONS = {
+    int: _typed("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: _typed("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), float),
+    bool: _typed("true or false", lambda v: isinstance(v, bool)),
+    str: _typed("a string", lambda v: isinstance(v, str)),
+    tuple[float, float]: _typed("a pair of numbers", _list_of((int, float), 2), lambda v: (float(v[0]), float(v[1]))),
+    tuple[str, ...]: _typed("a list of strings", _list_of(str), tuple),
+}
+
+
+def _coercion(hint) -> Callable[[Any, str], Any]:
+    """The check and conversion of a JSON value for a field typed ``hint``."""
+    if dataclasses.is_dataclass(hint):
+        is_object = _typed("an object", lambda v: isinstance(v, dict))
+        return lambda value, path: _read(is_object(value, path), hint, path)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        choices = [m.value for m in hint]
+
+        def member(value, path):
+            if _COERCIONS[str](value, path) not in choices:
+                raise ConfigError(f"{path} must be one of {choices}, got {value!r}")
+            return hint(value)
+
+        return member
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Literal:  # the value is checked, not its type: `"precision": 3` is no choice either
+        return _typed(" or ".join(map(repr, args)), lambda v: v in args)
+    if origin is types.UnionType and args[1] is type(None):  # `X | None`
+        inner = _coercion(args[0])
+        return lambda value, path: None if value is None else inner(value, path)
+    return _COERCIONS[hint]
+
+
+class _Field(NamedTuple):
+    name: str  # the dataclass field
+    coerce: Callable[[Any, str], Any]  # (JSON value, path) -> field value, or ConfigError naming the path
+    default: Any  # a section's default is its table of field defaults
+
+
+_ALIASES = {"lam": "lambda"}  # field -> JSON key
+
+
+def _schema(cls) -> dict[str, _Field]:
+    """JSON key -> field of one dataclass, in field order."""
+    hints = typing.get_type_hints(cls)
+    table = {}
+    for f in dataclasses.fields(cls):
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        if dataclasses.is_dataclass(default):
+            default = vars(default)
+        table[_ALIASES.get(f.name, f.name)] = _Field(f.name, _coercion(hints[f.name]), default)
+    return table
+
+
+_SCHEMA = {cls: _schema(cls) for cls in (EncoderConfig, TrainingConfig, DataConfig, RunConfig)}
+
+
+def _read(section: dict, cls, path: str) -> dict:
+    """Field name -> value of one section: unknown keys rejected, present values coerced, the rest defaulted."""
+    table = _SCHEMA[cls]
+    for key in section:
+        if key not in table:
+            raise ConfigError(f"unknown key {key!r}" + (f" in section {path!r}" if path else ""))
+    return {
+        f.name: f.coerce(section[key], f"{path}.{key}" if path else key) if key in section else f.default
+        for key, f in table.items()
+    }
+
+
+def _to_doc(obj) -> dict:
+    doc = {}
+    for key, f in _SCHEMA[type(obj)].items():
+        value = getattr(obj, f.name)
+        if value is None:
+            continue
+        if type(value) in _SCHEMA:
+            value = _to_doc(value)
+        elif isinstance(value, Enum):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = list(value)
+        doc[key] = value
+    return doc
+
+
+def _build(cls, values: dict, path: str):
+    """``cls(**values)``, its own ValueErrors prefixed with the section."""
+    try:
+        return cls(**values)
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 DEFAULT_CONFIG_DOC = RunConfig().to_doc()
+
+
+# ------------------------------------------------------------------
+# parsing
 
 
 def _reject_duplicates(pairs):
@@ -107,87 +217,6 @@ def _reject_duplicates(pairs):
             raise ConfigError(f"duplicate key {key!r}")
         seen[key] = value
     return seen
-
-
-def _expect(section: dict, path: str, known: dict) -> dict:
-    out = {}
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r}" + (f" in section {path!r}" if path else ""))
-    for key, (kind, default) in known.items():
-        if key in section:
-            out[key] = _coerce(section[key], kind, f"{path}.{key}" if path else key)
-        else:
-            out[key] = default
-    return out
-
-
-def _coerce(value, kind, path):
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path} must be an integer")
-        return value
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path} must be a number")
-        return float(value)
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path} must be true or false")
-        return value
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"{path} must be a string")
-        return value
-    if kind == "pair":
-        if not (isinstance(value, list) and len(value) == 2 and all(isinstance(v, (int, float)) for v in value)):
-            raise ConfigError(f"{path} must be a pair of numbers")
-        return (float(value[0]), float(value[1]))
-    if kind == "strlist":
-        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-            raise ConfigError(f"{path} must be a list of strings")
-        return value
-    raise AssertionError(kind)
-
-
-_ENCODER_KEYS = {
-    "L": ("int", 2),
-    "d_t": ("int", 32),
-    "d_v": ("int", 48),
-    "n_heads": ("int", 4),
-    "N_t": ("int", 8),
-    "N_v": ("int", 8),
-    "mlp_ratio": ("int", 4),
-    "eps": ("float", 1e-5),
-    "vocab_size": ("int", 64),
-}
-
-_TRAINING_KEYS = {
-    "shots": ("int", 4),
-    "classes": ("int", 16),
-    "batch_size": ("int", 32),
-    "steps": ("int", 300),
-    "lr": ("float", 1.5e-4),
-    "weight_decay": ("float", 0.01),
-    "betas": ("pair", (0.9, 0.999)),
-    "adam_eps": ("float", 1e-8),
-    "lambda": ("float", 1.0),
-    "temperature": ("float", 0.07),
-    "mode": ("str", "bidirectional"),
-    "rank": ("int", 4),
-    "d_m": ("int", 16),
-    "bridge_shift": ("bool", False),
-    "positions": ("strlist", list(ALL_POSITIONS)),
-    "cosine_lr": ("bool", False),
-}
-
-_DATA_KEYS = {
-    "pool_per_class": ("int", 12),
-    "noise": ("float", 0.1),
-    "text_len": ("int", 4),
-}
-
-_TOP_KEYS = ("seed", "out_dir", "precision", "encoder", "training", "data")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -203,46 +232,15 @@ def parse_config_doc(doc) -> RunConfig:
     """Validate an already-decoded configuration document."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    for key in doc:
-        if key not in _TOP_KEYS:
-            raise ConfigError(f"unknown key {key!r}")
+    raw = _read(doc, RunConfig, "")
+    enc, trn = raw["encoder"], raw["training"]
 
-    seed = doc.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ConfigError("seed must be an integer")
-    out_dir = doc.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("out_dir must be a string")
-    precision = doc.get("precision", "f32")
-    if precision not in ("f32", "f64"):
-        raise ConfigError("precision must be 'f32' or 'f64'")
-
-    for section in ("encoder", "training", "data"):
-        if section in doc and not isinstance(doc[section], dict):
-            raise ConfigError(f"{section} must be an object")
-
-    enc_raw = _expect(doc.get("encoder", {}), "encoder", _ENCODER_KEYS)
-    trn_raw = _expect(doc.get("training", {}), "training", _TRAINING_KEYS)
-    dat_raw = _expect(doc.get("data", {}), "data", _DATA_KEYS)
-
-    for key in ("L", "d_t", "d_v", "n_heads", "N_t", "N_v", "mlp_ratio", "vocab_size"):
-        if enc_raw[key] < 1:
+    for key, value in enc.items():
+        if value <= 0:
             raise ConfigError(f"encoder.{key} must be positive")
-    if enc_raw["eps"] <= 0:
-        raise ConfigError("encoder.eps must be positive")
-    try:
-        encoder = EncoderConfig(**enc_raw)
-    except ValueError as e:
-        raise ConfigError(f"encoder: {e}") from e
+    encoder = _build(EncoderConfig, enc, "encoder")
 
-    try:
-        mode = CouplingMode(trn_raw["mode"])
-    except ValueError:
-        raise ConfigError(
-            f"training.mode must be one of {[m.value for m in CouplingMode]}, got {trn_raw['mode']!r}"
-        ) from None
-
-    positions = tuple(trn_raw["positions"])
+    positions = trn["positions"]
     if not positions:
         raise ConfigError("training.positions must not be empty")
     if len(set(positions)) != len(positions):
@@ -251,45 +249,21 @@ def parse_config_doc(doc) -> RunConfig:
         if p not in ALL_POSITIONS:
             raise ConfigError(f"training.positions: unknown position {p!r}")
 
-    if trn_raw["d_m"] < 1:
+    mode, rank = trn["mode"], trn["rank"]
+    if trn["d_m"] < 1:
         raise ConfigError("training.d_m must be positive")
-    if trn_raw["rank"] < 1:
+    if rank < 1:
         raise ConfigError("training.rank must be positive")
     if mode in (CouplingMode.TEXT_TO_IMAGE, CouplingMode.IMAGE_TO_TEXT):
         bound = min(encoder.d_t, encoder.d_v)
-        if trn_raw["rank"] > bound:
-            raise ConfigError(f"training.rank {trn_raw['rank']} exceeds min(d_t, d_v) = {bound}")
+        if rank > bound:
+            raise ConfigError(f"training.rank {rank} exceeds min(d_t, d_v) = {bound}")
     if mode == CouplingMode.BIDIRECTIONAL:
-        bound = min(encoder.d_t, encoder.d_v, trn_raw["d_m"])
-        if trn_raw["rank"] > bound:
-            raise ConfigError(f"training.rank {trn_raw['rank']} exceeds min(d_t, d_v, d_m) = {bound}")
-
-    try:
-        training = TrainingConfig(
-            shots=trn_raw["shots"],
-            classes=trn_raw["classes"],
-            batch_size=trn_raw["batch_size"],
-            steps=trn_raw["steps"],
-            lr=trn_raw["lr"],
-            weight_decay=trn_raw["weight_decay"],
-            betas=trn_raw["betas"],
-            adam_eps=trn_raw["adam_eps"],
-            lam=trn_raw["lambda"],
-            temperature=trn_raw["temperature"],
-            mode=mode,
-            rank=trn_raw["rank"],
-            d_m=trn_raw["d_m"],
-            bridge_shift=trn_raw["bridge_shift"],
-            positions=positions,
-            cosine_lr=trn_raw["cosine_lr"],
-        )
-    except ValueError as e:
-        raise ConfigError(f"training: {e}") from e
-
-    try:
-        data = DataConfig(**dat_raw)
-    except ValueError as e:
-        raise ConfigError(f"data: {e}") from e
+        bound = min(encoder.d_t, encoder.d_v, trn["d_m"])
+        if rank > bound:
+            raise ConfigError(f"training.rank {rank} exceeds min(d_t, d_v, d_m) = {bound}")
+    training = _build(TrainingConfig, trn, "training")
+    data = _build(DataConfig, raw["data"], "data")
 
     # cross-section consistency
     if training.classes + 2 > encoder.vocab_size:
@@ -306,11 +280,4 @@ def parse_config_doc(doc) -> RunConfig:
     if training.bridge_shift and mode == CouplingMode.IVLU:
         raise ConfigError("training.bridge_shift requires a coupled mode")
 
-    return RunConfig(
-        encoder=encoder,
-        training=training,
-        data=data,
-        precision=precision,
-        seed=seed,
-        out_dir=out_dir,
-    )
+    return RunConfig(**{**raw, "encoder": encoder, "training": training, "data": data})

@@ -43,7 +43,7 @@ reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Literal, Mapping
@@ -95,15 +95,13 @@ class EncoderConfig:
     vocab_size: int = 64
 
     def __post_init__(self):
-        for name in ("L", "d_t", "d_v", "n_heads", "N_t", "N_v", "mlp_ratio", "vocab_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive")
         if self.d_t % self.n_heads != 0:
             raise ValueError(f"d_t={self.d_t} not divisible by n_heads={self.n_heads}")
         if self.d_v % self.n_heads != 0:
             raise ValueError(f"d_v={self.d_v} not divisible by n_heads={self.n_heads}")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
 
     def width(self, modality: Modality) -> int:
         return self.d_v if modality == "image" else self.d_t

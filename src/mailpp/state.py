@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .agents import CoupledAgentSite, SiteKey, build_sites, flat_views, named_params
+from .agents import CoupledAgentSite, SiteKey, flat_views, named_params
 from .checkpoint import CheckpointError
 from .config import RunConfig, parse_config_doc
 from .encoder import DualEncoder, EncoderWeights, weight_shapes
@@ -61,9 +61,7 @@ def pack_state(
     step: int = 0,
     fused: bool = False,
 ) -> tuple[dict[str, np.ndarray], dict]:
-    tensors: dict[str, np.ndarray] = {}
-    for name, arr in model.named_tensors():
-        tensors[name] = arr
+    tensors = dict(model.named_tensors())
     if sites is not None:
         for name, arr in named_params(sites):
             tensors[f"agent/{name}"] = arr
@@ -113,31 +111,20 @@ def unpack_state(tensors: dict[str, np.ndarray], doc: dict) -> RestoredState:
     step = int(doc.get("step", 0))
     fused = bool(doc.get("fused", False))
     enc = run_cfg.encoder
-    dtype = np.dtype(np.float64 if run_cfg.precision == "f64" else np.float32)
 
     frozen = {m: weight_shapes(enc, m) for m in ("text", "image")}
     expected = {**frozen["text"], **frozen["image"]}
     sites: dict[SiteKey, CoupledAgentSite] | None = None
     has_opt = False
     if not fused:
-        t = run_cfg.training
-        sites = build_sites(
-            enc,
-            t.mode,
-            t.rank,
-            t.d_m,
-            rngmod.derive(seed, "restore-sites"),
-            dtype,
-            t.bridge_shift,
-            t.positions,
-        )
+        sites = run_cfg.sites(rngmod.derive(seed, "restore-sites"))
         params = {name: arr.shape for name, arr in named_params(sites)}
         expected.update({f"agent/{pname}": shape for pname, shape in params.items()})
         has_opt = any(n.startswith("opt/") for n in tensors)
         if has_opt:
             for moment in ("m", "v"):
                 expected.update({f"opt/{moment}/{pname}": shape for pname, shape in params.items()})
-    _check_layout(tensors, expected, dtype)
+    _check_layout(tensors, expected, run_cfg.dtype)
 
     # the loaded arrays themselves, not copies
     model = DualEncoder(

@@ -463,7 +463,8 @@ def train(
             lr = cfg.lr * 0.5 * (1.0 + np.cos(np.pi * step / (cfg.steps - 1)))
 
         tape = ad.Tape()
-        values: dict[str, Tensor] = {name: tape.leaf(arr) for name, arr in named_params(sites)}
+        # leaves view the flat buffer, which is written only after backward
+        values = {name: tape.leaf(Tensor.view(arr, name), name) for name, arr in named_params(sites)}
         scalings = build_scaling_map(sites, values)
         try:
             adapted_txt = _feats_text(model, episode.base_tokens, scalings)
@@ -475,7 +476,10 @@ def train(
             raise NonFiniteError(f"non-finite loss at step {step}: {e}") from e
 
         acc = _accuracy(adapted_img.data, adapted_txt.data, episode.train_labels[batch_idx])
-        grads = tape.backward(loss)
+        try:
+            grads = tape.backward(loss)
+        except NonFiniteError as e:
+            raise NonFiniteError(f"non-finite gradient at step {step}: {e}") from e
         grad = np.concatenate([grads[leaf.node].data.reshape(-1) for leaf in values.values()])
         new, opt = adamw_step(flat, grad, opt, lr=lr, betas=cfg.betas, eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
         flat[...] = new

@@ -64,6 +64,8 @@ PARAM_CLASSES = ("a", "b", "w_up", "w_down", "a_m")
 
 FD_TRIALS = 64  # perturbed points per objective call of finite_diff_grad
 
+FUSION_TOL = {"f64": 1e-10, "f32": 1e-5}  # dual-path fusion tolerance per precision
+
 
 @dataclass
 class CheckReport:
@@ -407,7 +409,7 @@ def gradient_check(
     x0 = np.concatenate([arr.reshape(-1) for arr in named.values()])
 
     tape = Tape()
-    leaves = {name: tape.leaf(view) for name, view in flat_views(x0, sites).items()}
+    leaves = {name: tape.leaf(view, name) for name, view in flat_views(x0, sites).items()}
     loss = loss_of_params(leaves)
     grads = tape.backward(loss)
     analytic = {name: grads[leaf.node].data for name, leaf in leaves.items()}

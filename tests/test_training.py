@@ -362,3 +362,67 @@ def test_evaluate_in_any_batch_size_matches_per_row_features(monkeypatch, eval_b
     assert 0.0 < want < 1.0
     monkeypatch.setattr(mailpp.training, "EVAL_BATCH", eval_batch)
     assert evaluate(model, sites, images, labels, tokens) == want
+
+
+def _count_adamw_steps(monkeypatch) -> dict:
+    import mailpp.training
+
+    calls = {"adamw": 0}
+
+    def counting(*args, **kwargs):
+        calls["adamw"] += 1
+        return adamw_step(*args, **kwargs)
+
+    monkeypatch.setattr(mailpp.training, "adamw_step", counting)
+    return calls
+
+
+def test_train_leaves_view_the_flat_buffer_and_step_once_each(monkeypatch):
+    import mailpp.autodiff as ad
+
+    model, sites, tcfg, ep = _episode_setup(steps=3)
+    calls = _count_adamw_steps(monkeypatch)
+    leaves = []
+    leaf = ad.Tape.leaf
+
+    def recording(tape, value, name=None):
+        leaves.append((name, value))
+        return leaf(tape, value, name)
+
+    monkeypatch.setattr(ad.Tape, "leaf", recording)
+    train(model, sites, tcfg, ep, seed=0)
+    assert calls["adamw"] == 3
+    arrays = {f"{key}/{local}": arr for key, site in sites.items() for local, arr in site.arrays.items()}
+    assert len(leaves) == 3 * len(arrays)
+    for name, value in leaves:
+        assert isinstance(value, Tensor) and np.shares_memory(value.data, arrays[name]), name
+
+
+@pytest.mark.parametrize("bad_step", [0, 2])
+def test_non_finite_gradient_names_the_step_and_the_parameter(monkeypatch, bad_step):
+    import mailpp.autodiff as ad
+
+    model, _, tcfg, ep = _episode_setup(steps=4, mode=CouplingMode.IVLU)
+    sites = build_sites(model.cfg, CouplingMode.IVLU, 2, 4, rng.derive(0, "s"), np.float32, positions=("2",))
+    calls = _count_adamw_steps(monkeypatch)
+    emit = ad._emit
+
+    def emit_inf_shift_gradient(name, out, inputs, vjp):
+        # from bad_step on, affine's VJP gives an Inf gradient to its shift input
+        if name == "affine" and calls["adamw"] >= bad_step:
+            grads = vjp
+
+            def vjp(g):
+                gy, ga, gb = grads(g)
+                return gy, ga, np.full_like(gb, np.inf)
+
+        return emit(name, out, inputs, vjp)
+
+    monkeypatch.setattr(ad, "_emit", emit_inf_shift_gradient)
+    with pytest.raises(NonFiniteError) as info:
+        train(model, sites, tcfg, ep, seed=0)
+    # the first site parameter fed by an affine shift is block0.2's image/b
+    assert str(info.value) == (
+        f"non-finite gradient at step {bad_step}: backward: gradient of block0.2/image/b: non-finite value in result"
+    )
+    assert calls["adamw"] == bad_step
