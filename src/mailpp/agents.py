@@ -34,7 +34,9 @@ re-parameterisation of SSF (Lian et al., NeurIPS 2022). ``_FOLDS`` maps
 each position to the frozen tensors it folds into (1a -> ln1, 1b -> ln2,
 2 -> attn/o, 3 -> mlp/fc2, 4 -> final_ln, 5 -> proj): LayerNorm
 gamma' = gamma * a, beta' = beta * a + b; linear rows scale as
-W'[i] = a[i] * W[i], bias' = bias * a + b.
+W'[i] = a[i] * W[i], bias' = bias * a + b. ``fuse_model`` folds each site,
+its text side under ``frozen/text/`` and its image side under
+``frozen/image/``, into one copy of the model's ``arrays`` table.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .encoder import (
     FINAL_POSITIONS,
     DualEncoder,
     EncoderConfig,
-    EncoderWeights,
     Modality,
     Position,
     ScalingMap,
@@ -366,28 +367,18 @@ _FOLDS: dict[Position, tuple] = {
 }
 
 
-def _fuse_encoder(
-    weights: EncoderWeights, sites: Mapping[SiteKey, CoupledAgentSite], modality: Modality
-) -> EncoderWeights:
-    arrays = {name: arr.copy() for name, arr in weights.arrays.items()}
-    for key, site in sites.items():
-        a_v, a_t, b_v, b_t = site.effective(None)
-        a, b = (a_v, b_v) if modality == "image" else (a_t, b_t)
-        fold, scale_name, shift_name = _FOLDS[key.pos]
-        p = f"frozen/{modality}/" if key.block is None else f"frozen/{modality}/block{key.block}/"
-        arrays[p + scale_name], arrays[p + shift_name] = fold(
-            arrays[p + scale_name], arrays[p + shift_name], a.data, b.data
-        )
-    return EncoderWeights(modality, arrays)
-
-
 def fuse_model(model: DualEncoder, sites: Mapping[SiteKey, CoupledAgentSite]) -> DualEncoder:
     """Fold every site into the frozen weights; the result shares no array with ``model`` and has no hooks."""
-    return DualEncoder(
-        cfg=model.cfg,
-        text=_fuse_encoder(model.text, sites, "text"),
-        image=_fuse_encoder(model.image, sites, "image"),
-    )
+    arrays = {name: arr.copy() for name, arr in model.arrays.items()}
+    for key, site in sites.items():
+        a_v, a_t, b_v, b_t = site.effective(None)
+        fold, scale_name, shift_name = _FOLDS[key.pos]
+        for m, a, b in (("text", a_t, b_t), ("image", a_v, b_v)):
+            p = f"frozen/{m}/" if key.block is None else f"frozen/{m}/block{key.block}/"
+            arrays[p + scale_name], arrays[p + shift_name] = fold(
+                arrays[p + scale_name], arrays[p + shift_name], a.data, b.data
+            )
+    return DualEncoder(model.cfg, arrays)
 
 
 # ------------------------------------------------------------------

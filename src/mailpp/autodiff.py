@@ -45,7 +45,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "NonFiniteError",
-    "tensor",
     "matmul",
     "transpose",
     "add",
@@ -69,7 +68,6 @@ __all__ = [
     "pick",
 ]
 
-_DTYPES = {"f32": np.float32, "f64": np.float64}
 _PRECISION = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 _NEG_INF_FILL = -1e9  # finite stand-in for -inf in additive attention masks
@@ -91,12 +89,8 @@ class Tensor:
 
     __slots__ = ("data", "tape", "node")
 
-    def __init__(self, data, dtype: np.dtype | str | None = None):
-        if isinstance(dtype, str):
-            if dtype not in _DTYPES:
-                raise ValueError(f"unknown precision {dtype!r}; expected 'f32' or 'f64'")
-            dtype = _DTYPES[dtype]
-        arr = np.array(data, dtype=dtype if dtype is not None else None, order="C")
+    def __init__(self, data):
+        arr = np.array(data, order="C")
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         arr.flags.writeable = False
@@ -190,10 +184,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-
-def tensor(data, dtype: str | np.dtype | None = None) -> Tensor:
-    return Tensor(data, dtype=dtype)
 
 
 def _coerce(x, like: Tensor) -> Tensor:
@@ -656,12 +646,12 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
     return scale(reduce_sum(a, axis), 1.0 / n)
 
 
-def l2_normalize(a: Tensor, min_norm: float = 0.0) -> Tensor:
+def l2_normalize(a: Tensor) -> Tensor:
     """Scale each vector along the last axis to unit Euclidean norm."""
     if a.ndim < 1:
         raise ValueError("l2_normalize: expected a vector or a stack of vectors")
     norms = np.linalg.norm(a.data, axis=-1, keepdims=True)
-    if np.any(norms <= min_norm) or np.any(norms == 0.0):
+    if np.any(norms == 0.0):
         raise ValueError("l2_normalize: zero-norm input")
     y = a.data / norms
 

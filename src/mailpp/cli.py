@@ -200,14 +200,14 @@ def _gradcheck_reports(run_cfg: RunConfig, seed: int) -> list[CheckReport]:
     images = gen.standard_normal((n_batch, enc.N_v, enc.d_v))
     labels = np.asarray([i % n_classes for i in range(n_batch)])
 
-    frozen_txt = text_forward(tokens, enc, model.text).data
-    frozen_img = image_forward(images, enc, model.image).data
+    frozen_txt = text_forward(tokens, model).data
+    frozen_img = image_forward(images, model).data
 
     def loss_of_params(values) -> Tensor:
         # plain values give one loss, stacked (K, *shape) values give K
         scalings = build_scaling_map(sites, values)
-        txt = text_forward(tokens, enc, model.text, scalings)
-        img = image_forward(images, enc, model.image, scalings)
+        txt = text_forward(tokens, model, scalings)
+        img = image_forward(images, model, scalings)
         ce = ce_loss(img, txt, labels, t.temperature)
         rv, rt = reg_losses(img, frozen_img, txt, frozen_txt)
         return total_loss(ce, rv, rt, t.lam)
@@ -231,16 +231,18 @@ def cmd_check(args) -> int:
     seed = _resolve_seed(args, run_cfg)
     reports: list[CheckReport] = []
 
-    # identity at init over several random toy models, all modes
-    worst = CheckReport(name="identity_at_init", worst_error=0.0, tolerance=0.0, trials=0, seed=seed)
-    trials = 0
-    for i in range(args.models):
-        model_i = random_toy_model(seed + i, np.float64)
-        rep = check_identity_at_init(model_i, tuple(CouplingMode), n_inputs=2, seed=seed + i)
-        trials += rep.trials
-        if rep.worst_error > worst.worst_error:
-            worst = rep
-    reports.append(replace(worst, trials=trials, seed=seed))
+    for flag, value in (("--models", args.models), ("--fusion-trials", args.fusion_trials)):
+        if value < 0:
+            raise ConfigError(f"{flag} must be non-negative, got {value}")
+
+    # identity at init over several random toy models, all modes: the worst report, with the totals
+    reps = [
+        check_identity_at_init(random_toy_model(seed + i, np.float64), tuple(CouplingMode), n_inputs=2, seed=seed + i)
+        for i in range(args.models)
+    ]
+    blank = CheckReport(name="identity_at_init", worst_error=0.0, tolerance=0.0, trials=0, seed=seed)
+    worst = max(reps, key=lambda r: r.worst_error, default=blank)
+    reports.append(replace(worst, trials=sum(r.trials for r in reps), seed=seed))
 
     # fusion equivalence with randomized agents, both precisions
     for label, tol in FUSION_TOL.items():

@@ -23,17 +23,21 @@ agent values per trial, as the finite-difference oracle evaluates many
 perturbed parameter points at once. Then every input is encoded once per
 trial and the features gain the leading axes T.
 
-Both forward passes take one input or a batch: (N_v, d_v) patches or a
-(B, N_v, d_v) batch, one id sequence or a list of them. A text batch is
-right-padded to its longest sequence and each row is read at its own last
-token; the causal mask makes this exact (see ``text_forward``).
+Both forward passes take the whole model, ``text_forward(tokens, model,
+scalings=None)`` and ``image_forward(patches, model, scalings=None)``, and
+one input or a batch: (N_v, d_v) patches or a (B, N_v, d_v) batch, one id
+sequence or a list of them. A text batch is right-padded to its longest
+sequence and each row is read at its own last token; the causal mask makes
+this exact (see ``text_forward``).
 
 Weights are frozen: plain numpy arrays, never registered on a tape, and
-never given gradients. Each modality keeps them in one read-only table,
-``EncoderWeights.arrays``: checkpoint name -> array, in the order of
-``weight_shapes``, which is the only statement of the layout. Neither the
-table nor an entry of it can be rebound. Each ``EncoderWeights`` wraps its
-arrays as Tensors once (``EncoderWeights.tensors``): read-only, zero-copy
+never given gradients. The model keeps them in one read-only table,
+``DualEncoder.arrays``: checkpoint name -> array, text first and then
+image, each in the order of ``weight_shapes``, which is the only statement
+of the layout. Every name says its modality (``frozen/text/...``,
+``frozen/image/...``), and each forward pass reads only the names of its
+own. Neither the table nor an entry of it can be rebound. The model wraps
+its arrays as Tensors once (``DualEncoder.tensors``): read-only, zero-copy
 views, finite-checked when first built, that the forward passes index
 instead of copying and checking every weight on every call. An in-place
 write to a weight array shows through its view; a non-finite value written
@@ -46,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterator, Literal, Mapping
+from typing import Literal, Mapping
 
 import numpy as np
 
@@ -60,10 +64,8 @@ __all__ = [
     "FINAL_POSITIONS",
     "ALL_POSITIONS",
     "EncoderConfig",
-    "EncoderWeights",
     "DualEncoder",
     "ScalingMap",
-    "init_encoder_weights",
     "init_dual_encoder",
     "weight_shapes",
     "text_forward",
@@ -114,14 +116,15 @@ class EncoderConfig:
 
 
 @dataclass(frozen=True)
-class EncoderWeights:
-    """Frozen parameters for one modality: one read-only name -> array table.
+class DualEncoder:
+    """The frozen model: config plus one read-only name -> array table.
 
     ``arrays`` is keyed by the checkpoint names (``frozen/<m>/embed``,
-    ``frozen/<m>/block<i>/attn/q/w``, ...) in ``weight_shapes`` order.
+    ``frozen/<m>/block<i>/attn/q/w``, ...): text first, then image, each in
+    ``weight_shapes`` order.
     """
 
-    modality: Modality
+    cfg: EncoderConfig
     arrays: Mapping[str, np.ndarray]
 
     def __post_init__(self):
@@ -132,37 +135,18 @@ class EncoderWeights:
         """``arrays`` as read-only Tensor views, built and checked once."""
         return {name: Tensor.view(arr, name) for name, arr in self.arrays.items()}
 
-    def named_tensors(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(self.arrays.items())
-
-    def astype(self, dtype) -> "EncoderWeights":
-        return EncoderWeights(self.modality, {name: arr.astype(dtype) for name, arr in self.arrays.items()})
-
-
-@dataclass(frozen=True)
-class DualEncoder:
-    """The frozen model: config plus one EncoderWeights per modality."""
-
-    cfg: EncoderConfig
-    text: EncoderWeights
-    image: EncoderWeights
-
     @property
     def dtype(self) -> np.dtype:
-        return self.text.arrays["frozen/text/pos"].dtype
-
-    def named_tensors(self) -> Iterator[tuple[str, np.ndarray]]:
-        yield from self.text.named_tensors()
-        yield from self.image.named_tensors()
+        return self.arrays["frozen/text/pos"].dtype
 
     def astype(self, dtype) -> "DualEncoder":
-        return DualEncoder(self.cfg, self.text.astype(dtype), self.image.astype(dtype))
+        return DualEncoder(self.cfg, {name: arr.astype(dtype) for name, arr in self.arrays.items()})
 
     def frozen_digest(self) -> str:
         import hashlib
 
         h = hashlib.sha256()
-        for name, arr in self.named_tensors():
+        for name, arr in self.arrays.items():
             h.update(name.encode())
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
@@ -228,9 +212,7 @@ _DRAW_RANK = {"embed": 1, "pos": 1, "cls": 1, "proj": 2, "final_ln": 3}  # block
 _DRAW_SCALE = {"b": 0.02, "beta": 0.1, "embed": 0.5, "pos": 0.1, "cls": 0.5}
 
 
-def init_encoder_weights(
-    cfg: EncoderConfig, modality: Modality, rng: np.random.Generator, dtype=np.float32
-) -> EncoderWeights:
+def _draw_weights(cfg: EncoderConfig, modality: Modality, rng: np.random.Generator, dtype) -> dict[str, np.ndarray]:
     """Random frozen weights of one modality, drawn in ``_DRAW_RANK`` order, kept in ``weight_shapes`` order."""
     shapes = weight_shapes(cfg, modality)
 
@@ -244,15 +226,12 @@ def init_encoder_weights(
         return (_DRAW_SCALE[leaf] * z).astype(dtype)
 
     drawn = {name: draw(name) for name in sorted(shapes, key=lambda n: _DRAW_RANK.get(n.split("/")[2], 0))}
-    return EncoderWeights(modality, {name: drawn[name] for name in shapes})
+    return {name: drawn[name] for name in shapes}
 
 
 def init_dual_encoder(cfg: EncoderConfig, rng: np.random.Generator, dtype=np.float32) -> DualEncoder:
-    return DualEncoder(
-        cfg=cfg,
-        text=init_encoder_weights(cfg, "text", rng, dtype),
-        image=init_encoder_weights(cfg, "image", rng, dtype),
-    )
+    """Random frozen weights, the text encoder's drawn first."""
+    return DualEncoder(cfg, {**_draw_weights(cfg, "text", rng, dtype), **_draw_weights(cfg, "image", rng, dtype)})
 
 
 # ------------------------------------------------------------------
@@ -261,14 +240,13 @@ def init_dual_encoder(cfg: EncoderConfig, rng: np.random.Generator, dtype=np.flo
 
 def _blocks_forward(
     x: Tensor,
-    cfg: EncoderConfig,
-    weights: EncoderWeights,
+    model: DualEncoder,
+    m: Modality,
     mask: np.ndarray | None,
     scalings: ScalingMap | None,
 ) -> Tensor:
-    m = weights.modality
+    cfg, t = model.cfg, model.tensors
     eps = cfg.eps
-    t = weights.tensors
     for i in range(cfg.L):
         p = f"frozen/{m}/block{i}/"
         h = ad.layernorm(x, t[p + "ln1/gamma"], t[p + "ln1/beta"], eps)
@@ -293,15 +271,14 @@ def _blocks_forward(
 def _readout(
     x: Tensor,
     index: int | np.ndarray,
-    cfg: EncoderConfig,
-    weights: EncoderWeights,
+    model: DualEncoder,
+    m: Modality,
     scalings: ScalingMap | None,
 ) -> Tensor:
-    m = weights.modality
-    t = weights.tensors
+    t = model.tensors
     p = f"frozen/{m}/"
     feat = ad.row(x, index)
-    feat = ad.layernorm(feat, t[p + "final_ln/gamma"], t[p + "final_ln/beta"], cfg.eps)
+    feat = ad.layernorm(feat, t[p + "final_ln/gamma"], t[p + "final_ln/beta"], model.cfg.eps)
     feat = _apply_hook(feat, (m, None, "4"), scalings)
     feat = ad.linear(feat, t[p + "proj/w"], t[p + "proj/b"])
     feat = _apply_hook(feat, (m, None, "5"), scalings)
@@ -328,12 +305,7 @@ def _token_rows(tokens, cfg: EncoderConfig) -> tuple[list[np.ndarray], bool]:
     return rows, batched
 
 
-def text_forward(
-    tokens,
-    cfg: EncoderConfig,
-    weights: EncoderWeights,
-    scalings: ScalingMap | None = None,
-) -> Tensor:
+def text_forward(tokens, model: DualEncoder, scalings: ScalingMap | None = None) -> Tensor:
     """Encode token sequences to d_t features, each read from its last token.
 
     One 1-D sequence gives a (d_t,) feature. A batch (a list of sequences,
@@ -343,9 +315,7 @@ def text_forward(
     to n_i - 1 see a later one: its -1e9 makes every padded probability
     exactly 0. Scaling vectors with trial axes T give (*T, [B,] d_t).
     """
-    if weights.modality != "text":
-        raise ValueError("text_forward: weights are not text weights")
-    rows, batched = _token_rows(tokens, cfg)
+    rows, batched = _token_rows(tokens, model.cfg)
     n = max(r.size for r in rows)
     if batched:
         toks = np.full((len(rows), n), PAD_ID, dtype=np.int64)
@@ -354,8 +324,8 @@ def text_forward(
         last = np.array([r.size - 1 for r in rows])
     else:
         toks, last = rows[0], n - 1
-    pos = weights.arrays["frozen/text/pos"]
-    x = weights.arrays["frozen/text/embed"][toks] + pos[:n]
+    pos = model.arrays["frozen/text/pos"]
+    x = model.arrays["frozen/text/embed"][toks] + pos[:n]
     trials = _trial_axes(scalings)
     if trials:
         x = np.broadcast_to(x, trials + x.shape)
@@ -363,24 +333,18 @@ def text_forward(
             last = np.broadcast_to(last, trials + last.shape)
     x = Tensor(x)
     mask = ad.causal_mask(n, pos.dtype)
-    x = _blocks_forward(x, cfg, weights, mask, scalings)
-    return _readout(x, last, cfg, weights, scalings)
+    x = _blocks_forward(x, model, "text", mask, scalings)
+    return _readout(x, last, model, "text", scalings)
 
 
-def image_forward(
-    patch_tokens,
-    cfg: EncoderConfig,
-    weights: EncoderWeights,
-    scalings: ScalingMap | None = None,
-) -> Tensor:
+def image_forward(patch_tokens, model: DualEncoder, scalings: ScalingMap | None = None) -> Tensor:
     """Encode pre-tokenized patches to d_t features, read from the class token.
 
     (N_v, d_v) patches give a (d_t,) feature; a (B, N_v, d_v) batch gives
     (B, d_t) in one pass. Scaling vectors with trial axes T give
     (*T, [B,] d_t).
     """
-    if weights.modality != "image":
-        raise ValueError("image_forward: weights are not image weights")
+    cfg = model.cfg
     patches = patch_tokens.data if isinstance(patch_tokens, Tensor) else np.asarray(patch_tokens)
     if patches.ndim not in (2, 3) or patches.shape[-2:] != (cfg.N_v, cfg.d_v):
         raise ValueError(
@@ -388,12 +352,12 @@ def image_forward(
         )
     if patches.ndim == 3 and patches.shape[0] == 0:
         raise ValueError("image_forward: empty batch of images")
-    pos = weights.arrays["frozen/image/pos"]
+    pos = model.arrays["frozen/image/pos"]
     stacked = np.empty(_trial_axes(scalings) + patches.shape[:-2] + pos.shape, dtype=pos.dtype)
-    stacked[..., 0, :] = weights.arrays["frozen/image/cls"]
+    stacked[..., 0, :] = model.arrays["frozen/image/cls"]
     stacked[..., 1:, :] = patches
     stacked += pos
     x = Tensor(stacked)
-    x = _blocks_forward(x, cfg, weights, None, scalings)
-    return _readout(x, 0, cfg, weights, scalings)
+    x = _blocks_forward(x, model, "image", None, scalings)
+    return _readout(x, 0, model, "image", scalings)
 

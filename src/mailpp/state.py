@@ -5,10 +5,10 @@ the optimizer moments, and the run configuration (plus seed and step
 counter) as one document. Datasets reuse the same container with a
 different ``kind`` marker.
 
-The frozen weights are stored under their ``EncoderWeights.arrays``
-names, so packing reads each table as it is, and unpacking selects the
-``weight_shapes`` names of each modality from the loaded tensors, after
-checking them, without copying. The trainable arrays are stored as
+The frozen weights are stored under their ``DualEncoder.arrays`` names,
+so packing reads the model's one table as it is, and unpacking selects
+the ``weight_shapes`` names of both modalities from the loaded tensors,
+after checking them, without copying. The trainable arrays are stored as
 ``agent/<site>/<local>`` in ``named_params`` order, and the optimizer's
 flat moments as ``opt/m/<site>/<local>`` and ``opt/v/<site>/<local>``,
 cut in the same order; unpacking writes the arrays into freshly built
@@ -25,7 +25,7 @@ from . import rng as rngmod
 from .agents import CoupledAgentSite, SiteKey, flat_views, named_params
 from .checkpoint import CheckpointError
 from .config import RunConfig, parse_config_doc
-from .encoder import DualEncoder, EncoderWeights, weight_shapes
+from .encoder import DualEncoder, weight_shapes
 from .training import AdamState, SyntheticDataset
 
 __all__ = [
@@ -61,7 +61,7 @@ def pack_state(
     step: int = 0,
     fused: bool = False,
 ) -> tuple[dict[str, np.ndarray], dict]:
-    tensors = dict(model.named_tensors())
+    tensors = dict(model.arrays)
     if sites is not None:
         for name, arr in named_params(sites):
             tensors[f"agent/{name}"] = arr
@@ -112,8 +112,8 @@ def unpack_state(tensors: dict[str, np.ndarray], doc: dict) -> RestoredState:
     fused = bool(doc.get("fused", False))
     enc = run_cfg.encoder
 
-    frozen = {m: weight_shapes(enc, m) for m in ("text", "image")}
-    expected = {**frozen["text"], **frozen["image"]}
+    frozen = {**weight_shapes(enc, "text"), **weight_shapes(enc, "image")}
+    expected = dict(frozen)
     sites: dict[SiteKey, CoupledAgentSite] | None = None
     has_opt = False
     if not fused:
@@ -127,9 +127,7 @@ def unpack_state(tensors: dict[str, np.ndarray], doc: dict) -> RestoredState:
     _check_layout(tensors, expected, run_cfg.dtype)
 
     # the loaded arrays themselves, not copies
-    model = DualEncoder(
-        enc, *(EncoderWeights(m, {name: tensors[name] for name in frozen[m]}) for m in ("text", "image"))
-    )
+    model = DualEncoder(enc, {name: tensors[name] for name in frozen})
     opt_state: AdamState | None = None
     if sites is not None:
         for name, arr in named_params(sites):

@@ -168,20 +168,17 @@ class Episode:
     """A few-shot task: k train shots per base class, eval pools for base and novel."""
 
     train_images: np.ndarray  # (n_train, N_v, d_v)
-    train_labels: np.ndarray  # (n_train,) indices into base_classes
+    train_labels: np.ndarray  # (n_train,) indices into base_tokens
     base_eval_images: np.ndarray
     base_eval_labels: np.ndarray
     novel_eval_images: np.ndarray
     novel_eval_labels: np.ndarray
     base_tokens: list[list[int]]
     novel_tokens: list[list[int]]
-    base_classes: list[int]
-    novel_classes: list[int]
-    seed: int
 
     @property
     def num_base(self) -> int:
-        return len(self.base_classes)
+        return len(self.base_tokens)
 
 
 def sample_few_shot(dataset: SyntheticDataset, k: int, seed: int) -> Episode:
@@ -219,9 +216,6 @@ def sample_few_shot(dataset: SyntheticDataset, k: int, seed: int) -> Episode:
         novel_eval_labels=np.asarray(novel_eval_lbls, dtype=np.int64),
         base_tokens=[dataset.tokens[c] for c in dataset.base_classes],
         novel_tokens=[dataset.tokens[c] for c in dataset.novel_classes],
-        base_classes=list(dataset.base_classes),
-        novel_classes=list(dataset.novel_classes),
-        seed=seed,
     )
 
 
@@ -368,7 +362,7 @@ def _feats_text(model: DualEncoder, tokens: Sequence[Sequence[int]], scalings: S
     tape records and encoder calls; this helper goes once the benchmark
     re-pins those counts for a batched step.
     """
-    rows = [text_forward(t, model.cfg, model.text, scalings) for t in tokens]
+    rows = [text_forward(t, model, scalings) for t in tokens]
     return ad.stack_rows(rows)
 
 
@@ -378,7 +372,7 @@ def _feats_image(model: DualEncoder, images: np.ndarray, scalings: ScalingMap | 
     Kept for ``train`` for the same reason as ``_feats_text``, and goes
     with it.
     """
-    rows = [image_forward(img, model.cfg, model.image, scalings) for img in images]
+    rows = [image_forward(img, model, scalings) for img in images]
     return ad.stack_rows(rows)
 
 
@@ -408,10 +402,10 @@ def evaluate(
     if np.ndim(images) != 3 or len(images) == 0:
         raise ValueError(f"evaluate: images must be a non-empty (B, N_v, d_v) batch, got shape {np.shape(images)}")
     scalings = build_scaling_map(sites) if sites else None
-    txt = text_forward(tokens, model.cfg, model.text, scalings).data
+    txt = text_forward(tokens, model, scalings).data
     img = np.concatenate(
         [
-            image_forward(images[i : i + EVAL_BATCH], model.cfg, model.image, scalings).data
+            image_forward(images[i : i + EVAL_BATCH], model, scalings).data
             for i in range(0, len(images), EVAL_BATCH)
         ]
     )

@@ -76,10 +76,14 @@ class CheckReport:
     seed: int
     detail: str = ""
 
+    def __post_init__(self):
+        if self.trials == 0 and not self.detail:
+            self.detail = "no trials"  # vacuous: passes, and says so
+
     @property
     def passed(self) -> bool:
         if self.trials == 0:
-            return True  # vacuous; flagged via detail
+            return True  # vacuous; flagged via detail (see __post_init__)
         return self.worst_error <= self.tolerance
 
     def human_line(self) -> str:
@@ -96,12 +100,6 @@ class CheckReport:
             f"{self.name},{str(self.passed).lower()},{self.worst_error:.10g},"
             f"{self.tolerance:.10g},{self.trials},{self.seed},{detail}"
         )
-
-
-def _vacuous(report: CheckReport) -> CheckReport:
-    if report.trials == 0 and not report.detail:
-        report.detail = "no trials"
-    return report
 
 
 # ------------------------------------------------------------------
@@ -226,10 +224,10 @@ def check_identity_at_init(
         tokens, patches = _random_batch(model.cfg, gen, model.dtype, n_inputs)
         if not tokens:
             continue
-        plain_t = text_forward(tokens, model.cfg, model.text).data
-        hooked_t = text_forward(tokens, model.cfg, model.text, scalings).data
-        plain_v = image_forward(patches, model.cfg, model.image).data
-        hooked_v = image_forward(patches, model.cfg, model.image, scalings).data
+        plain_t = text_forward(tokens, model).data
+        hooked_t = text_forward(tokens, model, scalings).data
+        plain_v = image_forward(patches, model).data
+        hooked_v = image_forward(patches, model, scalings).data
         err = max(
             float(np.max(np.abs(plain_t - hooked_t))),
             float(np.max(np.abs(plain_v - hooked_v))),
@@ -238,7 +236,7 @@ def check_identity_at_init(
         if err > worst:
             worst = err
             detail = f"mode={CouplingMode(mode).value}"
-    report = CheckReport(
+    return CheckReport(
         name="identity_at_init",
         worst_error=worst,
         tolerance=0.0,
@@ -246,7 +244,6 @@ def check_identity_at_init(
         seed=seed,
         detail=detail if worst > 0 else "",
     )
-    return _vacuous(report)
 
 
 # ------------------------------------------------------------------
@@ -254,9 +251,8 @@ def check_identity_at_init(
 
 
 def _locate_fused_mismatch(expected: DualEncoder, got: DualEncoder) -> str:
-    exp = dict(expected.named_tensors())
-    for name, arr in got.named_tensors():
-        ref = exp.get(name)
+    for name, arr in got.arrays.items():
+        ref = expected.arrays.get(name)
         if ref is None or ref.shape != arr.shape or not np.array_equal(ref, arr):
             return name
     return ""
@@ -281,24 +277,22 @@ def check_fusion_equivalence(
     worst = 0.0
     detail = ""
     if tokens:
-        hooked_t = text_forward(tokens, model.cfg, model.text, scalings).data
-        fused_t = text_forward(tokens, target.cfg, target.text).data
-        hooked_v = image_forward(patches, model.cfg, model.image, scalings).data
-        fused_v = image_forward(patches, target.cfg, target.image).data
+        hooked_t = text_forward(tokens, model, scalings).data
+        fused_t = text_forward(tokens, target).data
+        hooked_v = image_forward(patches, model, scalings).data
+        fused_v = image_forward(patches, target).data
         worst = max(relative_error(hooked_t, fused_t), relative_error(hooked_v, fused_v))
     if worst > tol and fused is not None:
         bad = _locate_fused_mismatch(fuse_model(model, sites), fused)
         if bad:
             detail = f"fused tensor mismatch at {bad}"
-    return _vacuous(
-        CheckReport(
-            name="fusion_equivalence",
-            worst_error=worst,
-            tolerance=tol,
-            trials=n_inputs,
-            seed=seed,
-            detail=detail,
-        )
+    return CheckReport(
+        name="fusion_equivalence",
+        worst_error=worst,
+        tolerance=tol,
+        trials=n_inputs,
+        seed=seed,
+        detail=detail,
     )
 
 
@@ -418,14 +412,7 @@ def gradient_check(
     reports = []
     for cls in PARAM_CLASSES:
         names = [name for name in named if _param_class(name) == cls]
-        if not names:
-            reports.append(
-                CheckReport(
-                    name=f"grad_fd[{cls}]", worst_error=0.0, tolerance=1e-4, trials=0, seed=seed, detail="no trials"
-                )
-            )
-            continue
-        worst = max(relative_error(analytic[name], numeric[name]) for name in names)
+        worst = max((relative_error(analytic[name], numeric[name]) for name in names), default=0.0)
         n = sum(named[name].size for name in names)
         reports.append(CheckReport(name=f"grad_fd[{cls}]", worst_error=worst, tolerance=1e-4, trials=n, seed=seed))
     return reports

@@ -155,12 +155,12 @@ def test_criterion_3_fusion_equivalence():
             scalings = build_scaling_map(sites)
             err = max(
                 relative_error(
-                    text_forward(tokens, cfg, model.text, scalings).data,
-                    text_forward(tokens, cfg, fused.text).data,
+                    text_forward(tokens, model, scalings).data,
+                    text_forward(tokens, fused).data,
                 ),
                 relative_error(
-                    image_forward(patches, cfg, model.image, scalings).data,
-                    image_forward(patches, cfg, fused.image).data,
+                    image_forward(patches, model, scalings).data,
+                    image_forward(patches, fused).data,
                 ),
             )
             if is64:
@@ -250,10 +250,10 @@ def test_criterion_6_ablation_structure(episode_setup, trained_runs):
     # IVLU: no parameter accrues gradient from both modality losses
     ivlu_sites = trained_runs[(CouplingMode.IVLU, 1.0)][0].sites
     frozen_txt = np.stack(
-        [text_forward(t, run_cfg.encoder, model.text).data for t in episode.base_tokens]
+        [text_forward(t, model).data for t in episode.base_tokens]
     )
     frozen_img = np.stack(
-        [image_forward(i, run_cfg.encoder, model.image).data for i in episode.train_images[:4]]
+        [image_forward(i, model).data for i in episode.train_images[:4]]
     )
 
     def nonzero_grads(sites, which):

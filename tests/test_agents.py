@@ -240,11 +240,11 @@ def test_fuse_linear_row_locality():
 def test_fuse_model_all_init_is_bitwise_frozen(tiny_model, tiny_cfg):
     sites = build_sites(tiny_cfg, CouplingMode.BIDIRECTIONAL, 2, 4, rng.derive(4, "sites"), np.float64)
     fused = fuse_model(tiny_model, sites)
-    before = dict(tiny_model.named_tensors())
-    for name, arr in fused.named_tensors():
+    before = dict(tiny_model.arrays)
+    for name, arr in fused.arrays.items():
         assert np.array_equal(arr, before[name]), name
     # folding adds nothing: same tensor structure, same total size
-    assert sum(a.size for _, a in fused.named_tensors()) == sum(a.size for _, a in before.items())
+    assert sum(a.size for a in fused.arrays.values()) == sum(a.size for a in before.values())
 
 
 def test_fuse_model_matches_hooked_outputs(tiny_model, tiny_cfg):
@@ -258,10 +258,10 @@ def test_fuse_model_matches_hooked_outputs(tiny_model, tiny_cfg):
         scalings = build_scaling_map(sites)
         tokens = gen.integers(0, tiny_cfg.vocab_size, size=4)
         patches = gen.standard_normal((tiny_cfg.N_v, tiny_cfg.d_v))
-        a = text_forward(tokens, tiny_cfg, tiny_model.text, scalings).data
-        b = text_forward(tokens, tiny_cfg, fused.text).data
-        c = image_forward(patches, tiny_cfg, tiny_model.image, scalings).data
-        d = image_forward(patches, tiny_cfg, fused.image).data
+        a = text_forward(tokens, tiny_model, scalings).data
+        b = text_forward(tokens, fused).data
+        c = image_forward(patches, tiny_model, scalings).data
+        d = image_forward(patches, fused).data
         worst = max(worst, np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(a))))
         worst = max(worst, np.max(np.abs(c - d)) / max(1.0, np.max(np.abs(c))))
     assert worst <= 1e-10
@@ -275,8 +275,8 @@ def test_fuse_model_with_bridge_shift(tiny_model, tiny_cfg):
     fused = fuse_model(tiny_model, sites)
     scalings = build_scaling_map(sites)
     tokens = [1, 2]
-    a = text_forward(tokens, tiny_cfg, tiny_model.text, scalings).data
-    b = text_forward(tokens, tiny_cfg, fused.text).data
+    a = text_forward(tokens, tiny_model, scalings).data
+    b = text_forward(tokens, fused).data
     assert np.max(np.abs(a - b)) <= 1e-10
 
 
@@ -298,13 +298,13 @@ def test_fuse_model_folds_each_position_into_its_own_tensors(tiny_model, tiny_cf
     )
     randomize_sites(sites, rng.derive(23, "p"))
     fused = fuse_model(tiny_model, sites)
-    before = dict(tiny_model.named_tensors())
+    before = dict(tiny_model.arrays)
     blocks = [f"block{i}/" for i in range(tiny_cfg.L)] if pos in ("1a", "1b", "2", "3") else [""]
     want = {f"frozen/{m}/{b}{leaf}" for m in ("text", "image") for b in blocks for leaf in _FOLDED[pos]}
-    changed = {name for name, arr in fused.named_tensors() if not np.array_equal(arr, before[name])}
+    changed = {name for name, arr in fused.arrays.items() if not np.array_equal(arr, before[name])}
     assert changed == want
-    assert list(dict(fused.named_tensors())) == list(before)
-    assert not any(np.shares_memory(arr, before[name]) for name, arr in fused.named_tensors())
+    assert list(fused.arrays) == list(before)
+    assert not any(np.shares_memory(arr, before[name]) for name, arr in fused.arrays.items())
 
 
 # ------------------------------------------------------------------
@@ -324,9 +324,9 @@ def _grads_for_losses(model, sites, which):
     scalings = build_scaling_map(sites, values)
     if which == "image":
         patches = rng.derive(12, "gi").standard_normal((model.cfg.N_v, model.cfg.d_v))
-        loss = _loss_on(image_forward(patches, model.cfg, model.image, scalings))
+        loss = _loss_on(image_forward(patches, model, scalings))
     else:
-        loss = _loss_on(text_forward([1, 2, 3], model.cfg, model.text, scalings))
+        loss = _loss_on(text_forward([1, 2, 3], model, scalings))
     grads = tape.backward(loss)
     return {name for name, leaf in values.items() if np.any(grads[leaf.node].data != 0.0)}
 

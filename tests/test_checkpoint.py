@@ -197,7 +197,7 @@ def test_packed_tensors_keep_the_layout_order_and_each_moment_its_own_slice():
     run_cfg, model, sites, opt = _full_state()
     tensors, _ = pack_state(model, sites, opt, run_cfg, seed=3, step=17)
     names = [name for name, _ in named_params(sites)]
-    frozen = [name for name, _ in model.named_tensors()]
+    frozen = list(model.arrays)
     want = frozen + [f"agent/{n}" for n in names] + [f"opt/m/{n}" for n in names] + [f"opt/v/{n}" for n in names]
     assert list(tensors) == want
     offset = 0
@@ -217,7 +217,7 @@ def test_state_round_trip(tmp_path):
     restored = unpack_state(loaded, doc2)
     assert restored.seed == 3 and restored.step == 17 and not restored.fused
     assert restored.run_cfg == run_cfg
-    for (name, a), (name2, b) in zip(model.named_tensors(), restored.model.named_tensors()):
+    for (name, a), (name2, b) in zip(model.arrays.items(), restored.model.arrays.items()):
         assert name == name2 and np.array_equal(a, b) and a.dtype == b.dtype
     for key, site in sites.items():
         other = restored.sites[key]
@@ -239,7 +239,7 @@ def test_fused_state_round_trip(tmp_path):
     save_checkpoint(path, tensors, doc)
     restored = unpack_state(*load_checkpoint(path))
     assert restored.fused and restored.sites is None and restored.opt_state is None
-    for (name, a), (name2, b) in zip(fused.named_tensors(), restored.model.named_tensors()):
+    for (name, a), (name2, b) in zip(fused.arrays.items(), restored.model.arrays.items()):
         assert name == name2 and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -249,10 +249,9 @@ def test_unpacked_model_uses_the_loaded_arrays_in_layout_order():
     run_cfg, model, sites, opt = _full_state()
     tensors, doc = pack_state(model, sites, opt, run_cfg, seed=3)
     restored = unpack_state(tensors, doc)
-    for m in ("text", "image"):
-        arrays = getattr(restored.model, m).arrays
-        assert list(arrays) == list(weight_shapes(run_cfg.encoder, m))
-        assert all(arrays[name] is tensors[name] for name in arrays)
+    arrays = restored.model.arrays
+    assert list(arrays) == [*weight_shapes(run_cfg.encoder, "text"), *weight_shapes(run_cfg.encoder, "image")]
+    assert all(arrays[name] is tensors[name] for name in arrays)
 
 
 def _first(tensors, prefix):

@@ -114,6 +114,24 @@ def test_check_command_passes_and_writes_csv(workdir, capsys):
     assert header == "name,passed,worst_error,tolerance,trials,seed,detail"
 
 
+def test_check_flags_zero_trials_and_rejects_negative_counts(workdir, capsys):
+    tmp, cfg = workdir
+    csv_path = tmp / "vacuous.csv"
+    assert run(["check", "--config", cfg, "--models", "0", "--fusion-trials", "0", "--csv", str(csv_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    lines = {line.split(":")[0].removeprefix("PASS  "): line for line in out if line.startswith("PASS")}
+    rows = {row.split(",")[0]: row for row in csv_path.read_text().splitlines()}
+    for name in ("identity_at_init", "fusion_equivalence[f64]", "fusion_equivalence[f32]"):
+        assert lines[name].endswith(", 0 trials, seed 0)  [no trials]"), lines[name]
+        assert rows[name].endswith(",0,0,no trials"), rows[name]
+    for flag in ("--models", "--fusion-trials"):
+        argv = ["check", "--config", cfg, "--models", "1", "--fusion-trials", "1", flag, "-3"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} must be non-negative, got -3\n"
+        assert captured.out == ""
+
+
 def test_report_norms(workdir, capsys):
     tmp, cfg = workdir
     data = str(tmp / "d.bin")
@@ -225,7 +243,7 @@ def test_fuse_writes_nothing_when_the_check_fails(workdir, capsys, monkeypatch):
 
     def corrupted_fuse(model, sites):
         fused = real_fuse(model, sites)
-        fused.image.arrays["frozen/image/proj/w"][0, 0] += 0.5  # deliberate corruption
+        fused.arrays["frozen/image/proj/w"][0, 0] += 0.5  # deliberate corruption
         return fused
 
     monkeypatch.setattr(mailpp.cli, "fuse_model", corrupted_fuse)

@@ -6,7 +6,7 @@ import pytest
 from mailpp import rng
 from mailpp.agents import CouplingMode, build_scaling_map, build_sites
 from mailpp.autodiff import NonFiniteError, Tensor
-from mailpp.encoder import EncoderConfig, image_forward, init_dual_encoder, text_forward
+from mailpp.encoder import DualEncoder, EncoderConfig, image_forward, init_dual_encoder, text_forward
 from mailpp.training import _probs
 from mailpp.verify import random_toy_model
 
@@ -19,23 +19,23 @@ def test_config_validation():
 
 
 def test_output_shapes(tiny_cfg, tiny_model):
-    f = text_forward([1, 2, 3], tiny_cfg, tiny_model.text)
+    f = text_forward([1, 2, 3], tiny_model)
     assert f.shape == (tiny_cfg.d_t,)
     patches = rng.derive(0, "in").standard_normal((tiny_cfg.N_v, tiny_cfg.d_v))
-    g = image_forward(patches, tiny_cfg, tiny_model.image)
+    g = image_forward(patches, tiny_model)
     assert g.shape == (tiny_cfg.d_t,)  # projected to the text width regardless of d_v
 
 
 def test_text_forward_contract(tiny_cfg, tiny_model):
     with pytest.raises(ValueError, match="vocabulary"):
-        text_forward([tiny_cfg.vocab_size + 3], tiny_cfg, tiny_model.text)
+        text_forward([tiny_cfg.vocab_size + 3], tiny_model)
     with pytest.raises(ValueError, match="exceeds N_t"):
-        text_forward(list(range(tiny_cfg.N_t + 1)), tiny_cfg, tiny_model.text)
+        text_forward(list(range(tiny_cfg.N_t + 1)), tiny_model)
 
 
 def test_image_forward_contract(tiny_cfg, tiny_model):
     with pytest.raises(ValueError, match="patch tokens"):
-        image_forward(np.ones((tiny_cfg.N_v, tiny_cfg.d_v + 1)), tiny_cfg, tiny_model.image)
+        image_forward(np.ones((tiny_cfg.N_v, tiny_cfg.d_v + 1)), tiny_model)
 
 
 def test_hooks_at_init_are_bitwise_identity(tiny_cfg, tiny_model):
@@ -46,12 +46,12 @@ def test_hooks_at_init_are_bitwise_identity(tiny_cfg, tiny_model):
         tokens = gen.integers(0, tiny_cfg.vocab_size, size=4)
         patches = gen.standard_normal((tiny_cfg.N_v, tiny_cfg.d_v))
         assert np.array_equal(
-            text_forward(tokens, tiny_cfg, tiny_model.text).data,
-            text_forward(tokens, tiny_cfg, tiny_model.text, scalings).data,
+            text_forward(tokens, tiny_model).data,
+            text_forward(tokens, tiny_model, scalings).data,
         )
         assert np.array_equal(
-            image_forward(patches, tiny_cfg, tiny_model.image).data,
-            image_forward(patches, tiny_cfg, tiny_model.image, scalings).data,
+            image_forward(patches, tiny_model).data,
+            image_forward(patches, tiny_model, scalings).data,
         )
 
 
@@ -62,8 +62,8 @@ def test_random_agents_change_output(tiny_cfg, tiny_model):
     randomize_sites(sites, rng.derive(6, "p"))
     scalings = build_scaling_map(sites)
     tokens = [1, 2, 3]
-    plain = text_forward(tokens, tiny_cfg, tiny_model.text).data
-    hooked = text_forward(tokens, tiny_cfg, tiny_model.text, scalings).data
+    plain = text_forward(tokens, tiny_model).data
+    hooked = text_forward(tokens, tiny_model, scalings).data
     assert not np.array_equal(plain, hooked)
     cos = float(plain @ hooked / (np.linalg.norm(plain) * np.linalg.norm(hooked)))
     assert cos < 1.0
@@ -73,7 +73,7 @@ def test_hook_dimension_mismatch_rejected(tiny_cfg, tiny_model):
     width = tiny_cfg.d_t + 1
     bad = {("text", 0, "1a"): (Tensor(np.ones(width)), Tensor(np.zeros(width)))}
     with pytest.raises(ValueError):
-        text_forward([1, 2, 3], tiny_cfg, tiny_model.text, bad)
+        text_forward([1, 2, 3], tiny_model, bad)
 
 
 def test_feature_norm_finite_nonzero_over_seeds():
@@ -83,8 +83,8 @@ def test_feature_norm_finite_nonzero_over_seeds():
         tokens = gen.integers(0, model.cfg.vocab_size, size=3)
         patches = gen.standard_normal((model.cfg.N_v, model.cfg.d_v))
         for feat in (
-            text_forward(tokens, model.cfg, model.text).data,
-            image_forward(patches, model.cfg, model.image).data,
+            text_forward(tokens, model).data,
+            image_forward(patches, model).data,
         ):
             norm = np.linalg.norm(feat)
             assert np.isfinite(norm) and norm > 0
@@ -104,10 +104,9 @@ def test_init_weights_keep_their_draw_order_and_layout(tiny_cfg, dtype):
 
     model = init_dual_encoder(tiny_cfg, rng.derive(11, "tiny-model"), dtype)
     assert model.frozen_digest() == _TINY_DIGEST[dtype]
-    for m in ("text", "image"):
-        arrays = getattr(model, m).arrays
-        assert {n: a.shape for n, a in arrays.items()} == weight_shapes(tiny_cfg, m)
-        assert list(arrays) == list(weight_shapes(tiny_cfg, m))
+    shapes = {**weight_shapes(tiny_cfg, "text"), **weight_shapes(tiny_cfg, "image")}
+    assert {n: a.shape for n, a in model.arrays.items()} == shapes
+    assert list(model.arrays) == list(shapes)  # text first, then image
 
 
 # ------------------------------------------------------------------
@@ -116,18 +115,18 @@ def test_init_weights_keep_their_draw_order_and_layout(tiny_cfg, dtype):
 
 def _features(model, tokens, patches):
     return (
-        text_forward(tokens, model.cfg, model.text).data,
-        image_forward(patches, model.cfg, model.image).data,
+        text_forward(tokens, model).data,
+        image_forward(patches, model).data,
     )
 
 
 def _edit_in_place(model):
-    model.text.arrays["frozen/text/block0/mlp/fc2/w"][0, 0] += 0.5
-    model.text.arrays["frozen/text/final_ln/gamma"][1] *= -2.0
-    model.text.arrays["frozen/text/embed"][3] += 0.25
-    model.image.arrays["frozen/image/block1/attn/q/b"][2] -= 0.75
-    model.image.arrays["frozen/image/proj/w"][0] *= 1.5
-    model.image.arrays["frozen/image/cls"][0] += 1.0
+    model.arrays["frozen/text/block0/mlp/fc2/w"][0, 0] += 0.5
+    model.arrays["frozen/text/final_ln/gamma"][1] *= -2.0
+    model.arrays["frozen/text/embed"][3] += 0.25
+    model.arrays["frozen/image/block1/attn/q/b"][2] -= 0.75
+    model.arrays["frozen/image/proj/w"][0] *= 1.5
+    model.arrays["frozen/image/cls"][0] += 1.0
 
 
 def test_in_place_weight_edit_after_a_forward_pass_shows_through(tiny_cfg):
@@ -151,14 +150,17 @@ def test_nan_written_into_a_weight_after_a_forward_pass_raises(tiny_cfg, modalit
     tokens = [1, 3, 5]
     patches = rng.derive(12, "inputs").standard_normal((tiny_cfg.N_v, tiny_cfg.d_v))
     _features(model, tokens, patches)
-    getattr(model, modality).arrays[f"frozen/{modality}/block1/attn/v/b"][0] = np.nan
+    model.arrays[f"frozen/{modality}/block1/attn/v/b"][0] = np.nan
     with pytest.raises(NonFiniteError):
         _features(model, tokens, patches)
 
 
-# Sub-trees of frozen weights (text.blocks.0.ln1, ...) and the arrays-table
-# entries that hold them: each entry under the prefix must refuse rebinding.
+# Sub-trees of frozen weights (text, text.blocks.0.ln1, ...) and the entries
+# of the one arrays table that hold them: each entry under the prefix must
+# refuse rebinding and deletion.
 _ENTRY_PREFIXES = {
+    "text": "frozen/text/",
+    "image": "frozen/image/",
     "text.blocks": "frozen/text/block",
     "text.blocks.0.ln1": "frozen/text/block0/ln1/",
     "text.blocks.0.ln1.gamma": "frozen/text/block0/ln1/gamma",
@@ -169,26 +171,39 @@ _ENTRY_PREFIXES = {
 }
 
 
-@pytest.mark.parametrize("path", ["text", "image", "text.arrays", "image.arrays", "image.modality", *_ENTRY_PREFIXES])
+@pytest.mark.parametrize("path", ["cfg", "arrays", "text.arrays", "image.arrays", *_ENTRY_PREFIXES])
 def test_weight_fields_cannot_be_rebound(tiny_model, path):
+    assert [f.name for f in dataclasses.fields(tiny_model)] == ["cfg", "arrays"]
+    if path.endswith(".arrays") and path != "arrays":
+        # One modality's share of the table, replaced as a whole: neither
+        # through the table nor by rebinding the model's `arrays` field.
+        arrays = tiny_model.arrays
+        prefix = f"frozen/{path.split('.')[0]}/"
+        share = {name: arr.copy() for name, arr in arrays.items() if name.startswith(prefix)}
+        assert share
+        with pytest.raises((TypeError, AttributeError)):
+            arrays.update(share)
+        with pytest.raises(TypeError):
+            arrays[prefix + "extra"] = next(iter(share.values()))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tiny_model.arrays = {**arrays, **share}
+        return
     if path in _ENTRY_PREFIXES:
-        arrays = getattr(tiny_model, path.split(".")[0]).arrays
+        arrays = tiny_model.arrays
         names = [name for name in arrays if name.startswith(_ENTRY_PREFIXES[path])]
         assert names
         for name in names:
             with pytest.raises(TypeError):
                 arrays[name] = arrays[name]
+            with pytest.raises(TypeError):
+                del arrays[name]
         return
-    *parents, field = path.split(".")
-    obj = tiny_model
-    for part in parents:
-        obj = getattr(obj, part)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(obj, field, getattr(obj, field))
+        setattr(tiny_model, path, getattr(tiny_model, path))
 
 
 def test_blocks_cannot_be_replaced_item_by_item(tiny_model):
-    arrays = tiny_model.text.arrays
+    arrays = tiny_model.arrays
     with pytest.raises(TypeError):
         arrays["frozen/text/block0/ln1/gamma"] = arrays["frozen/text/block1/ln1/gamma"]
     with pytest.raises(TypeError):
@@ -230,10 +245,10 @@ def test_batch_forward_equals_stacked_rows(seed, dtype):
     for b in (1, 2, 7):
         tokens, patches = _mixed_batch(cfg, gen, b, dtype)
         for name, model, scalings in paths:
-            txt = text_forward(tokens, cfg, model.text, scalings).data
-            img = image_forward(patches, cfg, model.image, scalings).data
-            rows_t = np.stack([text_forward(t, cfg, model.text, scalings).data for t in tokens])
-            rows_v = np.stack([image_forward(p, cfg, model.image, scalings).data for p in patches])
+            txt = text_forward(tokens, model, scalings).data
+            img = image_forward(patches, model, scalings).data
+            rows_t = np.stack([text_forward(t, model, scalings).data for t in tokens])
+            rows_v = np.stack([image_forward(p, model, scalings).data for p in patches])
             assert txt.shape == rows_t.shape == (b, cfg.d_t) and txt.dtype == dtype
             assert img.shape == rows_v.shape == (b, cfg.d_t) and img.dtype == dtype
             assert relative_error(txt, rows_t) <= _BATCH_TOL[dtype], (name, b)
@@ -243,8 +258,8 @@ def test_batch_forward_equals_stacked_rows(seed, dtype):
 def test_text_batch_accepts_a_2d_id_array(tiny_cfg, tiny_model):
     ids = rng.derive(13, "ids").integers(0, tiny_cfg.vocab_size, size=(3, 4))
     assert np.array_equal(
-        text_forward(ids, tiny_cfg, tiny_model.text).data,
-        text_forward([list(r) for r in ids], tiny_cfg, tiny_model.text).data,
+        text_forward(ids, tiny_model).data,
+        text_forward([list(r) for r in ids], tiny_model).data,
     )
 
 
@@ -253,13 +268,40 @@ def test_batched_hooks_at_init_are_bitwise_identity(dtype):
     for seed in range(4):
         model = random_toy_model(seed, dtype)
         tokens, patches = _mixed_batch(model.cfg, rng.derive(seed, "id-inputs"), 5, dtype)
-        plain_t = text_forward(tokens, model.cfg, model.text).data
-        plain_v = image_forward(patches, model.cfg, model.image).data
+        plain_t = text_forward(tokens, model).data
+        plain_v = image_forward(patches, model).data
         for mode in CouplingMode:
             sites = build_sites(model.cfg, mode, 2, 4, rng.derive(seed, "id-sites", mode.value), dtype)
             scalings = build_scaling_map(sites)
-            assert np.array_equal(plain_t, text_forward(tokens, model.cfg, model.text, scalings).data)
-            assert np.array_equal(plain_v, image_forward(patches, model.cfg, model.image, scalings).data)
+            assert np.array_equal(plain_t, text_forward(tokens, model, scalings).data)
+            assert np.array_equal(plain_v, image_forward(patches, model, scalings).data)
+
+
+def _moved(model, modality, seed):
+    """A copy of ``model`` whose every ``frozen/<modality>/`` entry holds other finite values."""
+    gen = rng.derive(seed, "moved", modality)
+    arrays = dict(model.arrays)
+    for name, arr in arrays.items():
+        if name.startswith(f"frozen/{modality}/"):
+            arrays[name] = (arr + 0.5 + gen.random(arr.shape)).astype(arr.dtype)
+            assert np.all(arrays[name] != arr) and np.all(np.isfinite(arrays[name])), name
+    return DualEncoder(model.cfg, arrays)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("seed", range(3))
+def test_each_forward_pass_reads_only_its_own_modality(seed, dtype):
+    cfg, paths = _paths(seed, dtype)
+    hooked, scalings = paths[0][1], paths[0][2]
+    tokens, patches = _mixed_batch(cfg, rng.derive(seed, "own-inputs"), 3, dtype)
+    for model, hooks in [(hooked, scalings), (hooked, None), (paths[1][1], None)]:
+        for forward, inputs, own, other in (
+            (text_forward, tokens, "text", "image"),
+            (image_forward, patches, "image", "text"),
+        ):
+            want = forward(inputs, model, hooks).data
+            assert forward(inputs, _moved(model, other, seed), hooks).data.tobytes() == want.tobytes()
+            assert not np.array_equal(forward(inputs, _moved(model, own, seed), hooks).data, want)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -273,7 +315,7 @@ def test_pad_id_does_not_reach_the_features(monkeypatch, dtype):
             feats = []
             for pad in (0, cfg.vocab_size - 1):
                 monkeypatch.setattr(mailpp.encoder, "PAD_ID", pad)
-                feats.append(text_forward(tokens, cfg, model.text, scalings).data)
+                feats.append(text_forward(tokens, model, scalings).data)
             assert feats[0].tobytes() == feats[1].tobytes()
 
 
@@ -281,17 +323,17 @@ def test_batch_contract(tiny_cfg, tiny_model):
     from mailpp.training import evaluate
 
     with pytest.raises(ValueError, match="empty batch"):
-        text_forward(np.empty((0, 3), dtype=np.int64), tiny_cfg, tiny_model.text)
+        text_forward(np.empty((0, 3), dtype=np.int64), tiny_model)
     with pytest.raises(ValueError, match="non-empty"):
-        text_forward([[1, 2], []], tiny_cfg, tiny_model.text)
+        text_forward([[1, 2], []], tiny_model)
     with pytest.raises(ValueError, match="exceeds N_t"):
-        text_forward([[1, 2], list(range(tiny_cfg.N_t + 1))], tiny_cfg, tiny_model.text)
+        text_forward([[1, 2], list(range(tiny_cfg.N_t + 1))], tiny_model)
     with pytest.raises(ValueError, match="vocabulary"):
-        text_forward([[1, 2], [tiny_cfg.vocab_size]], tiny_cfg, tiny_model.text)
+        text_forward([[1, 2], [tiny_cfg.vocab_size]], tiny_model)
     with pytest.raises(ValueError, match="non-empty 1-D"):
-        text_forward(np.zeros((2, 2, 2), dtype=np.int64), tiny_cfg, tiny_model.text)
+        text_forward(np.zeros((2, 2, 2), dtype=np.int64), tiny_model)
     with pytest.raises(ValueError, match="empty batch"):
-        image_forward(np.empty((0, tiny_cfg.N_v, tiny_cfg.d_v)), tiny_cfg, tiny_model.image)
+        image_forward(np.empty((0, tiny_cfg.N_v, tiny_cfg.d_v)), tiny_model)
     for shape in (
         (2, tiny_cfg.N_v, tiny_cfg.d_v + 1),
         (2, tiny_cfg.N_v + 1, tiny_cfg.d_v),
@@ -299,7 +341,7 @@ def test_batch_contract(tiny_cfg, tiny_model):
         (tiny_cfg.d_v,),
     ):
         with pytest.raises(ValueError, match="patch tokens"):
-            image_forward(np.ones(shape), tiny_cfg, tiny_model.image)
+            image_forward(np.ones(shape), tiny_model)
     with pytest.raises(ValueError, match="non-empty"):
         evaluate(tiny_model, None, np.empty((0, tiny_cfg.N_v, tiny_cfg.d_v)), np.empty(0, dtype=np.int64), [[1, 2]])
     with pytest.raises(ValueError, match="batch"):

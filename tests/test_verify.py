@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,14 @@ def test_report_pass_iff_error_within_tolerance():
     assert not CheckReport("x", worst_error=2e-5, tolerance=1e-5, trials=3, seed=0).passed
 
 
+def test_report_with_zero_trials_says_so():
+    assert CheckReport("x", worst_error=0.0, tolerance=1e-5, trials=0, seed=0).detail == "no trials"
+    assert CheckReport("x", worst_error=0.0, tolerance=1e-5, trials=0, seed=0, detail="skipped").detail == "skipped"
+    ran = CheckReport("x", worst_error=0.0, tolerance=1e-5, trials=2, seed=0)
+    assert ran.detail == ""
+    assert dataclasses.replace(ran, trials=0).detail == "no trials"
+
+
 def test_identity_check_vacuous_with_zero_inputs():
     model = random_toy_model(0, np.float64)
     rep = check_identity_at_init(model, tuple(CouplingMode), n_inputs=0, seed=0)
@@ -116,8 +126,8 @@ def test_identity_check_fault_injection():
     site = next(iter(sites.values()))
     site.set_param("text/b", site.arrays["text/b"] + 1e-3)  # perturb one shifting vector
     scalings = build_scaling_map(sites)
-    plain = text_forward([1, 2], model.cfg, model.text).data
-    hooked = text_forward([1, 2], model.cfg, model.text, scalings).data
+    plain = text_forward([1, 2], model).data
+    hooked = text_forward([1, 2], model, scalings).data
     assert np.max(np.abs(plain - hooked)) > 0.0
 
 
@@ -138,7 +148,7 @@ def test_fusion_check_localizes_corrupted_weight():
     sites = build_sites(model.cfg, CouplingMode.TEXT_TO_IMAGE, 2, 4, rng.derive(4, "s"), np.float64)
     randomize_sites(sites, rng.derive(5, "p"))
     fused = fuse_model(model, sites)
-    fused.text.arrays["frozen/text/block0/mlp/fc2/w"][0, 0] += 0.5  # deliberate corruption
+    fused.arrays["frozen/text/block0/mlp/fc2/w"][0, 0] += 0.5  # deliberate corruption
     rep = check_fusion_equivalence(model, sites, n_inputs=5, tol=1e-10, seed=6, fused=fused)
     assert not rep.passed
     assert "frozen/text/block0/mlp/fc2/w" in rep.detail
@@ -176,7 +186,7 @@ def test_fusion_check_folds_no_reference_for_a_passing_given_model(monkeypatch):
     assert len(calls) == 0
     assert check_fusion_equivalence(model, sites, n_inputs=4, tol=1e-10, seed=9).passed
     assert len(calls) == 1  # without a given model the check folds its own
-    fused.image.arrays["frozen/image/proj/b"][1] -= 0.25
+    fused.arrays["frozen/image/proj/b"][1] -= 0.25
     rep = check_fusion_equivalence(model, sites, n_inputs=4, tol=1e-10, seed=9, fused=fused)
     assert not rep.passed and "frozen/image/proj/b" in rep.detail
     assert len(calls) == 2  # a failure folds the reference once, to name the tensor
@@ -188,8 +198,8 @@ def test_identity_check_sees_a_change_in_the_last_input_of_a_batch(monkeypatch, 
 
     real = getattr(mailpp.verify, forward)
 
-    def last_row_off(inputs, cfg, weights, scalings=None):
-        out = real(inputs, cfg, weights, scalings)
+    def last_row_off(inputs, model, scalings=None):
+        out = real(inputs, model, scalings)
         if scalings is None:
             return out
         data = out.data.copy()
@@ -269,8 +279,8 @@ def test_ce_loss_gradient_matches_finite_differences():
 
     def loss_of_params(values):
         scalings = build_scaling_map(sites, values)
-        txt = text_forward(tokens, cfg, model.text, scalings)
-        img = image_forward(images, cfg, model.image, scalings)
+        txt = text_forward(tokens, model, scalings)
+        img = image_forward(images, model, scalings)
         return ce_loss(img, txt, labels, temperature=0.07)
 
     reports = gradient_check(model, sites, loss_of_params, h=1e-5, seed=0)
@@ -310,13 +320,13 @@ def _objective(model, sites, tokens, images, labels):
     from mailpp.training import ce_loss, reg_losses, total_loss
 
     cfg = model.cfg
-    frozen_txt = text_forward(tokens, cfg, model.text).data
-    frozen_img = image_forward(images, cfg, model.image).data
+    frozen_txt = text_forward(tokens, model).data
+    frozen_img = image_forward(images, model).data
 
     def loss_of_params(values):
         scalings = build_scaling_map(sites, values)
-        txt = text_forward(tokens, cfg, model.text, scalings)
-        img = image_forward(images, cfg, model.image, scalings)
+        txt = text_forward(tokens, model, scalings)
+        img = image_forward(images, model, scalings)
         ce = ce_loss(img, txt, labels, 0.07)
         rv, rt = reg_losses(img, frozen_img, txt, frozen_txt)
         return total_loss(ce, rv, rt, 0.5)
