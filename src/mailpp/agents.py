@@ -369,7 +369,7 @@ _FOLDS: dict[Position, tuple] = {
 
 def fuse_model(model: DualEncoder, sites: Mapping[SiteKey, CoupledAgentSite]) -> DualEncoder:
     """Fold every site into the frozen weights; the result shares no array with ``model`` and has no hooks."""
-    arrays = {name: arr.copy() for name, arr in model.arrays.items()}
+    arrays = dict(model.arrays)
     for key, site in sites.items():
         a_v, a_t, b_v, b_t = site.effective(None)
         fold, scale_name, shift_name = _FOLDS[key.pos]
@@ -378,7 +378,8 @@ def fuse_model(model: DualEncoder, sites: Mapping[SiteKey, CoupledAgentSite]) ->
             arrays[p + scale_name], arrays[p + shift_name] = fold(
                 arrays[p + scale_name], arrays[p + shift_name], a.data, b.data
             )
-    return DualEncoder(model.cfg, arrays)
+    # a fold returns fresh arrays; copy only the entries that no site folded
+    return DualEncoder(model.cfg, {n: arr.copy() if arr is model.arrays[n] else arr for n, arr in arrays.items()})
 
 
 # ------------------------------------------------------------------

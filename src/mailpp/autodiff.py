@@ -14,7 +14,8 @@ sum overflows) pays for the full element scan that decides.
 
 Primitives that act on the last axis (``linear``, ``layernorm``,
 ``affine``, ``gelu``, ``l2_normalize``, ``add``) take any leading axes,
-``attention_core`` takes (..., n, d) with one (n, n) mask for every item,
+``attention_core`` takes (..., n, d) with one (n, n) mask for every item
+and runs its heads as one more batch axis, (..., H, n, d / H),
 ``row`` reads axis -2, one index for all items or one per item, and
 ``pick`` reads one column per row of the last two axes. That is how a whole
 batch runs as one chain of primitives. A leading trial axis goes through
@@ -22,9 +23,16 @@ them too: ``affine`` takes one scale/shift pair per trial, (*T, w) for y of
 shape (*T, ..., w); ``matmul`` multiplies stacks of matrices, or of a
 matrix and a vector, over equal leading axes; ``transpose`` swaps the last
 two axes; and the elementwise primitives broadcast an operand whose shape
-is a suffix of the other's. On 1-D and 2-D inputs each primitive computes
-the same numpy products and sums it always has, so per-row results are
-unchanged bit for bit.
+is a suffix of the other's. An unbatched call keeps its bits: on 1-D and
+2-D inputs each primitive computes the same products and sums it did
+before the leading axes existed, and the head axis of ``attention_core``
+gives the bits of a loop over heads (the tests hold it to one). A batched
+call agrees with its per-item calls to rounding.
+
+A VJP works only for the inputs whose gradient someone reads: an input that
+is not on a tape when the primitive runs (a frozen weight, bias or
+LayerNorm gain) gets ``None``, which ``Tape.backward`` skips, and no matmul
+or sum is spent on it.
 
 A Tape is single-use: run the forward pass again to differentiate again.
 ``backward`` pops each record as it replays it, so the tape no longer
@@ -487,19 +495,23 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out = out + bias.data
     xd, wd = x.data, w.data
+    # frozen operands (off the tape) get no gradient work: their results would be dropped
+    need_x, need_w, need_b = x.tape is not None, w.tape is not None, bias is not None and bias.tape is not None
 
     def vjp(g):
-        dx = g @ wd
-        if xd.ndim == 1:
-            dw = np.outer(g, xd)
-            rows = g
-        else:
+        dx = g @ wd if need_x else None
+        dw = db = None
+        if need_w or need_b:
             # fold any leading axes into one row axis for the weight gradients
-            rows = g if g.ndim == 2 else g.reshape(-1, g.shape[-1])
-            dw = rows.T @ (xd if xd.ndim == 2 else xd.reshape(-1, xd.shape[-1]))
-        if bias is None:
-            return dx, dw
-        return dx, dw, rows if rows.ndim == 1 else rows.sum(axis=0)
+            rows = g if g.ndim <= 2 else g.reshape(-1, g.shape[-1])
+        if need_w:
+            if xd.ndim == 1:
+                dw = np.outer(g, xd)
+            else:
+                dw = rows.T @ (xd if xd.ndim == 2 else xd.reshape(-1, xd.shape[-1]))
+        if need_b:
+            db = rows if rows.ndim == 1 else rows.sum(axis=0)
+        return (dx, dw) if bias is None else (dx, dw, db)
 
     inputs = (x, w) if bias is None else (x, w, bias)
     return _emit("linear", out, inputs, vjp)
@@ -521,22 +533,28 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ValueError(f"layernorm: gamma/beta {gamma.shape}/{beta.shape} do not match last axis {d}")
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
+    # np.add.reduce / d is ndarray.mean's arithmetic without its Python-level wrapper
+    mu = np.add.reduce(xd, -1, keepdims=True) / d
     centered = xd - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, -1, keepdims=True) / d
     inv_sigma = 1.0 / np.sqrt(var + xd.dtype.type(eps))
     xhat = centered * inv_sigma
     out = xhat * gamma.data + beta.data
     gd = gamma.data
+    need_x, need_gamma, need_beta = x.tape is not None, gamma.tape is not None, beta.tape is not None
 
     def vjp(g):
-        gx = g * gd
-        # d/dx of (x - mu) / sigma with population variance
-        m1 = gx.mean(axis=-1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-        dx = inv_sigma * (gx - m1 - xhat * m2)
-        dgamma = _unbroadcast(g * xhat, gamma.shape)
-        dbeta = _unbroadcast(g, beta.shape)
+        dx = dgamma = dbeta = None
+        if need_x:
+            gx = g * gd
+            # d/dx of (x - mu) / sigma with population variance
+            m1 = np.add.reduce(gx, -1, keepdims=True) / d
+            m2 = np.add.reduce(gx * xhat, -1, keepdims=True) / d
+            dx = inv_sigma * (gx - m1 - xhat * m2)
+        if need_gamma:
+            dgamma = _unbroadcast(g * xhat, gamma.shape)
+        if need_beta:
+            dbeta = _unbroadcast(g, beta.shape)
         return dx, dgamma, dbeta
 
     return _emit("layernorm", out, (x, gamma, beta), vjp)
@@ -578,33 +596,27 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarr
         raise ValueError(f"attention_core: mask shape {mask.shape} != ({n}, {n})")
     dh = d // n_heads
     sc = q.data.dtype.type(1.0 / np.sqrt(dh))
+    lead = q.shape[:-2]
 
-    qd, kd, vd = q.data, k.data, v.data
-    probs: list[np.ndarray] = []
-    out = np.empty_like(qd)
-    for h in range(n_heads):
-        s = slice(h * dh, (h + 1) * dh)
-        scores = (qd[..., s] @ kd[..., s].swapaxes(-1, -2)) * sc
-        if mask is not None:
-            scores = scores + mask
-        p = _softmax_forward(scores, -1)
-        probs.append(p)
-        out[..., s] = p @ vd[..., s]
+    def heads(a):  # (..., n, d) -> (..., H, n, dh), a view: head h is columns h*dh:(h+1)*dh
+        return a.reshape(*lead, n, n_heads, dh).swapaxes(-2, -3)
+
+    def merge(a):  # (..., H, n, dh) -> (..., n, d), C-contiguous
+        return a.swapaxes(-2, -3).reshape(*lead, n, d)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    scores = (qh @ kh.swapaxes(-1, -2)) * sc
+    if mask is not None:
+        scores = scores + mask
+    p = _softmax_forward(scores, -1)
+    out = merge(p @ vh)
 
     def vjp(g):
-        dq = np.empty_like(qd)
-        dk = np.empty_like(kd)
-        dv = np.empty_like(vd)
-        for h in range(n_heads):
-            s = slice(h * dh, (h + 1) * dh)
-            p = probs[h]
-            go = g[..., s]
-            dv[..., s] = p.swapaxes(-1, -2) @ go
-            dp = go @ vd[..., s].swapaxes(-1, -2)
-            ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p
-            dq[..., s] = (ds @ kd[..., s]) * sc
-            dk[..., s] = (ds.swapaxes(-1, -2) @ qd[..., s]) * sc
-        return dq, dk, dv
+        go = heads(g)
+        dv = p.swapaxes(-1, -2) @ go
+        dp = go @ vh.swapaxes(-1, -2)
+        ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p
+        return merge((ds @ kh) * sc), merge((ds.swapaxes(-1, -2) @ qh) * sc), merge(dv)
 
     return _emit("attention_core", out, (q, k, v), vjp)
 

@@ -339,6 +339,20 @@ def _build_layernorm(gen):
     return (3, 5), lambda x: ad.layernorm(x, Tensor(g), Tensor(b), eps=1e-5)
 
 
+@_case("layernorm_batched_gamma")
+def _build_layernorm_batched_gamma(gen):
+    x = gen.standard_normal((2, 3, 5))
+    b = gen.standard_normal(5)
+    return (5,), lambda g: ad.layernorm(Tensor(x), g, Tensor(b), eps=1e-5)
+
+
+@_case("layernorm_batched_beta")
+def _build_layernorm_batched_beta(gen):
+    x = gen.standard_normal((2, 3, 5))
+    g = 1.0 + 0.2 * gen.standard_normal(5)
+    return (5,), lambda b: ad.layernorm(Tensor(x), Tensor(g), b, eps=1e-5)
+
+
 @_case("softmax")
 def _build_softmax(gen):
     return (3, 4), lambda x: ad.softmax(x, axis=-1)
@@ -542,6 +556,102 @@ def test_layernorm_gamma_beta_gradients():
         analytic = tape.backward(loss)[leaf.node].data
         numeric = finite_diff_grad(lambda ps: [f(p) for p in ps], (g0 if which == "gamma" else b0).copy(), 1e-5)
         assert relative_error(analytic, numeric) <= 1e-4
+
+
+def _vjp_of(monkeypatch, call):
+    """Run one primitive; return its output and the VJP closure it hands to ``_emit``."""
+    emit, seen = ad._emit, []
+
+    def capture(name, out, inputs, vjp):
+        seen.append(vjp)
+        return emit(name, out, inputs, vjp)
+
+    monkeypatch.setattr(ad, "_emit", capture)
+    out = call()
+    monkeypatch.setattr(ad, "_emit", emit)
+    (vjp,) = seen
+    return out, vjp
+
+
+# x of shape (*lead, 6), then the frozen-in-training operands: (w, bias) or (gamma, beta)
+_OPERANDS = {
+    "linear": lambda gen, lead: (gen.standard_normal((*lead, 6)), gen.standard_normal((5, 6)), gen.standard_normal(5)),
+    "layernorm": lambda gen, lead: (gen.standard_normal((*lead, 6)), 1 + gen.standard_normal(6), gen.random(6)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (4,), (2, 4)], ids=["vector", "rows", "batch"])
+@pytest.mark.parametrize("op", sorted(_OPERANDS))
+def test_untaped_operands_get_no_vjp_work_and_taped_ones_keep_their_bits(monkeypatch, op, lead, dtype):
+    """A VJP returns None for every operand off the tape and the all-taped bits for every operand on it."""
+    gen = np.random.default_rng(17)
+    arrays = [a.astype(dtype) for a in _OPERANDS[op](gen, lead)]
+    fn = getattr(ad, op)
+    g = gen.standard_normal(fn(*map(Tensor, arrays)).shape).astype(dtype)
+
+    def grads(taped):
+        tape = Tape()
+        operands = [tape.leaf(a) if on else Tensor(a) for a, on in zip(arrays, taped)]
+        return _vjp_of(monkeypatch, lambda: fn(*operands))[1](g)
+
+    full = grads((True, True, True))
+    if op == "linear":  # the weight gradients fold every leading axis into one row axis
+        x, w, _ = arrays
+        rows = g.reshape(-1, 5)
+        want = (g @ w, np.outer(g, x) if x.ndim == 1 else rows.T @ x.reshape(-1, 6), rows.sum(axis=0))
+        for got, expect in zip(full, want):
+            assert got.dtype == dtype and np.array_equal(got, expect)
+    for taped in ((True, False, False), (False, True, False), (False, False, True), (True, True, False)):
+        for got, on, ref in zip(grads(taped), taped, full):
+            assert (got is None) == (not on)
+            assert got is None or (got.dtype == ref.dtype and np.array_equal(got, ref))
+
+
+def _attention_per_head(qd, kd, vd, n_heads, mask):
+    """Reference: one matmul/softmax chain per column-split head; the output and its VJP."""
+    dh = qd.shape[-1] // n_heads
+    sc = qd.dtype.type(1.0 / np.sqrt(dh))
+    heads = [slice(h * dh, (h + 1) * dh) for h in range(n_heads)]
+    probs, out = [], np.empty_like(qd)
+    for s in heads:
+        scores = (qd[..., s] @ kd[..., s].swapaxes(-1, -2)) * sc
+        if mask is not None:
+            scores = scores + mask
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs.append(e / e.sum(axis=-1, keepdims=True))
+        out[..., s] = probs[-1] @ vd[..., s]
+
+    def vjp(g):
+        dq, dk, dv = np.empty_like(qd), np.empty_like(kd), np.empty_like(vd)
+        for s, p in zip(heads, probs):
+            go = g[..., s]
+            dv[..., s] = p.swapaxes(-1, -2) @ go
+            dp = go @ vd[..., s].swapaxes(-1, -2)
+            ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p
+            dq[..., s] = (ds @ kd[..., s]) * sc
+            dk[..., s] = (ds.swapaxes(-1, -2) @ qd[..., s]) * sc
+        return dq, dk, dv
+
+    return out, vjp
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["single", "batch", "trials-batch"])
+@pytest.mark.parametrize("masked", [False, True], ids=["open", "causal"])
+@pytest.mark.parametrize("n_heads", [1, 3])
+def test_head_batched_attention_equals_the_per_head_loop(monkeypatch, n_heads, masked, lead, dtype):
+    """Heads as one batch axis compute the per-head loop's output and all three VJPs, bit for bit."""
+    gen = np.random.default_rng(29)
+    n, d = 5, 12
+    q, k, v, g = (gen.standard_normal((*lead, n, d)).astype(dtype) for _ in range(4))
+    mask = ad.causal_mask(n, np.dtype(dtype)) if masked else None
+    out, vjp = _vjp_of(monkeypatch, lambda: ad.attention_core(Tensor(q), Tensor(k), Tensor(v), n_heads, mask))
+    ref_out, ref_vjp = _attention_per_head(q, k, v, n_heads, mask)
+    assert out.data.flags.c_contiguous and np.array_equal(out.data, ref_out)
+    for got, ref in zip(vjp(g), ref_vjp(g)):
+        assert got.shape == ref.shape and got.dtype == dtype
+        assert got.flags.c_contiguous and np.array_equal(got, ref)
 
 
 def test_batched_primitives_equal_their_per_item_calls():

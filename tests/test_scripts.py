@@ -1,6 +1,8 @@
-"""Smoke runs of the experiment scripts: a two-step run prints its whole table."""
+"""Smoke runs of the scripts: a two-step experiment prints its whole table, and the benchmark record."""
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +43,43 @@ def test_flow_direction_ablation_prints_one_row_per_mode():
     assert lines[6].split()[:2] == ["coupling", "norms:"]
     assert len(lines) == 7
 
+
+
+def _runs_file(path: Path, steps_ms: list[float], incorrect: int = 0) -> Path:
+    """Synthetic perfbench run records: one train-default run per step time, then the incorrect ones."""
+    lines = []
+    for i, ms in enumerate(steps_ms + [0.0] * incorrect):
+        metrics = {"train_step_ms_p50": {"value": ms, "unit": "ms"}, "peak_rss_mb": {"value": 60.0, "unit": "MB"}}
+        rec = {"workload": "train-default", "seed": i, "machine": {"nproc": 2}}
+        rec["result"] = {"correct": i < len(steps_ms), "metrics": metrics}
+        lines.append(json.dumps(rec))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_bench_record_writes_medians_quartiles_and_counts(tmp_path):
+    # a copy of the layout it reads, so the record lands in tmp_path, not the checkout
+    for rel in ("scripts/bench_record.py", "perfbench/compare.py", "BENCHMARK.json"):
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(ROOT / rel, tmp_path / rel)
+    before = _runs_file(tmp_path / "before.jsonl", [60.0, 62.0, 64.0, 66.0, 68.0])
+    after = _runs_file(tmp_path / "after.jsonl", [50.0, 51.0, 52.0], incorrect=1)
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "scripts" / "bench_record.py"), "t1", str(before), str(after)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "BENCH_t1.json").read_text(encoding="utf-8"))
+    assert doc["tag"] == "t1"
+    assert doc["machine"] == {"nproc": 2}
+    assert doc["incorrect_runs"] == {"before": 0, "after": 1}
+    assert list(doc["workloads"]) == ["train-default"]
+    step = doc["workloads"]["train-default"]["train_step_ms_p50"]
+    assert step["before"] == {"median": 64.0, "q1": 61.0, "q3": 67.0, "runs": 5}
+    assert step["after"] == {"median": 51.0, "q1": 50.0, "q3": 52.0, "runs": 3}
+    assert step["change_pct"] == (51.0 - 64.0) / 64.0 * 100
+    assert (step["unit"], step["better"], step["mark"]) == ("ms", "lower", "within")
+    assert doc["workloads"]["train-default"]["peak_rss_mb"]["mark"] == "within"
+    assert list(doc["workloads"]["train-default"]) == ["train_step_ms_p50", "peak_rss_mb"]
