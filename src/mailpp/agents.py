@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import ItemsView, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -107,15 +107,6 @@ class SiteKey:
     def __str__(self) -> str:
         return f"block{self.block}.{self.pos}" if self.block is not None else f"final.{self.pos}"
 
-    @classmethod
-    def parse(cls, text: str) -> "SiteKey":
-        head, _, pos = text.partition(".")
-        if head == "final":
-            return cls(block=None, pos=pos)
-        if head.startswith("block"):
-            return cls(block=int(head[5:]), pos=pos)
-        raise ValueError(f"bad site key {text!r}")
-
 
 # The coupling rule: each mode's bridges, as (field, side it adds to, vector
 # it reads). The scales couple through (bridge_v, bridge_t, meta/a_m); with
@@ -135,7 +126,7 @@ def _has_meta(mode: CouplingMode) -> bool:
 
 
 def _local_names(mode: CouplingMode, bridge_shift: bool) -> list[str]:
-    """Every trainable array's local name, in ``params()`` order."""
+    """Every trainable array's local name, in table order."""
     names = ["image/a", "image/b", "text/a", "text/b"]
     for prefix, meta_name in _COUPLED_PAIRS[: 1 + bridge_shift]:
         if _has_meta(mode):
@@ -185,10 +176,6 @@ class CoupledAgentSite:
                     raise ValueError(f"bridge rank {rank} outside [1, min({in_dim}, {out_dim})]")
 
     # ---- trainable parameter registry -------------------------------
-
-    def params(self) -> ItemsView[str, np.ndarray]:
-        """Trainable arrays in a fixed, documented order."""
-        return self.arrays.items()
 
     def set_param(self, local_name: str, value: np.ndarray) -> None:
         """Write ``value`` into the stored array in place, cast to its dtype."""
@@ -250,7 +237,7 @@ def build_sites(
     """Freshly initialized sites for every requested position, in canonical order.
 
     Agents start at a = 1, b = 0, meta vectors at 1, every W_up at 0; each
-    W_down is drawn with std 1/sqrt(in_dim), site by site in ``params()`` order.
+    W_down is drawn with std 1/sqrt(in_dim), site by site in table order.
     """
     mode = CouplingMode(mode)
     for p in positions:
@@ -296,9 +283,9 @@ def build_scaling_map(
 
 
 def named_params(sites: Mapping[SiteKey, CoupledAgentSite]) -> Iterator[tuple[str, np.ndarray]]:
-    """Every trainable array as (``<site>/<local>``, array), site by site in ``params()`` order."""
+    """Every trainable array as (``<site>/<local>``, array), site by site in table order."""
     for key, site in sites.items():
-        for local, arr in site.params():
+        for local, arr in site.arrays.items():
             yield f"{key}/{local}", arr
 
 

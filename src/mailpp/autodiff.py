@@ -1,10 +1,12 @@
 """Dense float tensors with a reverse-mode gradient tape.
 
 The engine covers exactly the primitives the dual-encoder model needs.
-Tensors are immutable numpy arrays (f32 or f64, C-contiguous). A Tensor
-either lives on a Tape (it was produced by a recorded primitive or
-registered as a leaf) or is a constant. Mixing constants into taped
-expressions is fine; gradients only flow to taped inputs.
+A Tensor is its data, an immutable numpy array (f32 or f64,
+C-contiguous), plus its tape node: it either lives on a Tape (it was
+produced by a recorded primitive or registered as a leaf) or is a
+constant. The module-level functions are the API; a Tensor has no
+operators. Mixing constants into taped expressions is fine; gradients
+only flow to taped inputs.
 
 Every primitive validates shapes/precision up front and checks that its
 output is finite; NaN/Inf raises ``NonFiniteError`` instead of silently
@@ -13,10 +15,10 @@ finite, and only a non-finite sum (a NaN/Inf element, or finite values whose
 sum overflows) pays for the full element scan that decides.
 
 Primitives that act on the last axis (``linear``, ``layernorm``,
-``affine``, ``gelu``, ``l2_normalize``, ``add``) take any leading axes,
-``attention_core`` takes (..., n, d) with one (n, n) mask for every item
-and runs its heads as one more batch axis, (..., H, n, d / H),
-``row`` reads axis -2, one index for all items or one per item, and
+``affine``, ``gelu``, ``softmax``, ``l2_normalize``, ``add``) take any
+leading axes, ``attention_core`` takes (..., n, d) with one (n, n) mask
+for every item and runs its heads as one more batch axis, (..., H, n,
+d / H), ``row`` reads axis -2, one index for all items or one per item, and
 ``pick`` reads one column per row of the last two axes. That is how a whole
 batch runs as one chain of primitives. A leading trial axis goes through
 them too: ``affine`` takes one scale/shift pair per trial, (*T, w) for y of
@@ -124,8 +126,6 @@ class Tensor:
     @staticmethod
     def _wrap(arr: np.ndarray, tape: "Tape | None" = None, node: int | None = None) -> "Tensor":
         t = object.__new__(Tensor)
-        if not isinstance(arr, np.ndarray):
-            arr = np.asarray(arr)  # numpy scalars have no flags
         arr.flags.writeable = False
         t.data = arr
         t.tape = tape
@@ -141,10 +141,6 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
     def precision(self) -> str:
         return _PRECISION[self.data.dtype]
 
@@ -153,67 +149,17 @@ class Tensor:
             raise ValueError("item() requires a single-element tensor")
         return float(self.data.reshape(()))
 
-    def tolist(self):
-        return self.data.tolist()
-
     def __repr__(self) -> str:
         tag = " on tape" if self.tape is not None else ""
         return f"Tensor(shape={self.shape}, {self.precision}{tag})"
-
-    def __array__(self, dtype=None, copy=None):
-        arr = self.data if dtype is None else self.data.astype(dtype)
-        if copy and arr is self.data:
-            arr = arr.copy()
-        return arr
-
-    # Arithmetic sugar; canonical API is the module-level functions.
-    def __add__(self, other):
-        return add(self, _coerce(other, self))
-
-    def __radd__(self, other):
-        return add(_coerce(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other, self))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _coerce(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
-
-
-class _Record:
-    __slots__ = ("out", "inputs", "vjp")
-
-    def __init__(self, out: int, inputs: tuple[int | None, ...], vjp: Callable):
-        self.out = out
-        self.inputs = inputs
-        self.vjp = vjp
 
 
 class Tape:
     """Ordered record of primitives; replayed once, in reverse, by backward()."""
 
     def __init__(self):
-        self._records: list[_Record] = []
+        # per recorded primitive: (output node, input nodes, None for an untaped input, vjp)
+        self._records: list[tuple[int, tuple[int | None, ...], Callable]] = []
         self._leaves: dict[int, tuple[Tensor, str | None]] = {}
         self._n_nodes = 0
         self._consumed = False
@@ -259,18 +205,18 @@ class Tape:
         grads: list[np.ndarray | None] = [None] * self._n_nodes
         grads[loss.node] = np.ones_like(loss.data)
         while records:
-            rec = records.pop()
-            g = grads[rec.out]
+            node, inputs, vjp = records.pop()
+            g = grads[node]
             if g is None:
                 continue
-            for nid, gi in zip(rec.inputs, rec.vjp(g)):
+            for nid, gi in zip(inputs, vjp(g)):
                 if nid is None or gi is None:
                     continue
                 if grads[nid] is None:
                     grads[nid] = gi
                 else:
                     grads[nid] = grads[nid] + gi
-            grads[rec.out] = None  # free as we go
+            grads[node] = None  # free as we go
 
         out: dict[int, Tensor] = {}
         for nid, (leaf, name) in leaves.items():
@@ -314,7 +260,7 @@ def _emit(op: str, out: np.ndarray, inputs: Sequence[Tensor], vjp: Callable | No
         return Tensor._wrap(out)
     node = tape._new_node()
     ids = tuple(t.node if t.tape is tape else None for t in inputs)
-    tape._records.append(_Record(node, ids, vjp))
+    tape._records.append((node, ids, vjp))
     return Tensor._wrap(out, tape, node)
 
 
@@ -560,19 +506,18 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     return _emit("layernorm", out, (x, gamma, beta), vjp)
 
 
-def _softmax_forward(x: np.ndarray, axis: int) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
+def _softmax_forward(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if not -x.ndim <= axis < x.ndim:
-        raise ValueError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    y = _softmax_forward(x.data, axis)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    y = _softmax_forward(x.data)
 
     def vjp(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
+        inner = (g * y).sum(axis=-1, keepdims=True)
         return ((g - inner) * y,)
 
     return _emit("softmax", y, (x,), vjp)
@@ -608,7 +553,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarr
     scores = (qh @ kh.swapaxes(-1, -2)) * sc
     if mask is not None:
         scores = scores + mask
-    p = _softmax_forward(scores, -1)
+    p = _softmax_forward(scores)
     out = merge(p @ vh)
 
     def vjp(g):
@@ -653,9 +598,8 @@ def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     return _emit("reduce_sum", out, (a,), vjp_axis)
 
 
-def mean(a: Tensor, axis: int | None = None) -> Tensor:
-    n = a.size if axis is None else a.shape[axis]
-    return scale(reduce_sum(a, axis), 1.0 / n)
+def mean(a: Tensor, axis: int) -> Tensor:
+    return scale(reduce_sum(a, axis), 1.0 / a.shape[axis])
 
 
 def l2_normalize(a: Tensor) -> Tensor:

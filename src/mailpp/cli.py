@@ -219,11 +219,9 @@ def cmd_gradcheck(args) -> int:
     run_cfg = _load_run_config(args.config)
     seed = _resolve_seed(args, run_cfg)
     reports = _gradcheck_reports(run_cfg, seed)
-    ok = True
     for r in reports:
         print(r.human_line())
-        ok = ok and r.passed
-    return 0 if ok else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_check(args) -> int:
@@ -266,14 +264,12 @@ def cmd_check(args) -> int:
     reports.extend(_gradcheck_reports(run_cfg, seed))
     reports.append(check_counter_agreement(*run_cfg.layout, seed=seed))
 
-    ok = True
     for r in reports:
         print(r.human_line())
-        ok = ok and r.passed
     if args.csv:
         _write(args.csv, "\n".join([CHECK_CSV_HEADER] + [r.csv_row() for r in reports]) + "\n")
         print(f"wrote {args.csv}")
-    return 0 if ok else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_count_params(args) -> int:

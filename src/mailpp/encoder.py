@@ -345,7 +345,7 @@ def image_forward(patch_tokens, model: DualEncoder, scalings: ScalingMap | None 
     (*T, [B,] d_t).
     """
     cfg = model.cfg
-    patches = patch_tokens.data if isinstance(patch_tokens, Tensor) else np.asarray(patch_tokens)
+    patches = np.asarray(patch_tokens)
     if patches.ndim not in (2, 3) or patches.shape[-2:] != (cfg.N_v, cfg.d_v):
         raise ValueError(
             f"image_forward: patch tokens must have shape ([B,] {cfg.N_v}, {cfg.d_v}), got {patches.shape}"

@@ -82,6 +82,13 @@ def pack_state(
     return tensors, doc
 
 
+def _int_field(doc: dict, key: str) -> int:
+    value = doc.get(key, 0)
+    if type(value) is not int:
+        raise CheckpointError(f"{doc.get('kind')} field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _fetch(tensors: dict[str, np.ndarray], name: str) -> np.ndarray:
     arr = tensors.get(name)
     if arr is None:
@@ -106,9 +113,10 @@ def unpack_state(tensors: dict[str, np.ndarray], doc: dict) -> RestoredState:
     """Rebuild the run state, after checking every tensor's name, shape and dtype against the config."""
     if doc.get("kind") != "checkpoint":
         raise CheckpointError(f"not a checkpoint container (kind={doc.get('kind')!r})")
+    if "run_config" not in doc:
+        raise CheckpointError("checkpoint has no 'run_config'")
     run_cfg = parse_config_doc(doc["run_config"])
-    seed = int(doc.get("seed", 0))
-    step = int(doc.get("step", 0))
+    seed, step = _int_field(doc, "seed"), _int_field(doc, "step")
     fused = bool(doc.get("fused", False))
     enc = run_cfg.encoder
 
@@ -134,7 +142,7 @@ def unpack_state(tensors: dict[str, np.ndarray], doc: dict) -> RestoredState:
             arr[...] = tensors[f"agent/{name}"]
         if has_opt:
             m, v = (np.concatenate([tensors[f"opt/{moment}/{name}"].reshape(-1) for name in params]) for moment in "mv")
-            opt_state = AdamState(step=int(doc.get("opt_step", 0)), m=m, v=v)
+            opt_state = AdamState(step=_int_field(doc, "opt_step"), m=m, v=v)
     return RestoredState(
         run_cfg=run_cfg,
         model=model,
@@ -166,18 +174,31 @@ def pack_dataset(ds: SyntheticDataset) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, doc
 
 
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(i) is int for i in value)
+
+
 def unpack_dataset(tensors: dict[str, np.ndarray], doc: dict) -> SyntheticDataset:
+    """Rebuild a dataset, after checking its class axes, token lists and class indices."""
     if doc.get("kind") != "dataset":
         raise CheckpointError(f"not a dataset container (kind={doc.get('kind')!r})")
-    images = _fetch(tensors, "data/images")
+    images, prototypes = _fetch(tensors, "data/images"), _fetch(tensors, "data/prototypes")
     if images.ndim != 4:
         raise CheckpointError("dataset images tensor must be 4-D (class, pool, tokens, width)")
+    if prototypes.ndim != 2 or prototypes.shape[0] != images.shape[0]:
+        raise CheckpointError(f"dataset prototypes {prototypes.shape} do not match images {images.shape}")
+    n, tokens = images.shape[0], doc.get("tokens")
+    if not isinstance(tokens, list) or len(tokens) != n or not all(map(_is_int_list, tokens)):
+        raise CheckpointError(f"dataset field 'tokens' must hold one list of token ids for each of {n} classes")
+    classes = {key: doc.get(key, []) for key in ("base_classes", "novel_classes")}
+    for key, value in classes.items():
+        if not _is_int_list(value) or not all(0 <= c < n for c in value):
+            raise CheckpointError(f"dataset field {key!r} must list class indices in [0, {n}), got {value!r}")
     return SyntheticDataset(
-        prototypes=_fetch(tensors, "data/prototypes"),
+        prototypes=prototypes,
         images=images,
-        tokens=[list(map(int, t)) for t in doc.get("tokens", [])],
-        base_classes=list(map(int, doc.get("base_classes", []))),
-        novel_classes=list(map(int, doc.get("novel_classes", []))),
+        tokens=tokens,
         noise=float(doc.get("noise", 0.0)),
-        seed=int(doc.get("seed", 0)),
+        seed=_int_field(doc, "seed"),
+        **classes,
     )

@@ -228,7 +228,7 @@ def _probs(image_feats: Tensor, class_feats: Tensor, temperature: float) -> Tens
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     sims = ad.matmul(ad.l2_normalize(image_feats), ad.transpose(ad.l2_normalize(class_feats)))
-    return ad.softmax(ad.scale(sims, 1.0 / temperature), axis=-1)
+    return ad.softmax(ad.scale(sims, 1.0 / temperature))
 
 
 def ce_loss(image_feats: Tensor, class_feats: Tensor, labels, temperature: float) -> Tensor:

@@ -168,26 +168,21 @@ def random_toy_model(seed: int, dtype=np.float64, max_blocks: int = 4) -> DualEn
     return init_dual_encoder(cfg, rngmod.derive(seed, "toy-weights"), dtype)
 
 
-def random_inputs(cfg: EncoderConfig, gen: np.random.Generator, dtype) -> tuple[np.ndarray, np.ndarray]:
-    n = int(gen.integers(2, cfg.N_t + 1))
-    tokens = gen.integers(0, cfg.vocab_size, size=n)
-    patches = gen.standard_normal((cfg.N_v, cfg.d_v)).astype(dtype)
-    return tokens, patches
-
-
 def _random_batch(
     cfg: EncoderConfig, gen: np.random.Generator, dtype, n: int
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """``n`` draws of ``random_inputs``, in draw order, as one text and one image batch."""
-    draws = [random_inputs(cfg, gen, dtype) for _ in range(n)]
-    patches = np.stack([p for _, p in draws]) if draws else np.empty((0, cfg.N_v, cfg.d_v), dtype=dtype)
-    return [t for t, _ in draws], patches
+    """``n`` random inputs as one text and one image batch; each draws its length, its ids, then its patches."""
+    tokens, patches = [], np.empty((n, cfg.N_v, cfg.d_v), dtype=dtype)
+    for i in range(n):
+        tokens.append(gen.integers(0, cfg.vocab_size, size=int(gen.integers(2, cfg.N_t + 1))))
+        patches[i] = gen.standard_normal((cfg.N_v, cfg.d_v))  # cast as astype(dtype) casts
+    return tokens, patches
 
 
 def randomize_sites(sites: Mapping[SiteKey, CoupledAgentSite], gen: np.random.Generator, spread: float = 0.2) -> None:
     """Perturb every trainable array in place (W_up included, so bridges are active)."""
     for site in sites.values():
-        for local, arr in list(site.params()):
+        for local, arr in site.arrays.items():
             if local.endswith("/a") or local.endswith("a_m") or local.endswith("b_m"):
                 new = 1.0 + spread * gen.standard_normal(arr.shape)
             elif local.endswith("/b"):

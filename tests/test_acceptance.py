@@ -141,7 +141,7 @@ def test_criterion_3_fusion_equivalence():
         randomize_sites(sites64, rng.derive(SEED, "fusion-perturb", trial))
         sites32 = build_sites(cfg, mode, 2, 4, rng.derive(SEED, "fusion-sites", trial), np.float32)
         for key, site in sites64.items():
-            for local, arr in site.params():
+            for local, arr in site.arrays.items():
                 sites32[key].set_param(local, arr.astype(np.float32))
 
         tokens = gen.integers(0, cfg.vocab_size, size=4)
@@ -342,7 +342,7 @@ def test_criterion_8_persistence(episode_setup, trained_runs, tmp_path):
         np.float64,
     )
     for key, site in restored.sites.items():
-        for local, arr in site.params():
+        for local, arr in site.arrays.items():
             sites64[key].set_param(local, arr.astype(np.float64))
     rep64 = check_fusion_equivalence(model64, sites64, n_inputs=20, tol=1e-10, seed=SEED)
 

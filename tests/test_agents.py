@@ -1,8 +1,12 @@
+import inspect
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mailpp import autodiff as ad
 from mailpp import rng
 from mailpp.agents import (
     CoupledAgentSite,
@@ -23,7 +27,8 @@ from mailpp.autodiff import Tape, Tensor
 from mailpp.autodiff import affine as ad_affine
 from mailpp.autodiff import layernorm as ad_layernorm
 from mailpp.autodiff import linear as ad_linear
-from mailpp.encoder import BLOCK_POSITIONS, EncoderConfig, image_forward, text_forward
+from mailpp.config import RunConfig
+from mailpp.encoder import BLOCK_POSITIONS, EncoderConfig, image_forward, init_dual_encoder, text_forward
 from mailpp.verify import count_trainable_params, randomize_sites
 
 
@@ -110,7 +115,7 @@ def test_site_mode_field_consistency():
 
 def test_site_table_is_kept_in_params_order():
     site = _scalar_site(CouplingMode.BIDIRECTIONAL, 1.0, 1.0, a_m=1.0)  # built with meta/a_m last
-    assert [name for name, _ in site.params()] == [
+    assert list(site.arrays) == [
         "image/a",
         "image/b",
         "text/a",
@@ -280,6 +285,48 @@ def test_fuse_model_with_bridge_shift(tiny_model, tiny_cfg):
     assert np.max(np.abs(a - b)) <= 1e-10
 
 
+def _primitive_counts(forward) -> Counter:
+    """Calls of each public ``mailpp.autodiff`` function while ``forward()`` runs."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, fn in vars(ad).items():
+            if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_"):
+                mp.setattr(ad, name, counting(name, fn))
+        forward()
+    return counts
+
+
+def test_the_fused_model_runs_exactly_the_frozen_models_primitives():
+    """Folding keeps the frozen model's cost (PAPER.md): the same primitive calls, and no ``affine``."""
+    run_cfg = RunConfig()
+    cfg = run_cfg.encoder
+    model = init_dual_encoder(cfg, rng.derive(50, "w"), run_cfg.dtype)
+    sites = run_cfg.sites(rng.derive(51, "s"))
+    randomize_sites(sites, rng.derive(52, "p"))
+    fused = fuse_model(model, sites)
+    scalings = build_scaling_map(sites)
+    tokens = [[1, 2, 3], [1, 4], [1, 5, 6, 7]]
+    patches = rng.derive(53, "d").standard_normal((3, cfg.N_v, cfg.d_v)).astype(run_cfg.dtype)
+
+    def counts(m, hooks=None):
+        return _primitive_counts(lambda: (text_forward(tokens, m, hooks), image_forward(patches, m, hooks)))
+
+    frozen, folded, hooked = counts(model), counts(fused), counts(model, scalings)
+    assert folded == frozen
+    assert "affine" not in frozen
+    # the count sees the hooks: one affine per site and modality
+    assert hooked["affine"] == 2 * len(sites) == 20
+    assert hooked - Counter(affine=20) == frozen
+
+
 # the frozen tensors each position folds into, per block (1a-3) or once (4, 5)
 _FOLDED = {
     "1a": ("ln1/gamma", "ln1/beta"),
@@ -401,8 +448,6 @@ def test_site_ordering_and_keys(tiny_cfg):
     assert keys[:4] == ["block0.1a", "block0.1b", "block0.2", "block0.3"]
     assert keys[-2:] == ["final.4", "final.5"]
     assert len(keys) == 4 * tiny_cfg.L + 2
-    assert SiteKey.parse("block1.2") == SiteKey(1, "2")
-    assert SiteKey.parse("final.5") == SiteKey(None, "5")
 
 
 @settings(max_examples=25, deadline=None)
@@ -425,7 +470,7 @@ def test_counter_matches_enumeration(mode, rank, d_m, positions, shift):
     assert total == trainable_param_count(sites)
     assert set(breakdown) == {str(k) for k in sites}
     for key, site in sites.items():
-        assert breakdown[str(key)] == sum(a.size for _, a in site.params())
+        assert breakdown[str(key)] == sum(a.size for a in site.arrays.values())
 
 
 _ALL_COUPLINGS = [(mode, False) for mode in CouplingMode] + [

@@ -221,7 +221,7 @@ def test_state_round_trip(tmp_path):
         assert name == name2 and np.array_equal(a, b) and a.dtype == b.dtype
     for key, site in sites.items():
         other = restored.sites[key]
-        for (n1, a), (n2, b) in zip(site.params(), other.params()):
+        for (n1, a), (n2, b) in zip(site.arrays.items(), other.arrays.items()):
             assert n1 == n2 and np.array_equal(a, b)
     assert restored.opt_state is not None
     assert np.array_equal(restored.opt_state.m, opt.m)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from mailpp.checkpoint import load_checkpoint
+from mailpp.checkpoint import load_checkpoint, save_checkpoint
 from mailpp.cli import run
 
 MICRO_CONFIG = {
@@ -278,3 +278,129 @@ def test_check_at_the_benchmark_config_passes_every_report(tmp_path, capsys):
     assert code == 0
     assert reports == BENCH_CHECK_TRIALS
     assert list(reports) == list(BENCH_CHECK_TRIALS)
+
+
+# ------------------------------------------------------------------
+# malformed documents and the paths a plain session does not take
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("trained")
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(MICRO_CONFIG))
+    data, ckpt = str(tmp / "d.bin"), str(tmp / "c.ckpt")
+    assert run(["gen-data", "--config", str(cfg), "--out", data]) == 0
+    assert run(["train", "--config", str(cfg), "--data", data, "--out", ckpt]) == 0
+    return str(cfg), data, ckpt
+
+
+def _resaved(src, dst, edit):
+    """Save a copy of a container after ``edit(tensors, doc)`` changed it in place; returns ``dst``."""
+    tensors, doc = load_checkpoint(src)
+    edit(tensors, doc)
+    save_checkpoint(dst, tensors, doc)
+    return str(dst)
+
+
+def _set(key, value):
+    return lambda tensors, doc: doc.update({key: value})
+
+
+def _only_kind(tensors, doc):
+    doc.clear()
+    doc["kind"] = "checkpoint"
+
+
+def _five_prototypes(tensors, doc):
+    tensors["data/prototypes"] = tensors["data/prototypes"][:5]
+
+
+# case -> (container edited, command run on it, edit, the error it must print)
+_MALFORMED = {
+    "ckpt-no-run-config-fuse": ("ckpt", "fuse", _only_kind, "checkpoint has no 'run_config'"),
+    "ckpt-no-run-config-eval": ("ckpt", "eval", _only_kind, "checkpoint has no 'run_config'"),
+    "ckpt-str-seed": ("ckpt", "eval", _set("seed", "x"), "checkpoint field 'seed' must be an integer, got 'x'"),
+    "ckpt-float-step": ("ckpt", "fuse", _set("step", 1.5), "checkpoint field 'step' must be an integer, got 1.5"),
+    "ckpt-str-opt-step": (
+        "ckpt",
+        "eval",
+        _set("opt_step", "8"),
+        "checkpoint field 'opt_step' must be an integer, got '8'",
+    ),
+    "data-int-tokens": (
+        "data",
+        "train",
+        _set("tokens", 5),
+        "dataset field 'tokens' must hold one list of token ids for each of 6 classes",
+    ),
+    "data-str-token": (
+        "data",
+        "eval",
+        _set("tokens", [[1, 2]] * 5 + [[1, "3"]]),
+        "dataset field 'tokens' must hold one list of token ids for each of 6 classes",
+    ),
+    "data-novel-class-out-of-range": (
+        "data",
+        "eval",
+        _set("novel_classes", [3, 4, 99]),
+        "dataset field 'novel_classes' must list class indices in [0, 6), got [3, 4, 99]",
+    ),
+    "data-negative-base-class": (
+        "data",
+        "train",
+        _set("base_classes", [-1, 0, 1]),
+        "dataset field 'base_classes' must list class indices in [0, 6), got [-1, 0, 1]",
+    ),
+    "data-prototypes-of-fewer-classes": (
+        "data",
+        "train",
+        _five_prototypes,
+        "dataset prototypes (5, 12) do not match images (6, 4, 4, 12)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_a_malformed_document_exits_1_naming_what_is_wrong(trained, tmp_path, capsys, case):
+    cfg, data, ckpt = trained
+    which, command, edit, message = _MALFORMED[case]
+    if which == "ckpt":
+        ckpt = _resaved(ckpt, tmp_path / "bad.ckpt", edit)
+    else:
+        data = _resaved(data, tmp_path / "bad.bin", edit)
+    out = tmp_path / "out.ckpt"
+    argv = {
+        "fuse": ["fuse", "--ckpt", ckpt, "--out", str(out)],
+        "eval": ["eval", "--ckpt", ckpt, "--data", data, "--split", "novel"],
+        "train": ["train", "--config", cfg, "--data", data, "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_report_norms_prints_the_bytes_it_writes_with_out(trained, tmp_path, capsys):
+    _, _, ckpt = trained
+    out = tmp_path / "norms.csv"
+    assert run(["report-norms", "--ckpt", ckpt, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert run(["report-norms", "--ckpt", ckpt]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
+def test_eval_of_a_split_with_no_samples_left_exits_1(tmp_path, capsys):
+    doc = dict(MICRO_CONFIG, training=dict(MICRO_CONFIG["training"], steps=2))
+    doc["training"]["shots"] = doc["data"]["pool_per_class"]  # every base sample is a training shot
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    data, ckpt = str(tmp_path / "d.bin"), str(tmp_path / "c.ckpt")
+    assert run(["gen-data", "--config", str(cfg), "--out", data]) == 0
+    assert run(["train", "--config", str(cfg), "--data", data, "--out", ckpt]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--ckpt", ckpt, "--data", data, "--split", "base"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: split 'base' has no evaluation samples\n"
+    assert captured.out == ""
+    assert run(["eval", "--ckpt", ckpt, "--data", data, "--split", "novel"]) == 0

@@ -392,3 +392,21 @@ def test_fd_gradient_is_the_same_for_any_number_of_trials_per_call(monkeypatch):
     first = grads[1]
     for trials, g in grads.items():
         assert g.tobytes() == first.tobytes(), trials
+
+
+def test_gradient_check_counts_the_shift_meta_vector_with_a_m():
+    """With bridge_shift, grad_fd[a_m] covers both meta vectors: meta/a_m and shift_meta/b_m."""
+    from mailpp.encoder import init_dual_encoder
+    from mailpp.verify import gradient_check
+
+    cfg = EncoderConfig(L=1, d_t=8, d_v=8, n_heads=2, N_t=5, N_v=3, mlp_ratio=2, vocab_size=12)
+    model = init_dual_encoder(cfg, rng.derive(40, "w"), np.float64)
+    sites = build_sites(cfg, CouplingMode.BIDIRECTIONAL, 2, 4, rng.derive(41, "s"), np.float64, bridge_shift=True)
+    randomize_sites(sites, rng.derive(42, "p"))
+    images = rng.derive(43, "d").standard_normal((2, cfg.N_v, cfg.d_v))
+    loss_of_params = _objective(model, sites, [[1, 2], [1, 3]], images, np.asarray([0, 1]))
+    reports = {r.name: r for r in gradient_check(model, sites, loss_of_params, h=1e-5, seed=0)}
+    assert reports["grad_fd[a_m]"].trials == 6 * (4 + 4)  # 6 sites, d_m entries of a_m and of b_m each
+    assert sum(r.trials for r in reports.values()) == sum(arr.size for _, arr in named_params(sites))
+    for rep in reports.values():
+        assert rep.passed and rep.worst_error <= 1e-4, rep.human_line()
