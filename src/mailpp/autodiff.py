@@ -28,8 +28,10 @@ two axes; and the elementwise primitives broadcast an operand whose shape
 is a suffix of the other's. An unbatched call keeps its bits: on 1-D and
 2-D inputs each primitive computes the same products and sums it did
 before the leading axes existed, and the head axis of ``attention_core``
-gives the bits of a loop over heads (the tests hold it to one). A batched
-call agrees with its per-item calls to rounding.
+gives the bits of a loop over heads (the tests hold it to one). ``linear``
+folds its leading axes into one row axis, so a batched call is one GEMM
+forward and one per gradient, with the bits of the 2-D call on the folded
+rows. A batched call agrees with its per-item calls to rounding.
 
 A VJP works only for the inputs whose gradient someone reads: an input that
 is not on a tape when the primitive runs (a frozen weight, bias or
@@ -431,30 +433,36 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x @ w.T + bias for x of shape (..., d_in), w of shape (d_out, d_in)."""
+    """x @ w.T + bias for x of shape (..., d_in), w of shape (d_out, d_in).
+
+    Leading axes fold into one row axis: a batched call is one GEMM forward
+    and one per gradient, not a stack of small products, and it gives the
+    bits of the 2-D call on ``x.reshape(-1, d_in)``. A 1-D or 2-D x goes
+    into the product as it is.
+    """
     _same_precision("linear", x, w, *(() if bias is None else (bias,)))
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[1]:
         raise ValueError(f"linear: x {x.shape} incompatible with weight {w.shape}")
     if bias is not None and bias.shape != (w.shape[0],):
         raise ValueError(f"linear: bias {bias.shape} incompatible with weight {w.shape}")
-    out = x.data @ w.data.T
+    xd, wd = x.data, w.data
+    x2 = xd if xd.ndim <= 2 else xd.reshape(-1, xd.shape[-1])
+    out = x2 @ wd.T
     if bias is not None:
         out = out + bias.data
-    xd, wd = x.data, w.data
+    if xd.ndim > 2:
+        out = out.reshape(xd.shape[:-1] + out.shape[-1:])
     # frozen operands (off the tape) get no gradient work: their results would be dropped
     need_x, need_w, need_b = x.tape is not None, w.tape is not None, bias is not None and bias.tape is not None
 
+    # keep the closure's cells few: each is a GC-tracked object, and a training step makes one closure per call
     def vjp(g):
-        dx = g @ wd if need_x else None
-        dw = db = None
-        if need_w or need_b:
-            # fold any leading axes into one row axis for the weight gradients
-            rows = g if g.ndim <= 2 else g.reshape(-1, g.shape[-1])
+        rows = g if g.ndim <= 2 else g.reshape(-1, g.shape[-1])
+        dx = dw = db = None
+        if need_x:
+            dx = rows @ wd if g.ndim <= 2 else (rows @ wd).reshape(g.shape[:-1] + wd.shape[1:])
         if need_w:
-            if xd.ndim == 1:
-                dw = np.outer(g, xd)
-            else:
-                dw = rows.T @ (xd if xd.ndim == 2 else xd.reshape(-1, xd.shape[-1]))
+            dw = np.outer(g, x2) if x2.ndim == 1 else rows.T @ x2
         if need_b:
             db = rows if rows.ndim == 1 else rows.sum(axis=0)
         return (dx, dw) if bias is None else (dx, dw, db)

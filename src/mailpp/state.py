@@ -82,10 +82,11 @@ def pack_state(
     return tensors, doc
 
 
-def _int_field(doc: dict, key: str) -> int:
-    value = doc.get(key, 0)
-    if type(value) is not int:
-        raise CheckpointError(f"{doc.get('kind')} field {key!r} must be an integer, got {value!r}")
+def _field(doc: dict, key: str, kinds: tuple[type, ...] = (int,), what: str = "an integer", default=0):
+    """``doc[key]`` (``default`` if absent), whose JSON type must be one of ``kinds``; bool is not an int."""
+    value = doc.get(key, default)
+    if type(value) not in kinds:
+        raise CheckpointError(f"{doc.get('kind')} field {key!r} must be {what}, got {value!r}")
     return value
 
 
@@ -116,8 +117,8 @@ def unpack_state(tensors: dict[str, np.ndarray], doc: dict) -> RestoredState:
     if "run_config" not in doc:
         raise CheckpointError("checkpoint has no 'run_config'")
     run_cfg = parse_config_doc(doc["run_config"])
-    seed, step = _int_field(doc, "seed"), _int_field(doc, "step")
-    fused = bool(doc.get("fused", False))
+    seed, step = _field(doc, "seed"), _field(doc, "step")
+    fused = _field(doc, "fused", (bool,), "true or false", False)
     enc = run_cfg.encoder
 
     frozen = {**weight_shapes(enc, "text"), **weight_shapes(enc, "image")}
@@ -142,7 +143,7 @@ def unpack_state(tensors: dict[str, np.ndarray], doc: dict) -> RestoredState:
             arr[...] = tensors[f"agent/{name}"]
         if has_opt:
             m, v = (np.concatenate([tensors[f"opt/{moment}/{name}"].reshape(-1) for name in params]) for moment in "mv")
-            opt_state = AdamState(step=_int_field(doc, "opt_step"), m=m, v=v)
+            opt_state = AdamState(step=_field(doc, "opt_step"), m=m, v=v)
     return RestoredState(
         run_cfg=run_cfg,
         model=model,
@@ -179,7 +180,7 @@ def _is_int_list(value) -> bool:
 
 
 def unpack_dataset(tensors: dict[str, np.ndarray], doc: dict) -> SyntheticDataset:
-    """Rebuild a dataset, after checking its class axes, token lists and class indices."""
+    """Rebuild a dataset, after checking its class axes, token lists, disjoint class lists and noise."""
     if doc.get("kind") != "dataset":
         raise CheckpointError(f"not a dataset container (kind={doc.get('kind')!r})")
     images, prototypes = _fetch(tensors, "data/images"), _fetch(tensors, "data/prototypes")
@@ -194,11 +195,16 @@ def unpack_dataset(tensors: dict[str, np.ndarray], doc: dict) -> SyntheticDatase
     for key, value in classes.items():
         if not _is_int_list(value) or not all(0 <= c < n for c in value):
             raise CheckpointError(f"dataset field {key!r} must list class indices in [0, {n}), got {value!r}")
+        if len(set(value)) != len(value):
+            raise CheckpointError(f"dataset field {key!r} repeats a class index, got {value!r}")
+    shared = sorted(set(classes["base_classes"]) & set(classes["novel_classes"]))
+    if shared:
+        raise CheckpointError(f"dataset field 'novel_classes' shares classes {shared} with 'base_classes'")
     return SyntheticDataset(
         prototypes=prototypes,
         images=images,
         tokens=tokens,
-        noise=float(doc.get("noise", 0.0)),
-        seed=_int_field(doc, "seed"),
+        noise=float(_field(doc, "noise", (int, float), "a number", 0.0)),
+        seed=_field(doc, "seed"),
         **classes,
     )

@@ -393,11 +393,11 @@ def evaluate(
     """Classification accuracy with (optionally) hooked forward passes.
 
     The class texts are encoded in one batched pass and the images in
-    batches of ``EVAL_BATCH``. One pass over a whole pool would hold a
-    working set that grows with the pool: on the default config, 96 images
-    in one pass raised the process's peak memory by about 9% and ran slower
-    than batches of 16 or 32, and 16 left the peak where per-image passes
-    left it.
+    batches of ``EVAL_BATCH``; ``linear`` runs each batch through a frozen
+    weight as one GEMM. One pass over a whole pool would hold a working set
+    that grows with the pool. On the default config (160 eval images),
+    batches of 16 and 24 ran about equally fast, 8, 32 and 64 slower, and
+    64 raised the process's peak memory by about 5% over 16.
     """
     if np.ndim(images) != 3 or len(images) == 0:
         raise ValueError(f"evaluate: images must be a non-empty (B, N_v, d_v) batch, got shape {np.shape(images)}")

@@ -654,6 +654,38 @@ def test_head_batched_attention_equals_the_per_head_loop(monkeypatch, n_heads, m
         assert got.flags.c_contiguous and np.array_equal(got, ref)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("biased", [False, True], ids=["no-bias", "bias"])
+@pytest.mark.parametrize("lead", [(), (9,), (16, 9), (3, 16, 9)], ids=["vector", "rows", "batch", "trials-batch"])
+def test_linear_folds_its_leading_axes_into_one_row_axis(monkeypatch, lead, biased, dtype):
+    """1-D/2-D calls give x @ w.T + b; an N-D call gives the 2-D call on its folded rows, output and x-gradient."""
+    gen = np.random.default_rng(31)
+    d_in, d_out = 192, 48
+    x = gen.standard_normal((*lead, d_in)).astype(dtype)
+    w = (gen.standard_normal((d_out, d_in)) / np.sqrt(d_in)).astype(dtype)
+    b = gen.standard_normal(d_out).astype(dtype) if biased else None
+    g = gen.standard_normal((*lead, d_out)).astype(dtype)
+
+    def call(xa, ga):
+        tape = Tape()
+        out, vjp = _vjp_of(monkeypatch, lambda: ad.linear(tape.leaf(xa), Tensor(w), None if b is None else Tensor(b)))
+        return out.data, vjp(ga)[0]
+
+    out, dx = call(x, g)
+    assert out.dtype == dx.dtype == dtype and out.flags.c_contiguous and dx.flags.c_contiguous
+    if len(lead) <= 1:
+        assert np.array_equal(out, x @ w.T if b is None else x @ w.T + b)
+        assert np.array_equal(dx, g @ w)
+        return
+    out2, dx2 = call(x.reshape(-1, d_in), g.reshape(-1, d_out))
+    assert np.array_equal(out, out2.reshape(out.shape)) and np.array_equal(dx, dx2.reshape(dx.shape))
+    # the blockings of a 144-row and a 9-row f32 GEMM round 192-term sums up to ~2e-6 apart
+    tol = 1e-5 if dtype == np.float32 else 1e-14
+    for item in np.ndindex(*lead[:-1]):
+        item_out, item_dx = call(x[item], g[item])
+        assert relative_error(out[item], item_out) <= tol and relative_error(dx[item], item_dx) <= tol
+
+
 def test_batched_primitives_equal_their_per_item_calls():
     gen = np.random.default_rng(5)
     x = gen.standard_normal((3, 4, 6))

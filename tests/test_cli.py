@@ -328,6 +328,21 @@ _MALFORMED = {
         _set("opt_step", "8"),
         "checkpoint field 'opt_step' must be an integer, got '8'",
     ),
+    "ckpt-str-fused": ("ckpt", "eval", _set("fused", "no"), "checkpoint field 'fused' must be true or false, got 'no'"),
+    "data-str-noise": ("data", "train", _set("noise", "x"), "dataset field 'noise' must be a number, got 'x'"),
+    "data-bool-noise": ("data", "train", _set("noise", True), "dataset field 'noise' must be a number, got True"),
+    "data-repeated-base-class": (
+        "data",
+        "eval",
+        _set("base_classes", [0, 0, 1]),
+        "dataset field 'base_classes' repeats a class index, got [0, 0, 1]",
+    ),
+    "data-novel-class-also-base": (
+        "data",
+        "eval",
+        _set("novel_classes", [2, 3, 4]),
+        "dataset field 'novel_classes' shares classes [2] with 'base_classes'",
+    ),
     "data-int-tokens": (
         "data",
         "train",
