@@ -9,12 +9,21 @@ BEFORE and AFTER hold run records as ``perfbench/run.py`` appends them to
 quartiles and count of correct runs, the relative change of the median, and
 the mark that ``perfbench/compare.py`` gives it (``within``, ``worse`` or
 ``unresolved``). Runs whose result was not correct are counted and left out.
+
+Runs of one workload and seed are paired in file order, one before run with
+one after run. Each metric records its number of pairs and how many the
+change won and lost (a tie counts for neither), and ``gain``: whether a gain
+may be claimed, which needs at least ten pairs, wins in nine tenths of them,
+and a median better by more than the before side's interquartile range.
+Correct runs left without a partner are counted per workload under
+``unpaired_runs``.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -29,6 +38,50 @@ def _stats(values: list[float]) -> dict | None:
     return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
 
 
+def _runs_by_seed(path) -> dict[tuple[str, int], list[dict]]:
+    """{(workload, seed): [metric values of each correct run, in file order]}."""
+    runs: dict[tuple[str, int], list[dict]] = defaultdict(list)
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if line.strip():
+            rec = json.loads(line)
+            if rec["result"]["correct"]:
+                values = {name: m["value"] for name, m in rec["result"]["metrics"].items()}
+                runs[(rec["workload"], rec["seed"])].append(values)
+    return runs
+
+
+def _pairs(before_path, after_path) -> tuple[dict, dict]:
+    """{workload: [(before values, after values)]}, and {workload: correct runs left unpaired per side}."""
+    before, after = _runs_by_seed(before_path), _runs_by_seed(after_path)
+    pairs: dict[str, list] = defaultdict(list)
+    unpaired: dict[str, dict] = defaultdict(lambda: {"before": 0, "after": 0})
+    for key in sorted(before.keys() | after.keys()):
+        b, a = before.get(key, []), after.get(key, [])
+        pairs[key[0]].extend(zip(b, a))
+        if len(b) != len(a):
+            unpaired[key[0]]["before" if len(b) > len(a) else "after"] += abs(len(b) - len(a))
+    return pairs, unpaired
+
+
+def _pair_wins(pairs: list, name: str, better: str) -> dict:
+    """How many pairs the after run of ``name`` won and lost; ties count for neither."""
+    lower = better == "lower"
+    values = [(b[name], a[name]) for b, a in pairs if name in b and name in a]
+    won = sum(a < b if lower else a > b for b, a in values)
+    lost = sum(a > b if lower else a < b for b, a in values)
+    return {"pairs": len(values), "won": won, "lost": lost}
+
+
+def _gain(entry: dict) -> bool:
+    """Ten pairs or more, wins in nine tenths of them, and the median better by more than the before IQR."""
+    n, won = entry["pairs"]["pairs"], entry["pairs"]["won"]
+    before, after = entry["before"], entry["after"]
+    improvement = after["median"] - before["median"]
+    if entry["better"] == "lower":
+        improvement = -improvement
+    return n >= 10 and 10 * won >= 9 * n and improvement > before["q3"] - before["q1"]
+
+
 def _machine(path) -> dict | None:
     """The machine facts of the first run record in ``path``."""
     for line in Path(path).read_text(encoding="utf-8").splitlines():
@@ -41,6 +94,7 @@ def record(tag: str, before_path, after_path) -> Path:
     spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
     before, bad_b = load(before_path)
     after, bad_a = load(after_path)
+    pairs, unpaired = _pairs(before_path, after_path)
     workloads = {}
     for w in spec["workloads"]:
         metrics = {}
@@ -53,6 +107,8 @@ def record(tag: str, before_path, after_path) -> Path:
                 bm, am = entry["before"]["median"], entry["after"]["median"]
                 entry["change_pct"] = (am - bm) / bm * 100 if bm else None
                 entry["mark"] = verdict(b, a, m["bound"], m["better"])
+                entry["pairs"] = _pair_wins(pairs[w["name"]], m["name"], m["better"])
+                entry["gain"] = _gain(entry)
             metrics[m["name"]] = entry
         if metrics:
             workloads[w["name"]] = metrics
@@ -60,6 +116,7 @@ def record(tag: str, before_path, after_path) -> Path:
         "tag": tag,
         "machine": _machine(after_path),
         "incorrect_runs": {"before": bad_b, "after": bad_a},
+        "unpaired_runs": {w: unpaired[w] for w in workloads},
         "workloads": workloads,
     }
     out = BENCHMARK.parent / f"BENCH_{tag}.json"

@@ -16,6 +16,7 @@ random frozen model stays near chance.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -425,7 +426,13 @@ def train(
     episode: Episode,
     seed: int = 0,
 ) -> TrainedState:
-    """Adapt the agent parameters on one episode; frozen weights stay untouched."""
+    """Adapt the agent parameters on one episode; frozen weights stay untouched.
+
+    The step loop pauses Python's cyclic garbage collector and puts its state
+    back when the loop ends or raises. ``Tape.backward`` pops every record, so
+    a step leaves no cycle for it to find; a step that raises mid-forward
+    leaves its tape as one, which the collector reclaims once it runs again.
+    """
     n_train = episode.train_images.shape[0]
     if n_train == 0:
         raise ValueError("episode has no training samples")
@@ -442,52 +449,60 @@ def train(
     cursor = n_train  # force a reshuffle on first use
 
     metrics: list[MetricRow] = []
-    for step in range(cfg.steps):
-        if cfg.batch_size >= n_train:
-            batch_idx = np.arange(n_train)
-        else:
-            if cursor + cfg.batch_size > n_train:
-                order = batch_rng.permutation(n_train)
-                cursor = 0
-            batch_idx = order[cursor : cursor + cfg.batch_size]
-            cursor += cfg.batch_size
+    collector_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for step in range(cfg.steps):
+            if cfg.batch_size >= n_train:
+                batch_idx = np.arange(n_train)
+            else:
+                if cursor + cfg.batch_size > n_train:
+                    order = batch_rng.permutation(n_train)
+                    cursor = 0
+                batch_idx = order[cursor : cursor + cfg.batch_size]
+                cursor += cfg.batch_size
 
-        lr = cfg.lr
-        if cfg.cosine_lr and cfg.steps > 1:
-            lr = cfg.lr * 0.5 * (1.0 + np.cos(np.pi * step / (cfg.steps - 1)))
+            lr = cfg.lr
+            if cfg.cosine_lr and cfg.steps > 1:
+                lr = cfg.lr * 0.5 * (1.0 + np.cos(np.pi * step / (cfg.steps - 1)))
 
-        tape = ad.Tape()
-        # leaves view the flat buffer, which is written only after backward
-        values = {name: tape.leaf(Tensor.view(arr, name), name) for name, arr in named_params(sites)}
-        scalings = build_scaling_map(sites, values)
-        try:
-            adapted_txt = _feats_text(model, episode.base_tokens, scalings)
-            adapted_img = _feats_image(model, episode.train_images[batch_idx], scalings)
-            ce = ce_loss(adapted_img, adapted_txt, episode.train_labels[batch_idx], cfg.temperature)
-            reg_v, reg_t = reg_losses(adapted_img, frozen_img_all[batch_idx], adapted_txt, frozen_txt)
-            loss = total_loss(ce, reg_v, reg_t, cfg.lam)
-        except NonFiniteError as e:
-            raise NonFiniteError(f"non-finite loss at step {step}: {e}") from e
+            tape = ad.Tape()
+            # leaves view the flat buffer, which is written only after backward
+            values = {name: tape.leaf(Tensor.view(arr, name), name) for name, arr in named_params(sites)}
+            scalings = build_scaling_map(sites, values)
+            try:
+                adapted_txt = _feats_text(model, episode.base_tokens, scalings)
+                adapted_img = _feats_image(model, episode.train_images[batch_idx], scalings)
+                ce = ce_loss(adapted_img, adapted_txt, episode.train_labels[batch_idx], cfg.temperature)
+                reg_v, reg_t = reg_losses(adapted_img, frozen_img_all[batch_idx], adapted_txt, frozen_txt)
+                loss = total_loss(ce, reg_v, reg_t, cfg.lam)
+            except NonFiniteError as e:
+                raise NonFiniteError(f"non-finite loss at step {step}: {e}") from e
 
-        acc = _accuracy(adapted_img.data, adapted_txt.data, episode.train_labels[batch_idx])
-        try:
-            grads = tape.backward(loss)
-        except NonFiniteError as e:
-            raise NonFiniteError(f"non-finite gradient at step {step}: {e}") from e
-        grad = np.concatenate([grads[leaf.node].data.reshape(-1) for leaf in values.values()])
-        new, opt = adamw_step(flat, grad, opt, lr=lr, betas=cfg.betas, eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
-        flat[...] = new
-
-        metrics.append(
-            MetricRow(
-                step=step,
-                l_ce=ce.item(),
-                l_reg_v=reg_v.item(),
-                l_reg_t=reg_t.item(),
-                l_total=loss.item(),
-                acc=acc,
+            acc = _accuracy(adapted_img.data, adapted_txt.data, episode.train_labels[batch_idx])
+            try:
+                grads = tape.backward(loss)
+            except NonFiniteError as e:
+                raise NonFiniteError(f"non-finite gradient at step {step}: {e}") from e
+            grad = np.concatenate([grads[leaf.node].data.reshape(-1) for leaf in values.values()])
+            new, opt = adamw_step(
+                flat, grad, opt, lr=lr, betas=cfg.betas, eps=cfg.adam_eps, weight_decay=cfg.weight_decay
             )
-        )
+            flat[...] = new
+
+            metrics.append(
+                MetricRow(
+                    step=step,
+                    l_ce=ce.item(),
+                    l_reg_v=reg_v.item(),
+                    l_reg_t=reg_t.item(),
+                    l_total=loss.item(),
+                    acc=acc,
+                )
+            )
+    finally:
+        if collector_was_enabled:
+            gc.enable()
 
     final_scalings = build_scaling_map(sites)
     final_txt = _feats_text(model, episode.base_tokens, final_scalings).data

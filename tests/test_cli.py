@@ -2,10 +2,14 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mailpp.agents import CouplingMode
 from mailpp.checkpoint import load_checkpoint, save_checkpoint
 from mailpp.cli import run
+from mailpp.config import parse_config_doc
+from mailpp.encoder import ALL_POSITIONS
 
 MICRO_CONFIG = {
     "seed": 0,
@@ -261,6 +265,9 @@ def test_fuse_writes_nothing_when_the_check_fails(workdir, capsys, monkeypatch):
     assert sorted(p.name for p in tmp.iterdir()) == listing
 
 
+REPORT_LINE = re.compile(r"(PASS|FAIL)  (\S+): worst error \S+ \(tol \S+, (\d+) trials, seed (\d+)\)(.*)")
+
+
 def test_check_at_the_benchmark_config_passes_every_report(tmp_path, capsys):
     seed = 0
     spec = json.loads(WORKLOADS.read_text(encoding="utf-8"))
@@ -270,7 +277,7 @@ def test_check_at_the_benchmark_config_passes_every_report(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     reports = {}
     for line in lines:
-        m = re.fullmatch(r"(PASS|FAIL)  (\S+): worst error \S+ \(tol \S+, (\d+) trials, seed (\d+)\)(.*)", line)
+        m = REPORT_LINE.fullmatch(line)
         assert m, line
         status, name, trials, printed_seed, detail = m.groups()
         assert status == "PASS" and detail == "" and int(printed_seed) == seed, line
@@ -278,6 +285,66 @@ def test_check_at_the_benchmark_config_passes_every_report(tmp_path, capsys):
     assert code == 0
     assert reports == BENCH_CHECK_TRIALS
     assert list(reports) == list(BENCH_CHECK_TRIALS)
+
+
+def _fuzz_config(gen, i: int) -> dict:
+    """A small valid config: L 1-2, 1-2 heads, mode i % 4, random positions, either precision."""
+    mode = list(CouplingMode)[i % 4]
+    heads = int(gen.integers(1, 3))
+    d_t, d_v = (heads * int(gen.integers(2, 5)) for _ in range(2))
+    d_m = int(gen.integers(2, 5))
+    n_t = int(gen.integers(3, 6))
+    positions = [p for p in ALL_POSITIONS if gen.random() < 0.5] or [str(gen.choice(ALL_POSITIONS))]
+    return {
+        "precision": str(gen.choice(["f32", "f64"])),
+        "encoder": {
+            "L": int(gen.integers(1, 3)),
+            "d_t": d_t,
+            "d_v": d_v,
+            "n_heads": heads,
+            "N_t": n_t,
+            "N_v": int(gen.integers(2, 5)),
+            "mlp_ratio": int(gen.integers(1, 3)),
+            "vocab_size": 12,
+        },
+        "training": {
+            "classes": int(gen.integers(2, min(d_v, 10) + 1)),
+            "mode": mode.value,
+            "rank": int(gen.integers(1, min(d_t, d_v, d_m) + 1)),
+            "d_m": d_m,
+            "bridge_shift": mode is not CouplingMode.IVLU and bool(gen.integers(2)),
+            "positions": [str(p) for p in gen.permutation(positions)],
+        },
+        "data": {"text_len": int(gen.integers(2, n_t + 1))},
+    }
+
+
+@pytest.mark.parametrize("i", range(8))
+def test_check_and_gradcheck_on_random_small_configs_pass_or_name_the_error(tmp_path, capsys, i):
+    doc = _fuzz_config(np.random.default_rng([20, i]), i)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    # the parameter classes this config creates; only the others may report no trials
+    sites = parse_config_doc(doc).sites(np.random.default_rng(0)).values()
+    leaves = {name.rsplit("/", 1)[-1] for site in sites for name in site.arrays}
+    created = {{"b_m": "a_m"}.get(leaf, leaf) for leaf in leaves}
+    for argv in (["check", "--models", "1", "--fusion-trials", "2"], ["gradcheck"]):
+        code = run([*argv, "--config", str(cfg), "--seed", str(i)])
+        captured = capsys.readouterr()
+        if code == 1:
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+            continue
+        assert code == 0 and captured.err == "", doc
+        for line in captured.out.splitlines():
+            m = REPORT_LINE.fullmatch(line)
+            assert m and m.group(1) == "PASS", (doc, line)
+            name, trials, detail = m.group(2), int(m.group(3)), m.group(5)
+            cls = re.fullmatch(r"grad_fd\[(\w+)\]", name)
+            if detail:
+                assert detail == "  [no trials]" and trials == 0, (doc, line)
+                assert cls and cls.group(1) not in created, (doc, line)
+            else:
+                assert trials > 0 and (not cls or cls.group(1) in created), (doc, line)
 
 
 # ------------------------------------------------------------------

@@ -45,25 +45,26 @@ def test_flow_direction_ablation_prints_one_row_per_mode():
 
 
 
-def _runs_file(path: Path, steps_ms: list[float], incorrect: int = 0) -> Path:
-    """Synthetic perfbench run records: one train-default run per step time, then the incorrect ones."""
+def _runs_file(path: Path, steps_ms: list[float], incorrect: int = 0, seeds: list[int] | None = None) -> Path:
+    """Synthetic perfbench run records: one train-default run per step time, then the incorrect ones.
+
+    Run i has seed ``seeds[i]``, or i when no seeds are given.
+    """
     lines = []
     for i, ms in enumerate(steps_ms + [0.0] * incorrect):
         metrics = {"train_step_ms_p50": {"value": ms, "unit": "ms"}, "peak_rss_mb": {"value": 60.0, "unit": "MB"}}
-        rec = {"workload": "train-default", "seed": i, "machine": {"nproc": 2}}
+        rec = {"workload": "train-default", "seed": i if seeds is None else seeds[i], "machine": {"nproc": 2}}
         rec["result"] = {"correct": i < len(steps_ms), "metrics": metrics}
         lines.append(json.dumps(rec))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
-def test_bench_record_writes_medians_quartiles_and_counts(tmp_path):
-    # a copy of the layout it reads, so the record lands in tmp_path, not the checkout
+def _bench_record(tmp_path: Path, before: Path, after: Path) -> dict:
+    """Run bench_record.py on a copy of the layout it reads, so the record lands in tmp_path, not the checkout."""
     for rel in ("scripts/bench_record.py", "perfbench/compare.py", "BENCHMARK.json"):
         (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
         shutil.copy(ROOT / rel, tmp_path / rel)
-    before = _runs_file(tmp_path / "before.jsonl", [60.0, 62.0, 64.0, 66.0, 68.0])
-    after = _runs_file(tmp_path / "after.jsonl", [50.0, 51.0, 52.0], incorrect=1)
     proc = subprocess.run(
         [sys.executable, str(tmp_path / "scripts" / "bench_record.py"), "t1", str(before), str(after)],
         capture_output=True,
@@ -71,7 +72,13 @@ def test_bench_record_writes_medians_quartiles_and_counts(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    doc = json.loads((tmp_path / "BENCH_t1.json").read_text(encoding="utf-8"))
+    return json.loads((tmp_path / "BENCH_t1.json").read_text(encoding="utf-8"))
+
+
+def test_bench_record_writes_medians_quartiles_and_counts(tmp_path):
+    before = _runs_file(tmp_path / "before.jsonl", [60.0, 62.0, 64.0, 66.0, 68.0])
+    after = _runs_file(tmp_path / "after.jsonl", [50.0, 51.0, 52.0], incorrect=1)
+    doc = _bench_record(tmp_path, before, after)
     assert doc["tag"] == "t1"
     assert doc["machine"] == {"nproc": 2}
     assert doc["incorrect_runs"] == {"before": 0, "after": 1}
@@ -83,3 +90,38 @@ def test_bench_record_writes_medians_quartiles_and_counts(tmp_path):
     assert (step["unit"], step["better"], step["mark"]) == ("ms", "lower", "within")
     assert doc["workloads"]["train-default"]["peak_rss_mb"]["mark"] == "within"
     assert list(doc["workloads"]["train-default"]) == ["train_step_ms_p50", "peak_rss_mb"]
+
+
+def test_bench_record_counts_pair_wins_and_the_gain_rule(tmp_path):
+    before = _runs_file(tmp_path / "before.jsonl", [60.0 + i for i in range(10)])
+    after = _runs_file(tmp_path / "after.jsonl", [50.0 + i for i in range(10)])
+    metrics = _bench_record(tmp_path, before, after)["workloads"]["train-default"]
+    step = metrics["train_step_ms_p50"]
+    assert step["pairs"] == {"pairs": 10, "won": 10, "lost": 0}
+    assert step["gain"] is True
+    # equal values in every pair: ten ties, no gain
+    rss = metrics["peak_rss_mb"]
+    assert rss["pairs"] == {"pairs": 10, "won": 0, "lost": 0} and rss["gain"] is False
+
+
+def test_bench_record_eight_wins_of_ten_is_no_gain(tmp_path):
+    # the medians differ by far more than the before IQR; only the win count fails
+    before = _runs_file(tmp_path / "before.jsonl", [60.0 + i for i in range(10)])
+    after = _runs_file(tmp_path / "after.jsonl", [50.0 + i for i in range(8)] + [70.0, 71.0])
+    step = _bench_record(tmp_path, before, after)["workloads"]["train-default"]["train_step_ms_p50"]
+    assert step["pairs"] == {"pairs": 10, "won": 8, "lost": 2}
+    assert step["after"]["median"] < step["before"]["q1"]
+    assert step["gain"] is False
+
+
+def test_bench_record_pairs_by_seed_and_counts_unpaired_runs(tmp_path):
+    # seeds in another order on each side; seed 9 only before, seed 7's after run incorrect
+    before = _runs_file(tmp_path / "before.jsonl", [60.0, 61.0, 62.0, 63.0], seeds=[5, 6, 7, 9])
+    after = _runs_file(tmp_path / "after.jsonl", [62.5, 59.0], incorrect=1, seeds=[6, 5, 7])
+    doc = _bench_record(tmp_path, before, after)
+    step = doc["workloads"]["train-default"]["train_step_ms_p50"]
+    # seed 5: 60 -> 59 won; seed 6: 61 -> 62.5 lost
+    assert step["pairs"] == {"pairs": 2, "won": 1, "lost": 1}
+    assert step["gain"] is False
+    assert doc["unpaired_runs"] == {"train-default": {"before": 2, "after": 0}}
+    assert doc["incorrect_runs"] == {"before": 0, "after": 1}

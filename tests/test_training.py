@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -266,15 +268,15 @@ def test_sample_few_shot_deterministic_and_counts():
 # train loop
 
 
-def _episode_setup(seed=0, steps=5, mode=CouplingMode.BIDIRECTIONAL, lam=1.0):
+def _episode_setup(seed=0, steps=5, mode=CouplingMode.BIDIRECTIONAL, lam=1.0, dtype=np.float32):
     from mailpp.encoder import EncoderConfig, init_dual_encoder
 
     cfg = EncoderConfig(L=1, d_t=8, d_v=12, n_heads=2, N_t=6, N_v=4, mlp_ratio=2, vocab_size=16)
     tcfg = TrainingConfig(shots=2, classes=6, batch_size=8, steps=steps, mode=mode, rank=2, d_m=4, lam=lam)
-    model = init_dual_encoder(cfg, rng.derive(seed, "w"), np.float32)
-    ds = gen_synthetic(tcfg.classes, 4, 0.1, seed, dims=(cfg.N_v, cfg.d_v))
+    model = init_dual_encoder(cfg, rng.derive(seed, "w"), dtype)
+    ds = gen_synthetic(tcfg.classes, 4, 0.1, seed, dims=(cfg.N_v, cfg.d_v), dtype=dtype)
     ep = sample_few_shot(ds, tcfg.shots, seed)
-    sites = build_sites(cfg, tcfg.mode, tcfg.rank, tcfg.d_m, rng.derive(seed, "s"), np.float32)
+    sites = build_sites(cfg, tcfg.mode, tcfg.rank, tcfg.d_m, rng.derive(seed, "s"), dtype)
     return model, sites, tcfg, ep
 
 
@@ -365,12 +367,14 @@ def test_evaluate_in_any_batch_size_matches_per_row_features(monkeypatch, eval_b
 
 
 def _count_adamw_steps(monkeypatch) -> dict:
+    """Count the AdamW updates of ``train``, and note whether the collector ran during each."""
     import mailpp.training
 
-    calls = {"adamw": 0}
+    calls = {"adamw": 0, "collector": []}
 
     def counting(*args, **kwargs):
         calls["adamw"] += 1
+        calls["collector"].append(gc.isenabled())
         return adamw_step(*args, **kwargs)
 
     monkeypatch.setattr(mailpp.training, "adamw_step", counting)
@@ -426,3 +430,69 @@ def test_non_finite_gradient_names_the_step_and_the_parameter(monkeypatch, bad_s
         f"non-finite gradient at step {bad_step}: backward: gradient of block0.2/image/b: non-finite value in result"
     )
     assert calls["adamw"] == bad_step
+    assert not any(calls["collector"])
+    assert gc.isenabled()  # put back although the step raised
+
+
+# ------------------------------------------------------------------
+# the cyclic garbage collector: paused during the steps, which leave no garbage
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_train_pauses_the_collector_and_puts_back_the_state_it_found(monkeypatch, enabled):
+    model, sites, tcfg, ep = _episode_setup(steps=3)
+    calls = _count_adamw_steps(monkeypatch)
+    was_enabled = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        train(model, sites, tcfg, ep, seed=0)
+        after = gc.isenabled()
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert calls["collector"] == [False] * 3
+    assert after is enabled
+
+
+def _garbage_after_five_steps(model, sites, tcfg, ep) -> int:
+    """Unreachable objects that five training steps leave for the cyclic collector."""
+    import dataclasses
+
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        train(model, sites, dataclasses.replace(tcfg, steps=5), ep, seed=0)
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_default_f32_steps_leave_no_garbage():
+    from mailpp.config import RunConfig
+    from mailpp.encoder import init_dual_encoder
+
+    cfg = RunConfig()
+    model = init_dual_encoder(cfg.encoder, rng.derive(0, "frozen-weights"), cfg.dtype)
+    ds = gen_synthetic(
+        cfg.training.classes,
+        cfg.data.pool_per_class,
+        cfg.data.noise,
+        0,
+        dims=(cfg.encoder.N_v, cfg.encoder.d_v),
+        text_len=cfg.data.text_len,
+    )
+    ep = sample_few_shot(ds, cfg.training.shots, 0)
+    assert _garbage_after_five_steps(model, cfg.sites(rng.derive(0, "s")), cfg.training, ep) == 0
+
+
+@pytest.mark.parametrize("mode", list(CouplingMode), ids=lambda m: m.value)
+def test_f64_shift_bridge_cosine_minibatch_steps_leave_no_garbage(mode):
+    import dataclasses
+
+    model, _, tcfg, ep = _episode_setup(mode=mode, dtype=np.float64)
+    shift = mode is not CouplingMode.IVLU  # IVLU has no bridge to shift
+    tcfg = dataclasses.replace(tcfg, bridge_shift=shift, cosine_lr=True, batch_size=4)
+    assert tcfg.batch_size < len(ep.train_labels)
+    sites = build_sites(model.cfg, mode, tcfg.rank, tcfg.d_m, rng.derive(0, "s"), np.float64, bridge_shift=shift)
+    assert _garbage_after_five_steps(model, sites, tcfg, ep) == 0
