@@ -28,7 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from compare import BENCHMARK, load, quartiles, verdict  # noqa: E402
+from compare import BENCHMARK, quartiles, verdict  # noqa: E402
 
 
 def _stats(values: list[float]) -> dict | None:
@@ -38,21 +38,35 @@ def _stats(values: list[float]) -> dict | None:
     return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
 
 
-def _runs_by_seed(path) -> dict[tuple[str, int], list[dict]]:
-    """{(workload, seed): [metric values of each correct run, in file order]}."""
+def _read_runs(path) -> tuple[dict[tuple[str, int], list[dict]], int, dict | None]:
+    """One pass over a runs file.
+
+    Returns {(workload, seed): [metric values of each correct run, in file
+    order]}, the count of incorrect runs, and the machine facts of the first
+    record.
+    """
+    records = [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
     runs: dict[tuple[str, int], list[dict]] = defaultdict(list)
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            rec = json.loads(line)
-            if rec["result"]["correct"]:
-                values = {name: m["value"] for name, m in rec["result"]["metrics"].items()}
-                runs[(rec["workload"], rec["seed"])].append(values)
-    return runs
+    for rec in records:
+        if rec["result"]["correct"]:
+            values = {name: m["value"] for name, m in rec["result"]["metrics"].items()}
+            runs[(rec["workload"], rec["seed"])].append(values)
+    incorrect = sum(not rec["result"]["correct"] for rec in records)
+    return runs, incorrect, records[0].get("machine") if records else None
 
 
-def _pairs(before_path, after_path) -> tuple[dict, dict]:
+def _by_metric(runs: dict[tuple[str, int], list[dict]]) -> dict[tuple[str, str], list[float]]:
+    """{(workload, metric): [values of every correct run]}; the order does not matter to the statistics."""
+    values: dict[tuple[str, str], list[float]] = defaultdict(list)
+    for (workload, _), seed_runs in runs.items():
+        for run in seed_runs:
+            for name, value in run.items():
+                values[(workload, name)].append(value)
+    return values
+
+
+def _pairs(before: dict, after: dict) -> tuple[dict, dict]:
     """{workload: [(before values, after values)]}, and {workload: correct runs left unpaired per side}."""
-    before, after = _runs_by_seed(before_path), _runs_by_seed(after_path)
     pairs: dict[str, list] = defaultdict(list)
     unpaired: dict[str, dict] = defaultdict(lambda: {"before": 0, "after": 0})
     for key in sorted(before.keys() | after.keys()):
@@ -82,19 +96,12 @@ def _gain(entry: dict) -> bool:
     return n >= 10 and 10 * won >= 9 * n and improvement > before["q3"] - before["q1"]
 
 
-def _machine(path) -> dict | None:
-    """The machine facts of the first run record in ``path``."""
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            return json.loads(line).get("machine")
-    return None
-
-
 def record(tag: str, before_path, after_path) -> Path:
     spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
-    before, bad_b = load(before_path)
-    after, bad_a = load(after_path)
-    pairs, unpaired = _pairs(before_path, after_path)
+    before_runs, bad_b, _ = _read_runs(before_path)
+    after_runs, bad_a, machine = _read_runs(after_path)
+    before, after = _by_metric(before_runs), _by_metric(after_runs)
+    pairs, unpaired = _pairs(before_runs, after_runs)
     workloads = {}
     for w in spec["workloads"]:
         metrics = {}
@@ -114,7 +121,7 @@ def record(tag: str, before_path, after_path) -> Path:
             workloads[w["name"]] = metrics
     doc = {
         "tag": tag,
-        "machine": _machine(after_path),
+        "machine": machine,
         "incorrect_runs": {"before": bad_b, "after": bad_a},
         "unpaired_runs": {w: unpaired[w] for w in workloads},
         "workloads": workloads,

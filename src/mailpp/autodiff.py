@@ -30,13 +30,13 @@ is a suffix of the other's. An unbatched call keeps its bits: on 1-D and
 before the leading axes existed, and the head axis of ``attention_core``
 gives the bits of a loop over heads (the tests hold it to one). ``linear``
 folds its leading axes into one row axis, so a batched call is one GEMM
-forward and one per gradient, with the bits of the 2-D call on the folded
-rows. A batched call agrees with its per-item calls to rounding.
+forward and one for the x-gradient, with the bits of the 2-D call on the
+folded rows. A batched call agrees with its per-item calls to rounding.
 
-A VJP works only for the inputs whose gradient someone reads: an input that
-is not on a tape when the primitive runs (a frozen weight, bias or
-LayerNorm gain) gets ``None``, which ``Tape.backward`` skips, and no matmul
-or sum is spent on it.
+Frozen operands are plain numpy arrays, not Tensors: the weight and bias
+of ``linear``, the gain and shift of ``layernorm`` and the mask of
+``attention_core``. Nothing can put them on a tape, so ``linear`` and
+``layernorm`` record ``x`` alone and their VJPs return its gradient only.
 
 A Tape is single-use: run the forward pass again to differentiate again.
 ``backward`` pops each record as it replays it, so the tape no longer
@@ -212,7 +212,7 @@ class Tape:
             if g is None:
                 continue
             for nid, gi in zip(inputs, vjp(g)):
-                if nid is None or gi is None:
+                if nid is None:
                     continue
                 if grads[nid] is None:
                     grads[nid] = gi
@@ -242,11 +242,17 @@ def _tape_of(tensors: Iterable[Tensor]) -> Tape | None:
     return tape
 
 
-def _same_precision(op: str, *tensors: Tensor) -> np.dtype:
+def _same_precision(op: str, *tensors: Tensor, frozen: Sequence[np.ndarray] = ()) -> np.dtype:
+    """The tensors' one dtype; each ``frozen`` operand must be a numpy array of it too."""
     dt = tensors[0].data.dtype
     for t in tensors[1:]:
         if t.data.dtype != dt:
             raise ValueError(f"{op}: precision mismatch ({_PRECISION[dt]} vs {_PRECISION[t.data.dtype]})")
+    for arr in frozen:
+        if not isinstance(arr, np.ndarray):
+            raise ValueError(f"{op}: frozen operands are numpy arrays, got {type(arr).__name__}")
+        if arr.dtype != dt:
+            raise ValueError(f"{op}: precision mismatch ({_PRECISION[dt]} vs {_PRECISION.get(arr.dtype, arr.dtype)})")
     return dt
 
 
@@ -432,57 +438,49 @@ def transpose(a: Tensor) -> Tensor:
     )
 
 
-def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: np.ndarray, bias: np.ndarray | None = None) -> Tensor:
     """x @ w.T + bias for x of shape (..., d_in), w of shape (d_out, d_in).
 
-    Leading axes fold into one row axis: a batched call is one GEMM forward
-    and one per gradient, not a stack of small products, and it gives the
-    bits of the 2-D call on ``x.reshape(-1, d_in)``. A 1-D or 2-D x goes
-    into the product as it is.
+    ``w`` and ``bias`` are frozen arrays; only x gets a gradient. Leading
+    axes fold into one row axis: a batched call is one GEMM forward and one
+    backward, not a stack of small products, and it gives the bits of the
+    2-D call on ``x.reshape(-1, d_in)``. A 1-D or 2-D x goes into the
+    product as it is.
     """
-    _same_precision("linear", x, w, *(() if bias is None else (bias,)))
+    _same_precision("linear", x, frozen=(w,) if bias is None else (w, bias))
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[1]:
         raise ValueError(f"linear: x {x.shape} incompatible with weight {w.shape}")
     if bias is not None and bias.shape != (w.shape[0],):
         raise ValueError(f"linear: bias {bias.shape} incompatible with weight {w.shape}")
-    xd, wd = x.data, w.data
+    xd = x.data
     x2 = xd if xd.ndim <= 2 else xd.reshape(-1, xd.shape[-1])
-    out = x2 @ wd.T
+    out = x2 @ w.T
     if bias is not None:
-        out = out + bias.data
+        out = out + bias
     if xd.ndim > 2:
         out = out.reshape(xd.shape[:-1] + out.shape[-1:])
-    # frozen operands (off the tape) get no gradient work: their results would be dropped
-    need_x, need_w, need_b = x.tape is not None, w.tape is not None, bias is not None and bias.tape is not None
 
-    # keep the closure's cells few: each is a GC-tracked object, and a training step makes one closure per call
     def vjp(g):
-        rows = g if g.ndim <= 2 else g.reshape(-1, g.shape[-1])
-        dx = dw = db = None
-        if need_x:
-            dx = rows @ wd if g.ndim <= 2 else (rows @ wd).reshape(g.shape[:-1] + wd.shape[1:])
-        if need_w:
-            dw = np.outer(g, x2) if x2.ndim == 1 else rows.T @ x2
-        if need_b:
-            db = rows if rows.ndim == 1 else rows.sum(axis=0)
-        return (dx, dw) if bias is None else (dx, dw, db)
+        if g.ndim <= 2:
+            return (g @ w,)
+        return ((g.reshape(-1, g.shape[-1]) @ w).reshape(g.shape[:-1] + w.shape[1:]),)
 
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return _emit("linear", out, inputs, vjp)
+    return _emit("linear", out, (x,), vjp)
 
 
 # ------------------------------------------------------------------
 # normalization and attention
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm(x: Tensor, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     Population variance (divide by d); eps sits inside the square root.
+    ``gamma`` and ``beta`` are frozen arrays; only x gets a gradient.
     """
     if eps <= 0:
         raise ValueError("layernorm: eps must be positive")
-    _same_precision("layernorm", x, gamma, beta)
+    _same_precision("layernorm", x, frozen=(gamma, beta))
     d = x.shape[-1] if x.ndim else 0
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ValueError(f"layernorm: gamma/beta {gamma.shape}/{beta.shape} do not match last axis {d}")
@@ -493,25 +491,16 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     var = np.add.reduce(centered * centered, -1, keepdims=True) / d
     inv_sigma = 1.0 / np.sqrt(var + xd.dtype.type(eps))
     xhat = centered * inv_sigma
-    out = xhat * gamma.data + beta.data
-    gd = gamma.data
-    need_x, need_gamma, need_beta = x.tape is not None, gamma.tape is not None, beta.tape is not None
+    out = xhat * gamma + beta
 
     def vjp(g):
-        dx = dgamma = dbeta = None
-        if need_x:
-            gx = g * gd
-            # d/dx of (x - mu) / sigma with population variance
-            m1 = np.add.reduce(gx, -1, keepdims=True) / d
-            m2 = np.add.reduce(gx * xhat, -1, keepdims=True) / d
-            dx = inv_sigma * (gx - m1 - xhat * m2)
-        if need_gamma:
-            dgamma = _unbroadcast(g * xhat, gamma.shape)
-        if need_beta:
-            dbeta = _unbroadcast(g, beta.shape)
-        return dx, dgamma, dbeta
+        gx = g * gamma
+        # d/dx of (x - mu) / sigma with population variance
+        m1 = np.add.reduce(gx, -1, keepdims=True) / d
+        m2 = np.add.reduce(gx * xhat, -1, keepdims=True) / d
+        return (inv_sigma * (gx - m1 - xhat * m2),)
 
-    return _emit("layernorm", out, (x, gamma, beta), vjp)
+    return _emit("layernorm", out, (x,), vjp)
 
 
 def _softmax_forward(x: np.ndarray) -> np.ndarray:

@@ -69,6 +69,16 @@ def _load_run_config(path: str) -> RunConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
+def _load_dataset(path: str, run_cfg: RunConfig):
+    """The dataset at ``path``, which must have the config's class count."""
+    ds = unpack_dataset(*load_checkpoint(path))
+    if ds.num_classes != run_cfg.training.classes:
+        raise ConfigError(
+            f"dataset has {ds.num_classes} classes but training.classes is {run_cfg.training.classes}"
+        )
+    return ds
+
+
 def _build_model(run_cfg: RunConfig, seed: int):
     return init_dual_encoder(run_cfg.encoder, rngmod.derive(seed, "frozen-weights"), run_cfg.dtype)
 
@@ -119,12 +129,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     run_cfg = _load_run_config(args.config)
     seed = _resolve_seed(args, run_cfg)
-    tensors, doc = load_checkpoint(args.data)
-    ds = unpack_dataset(tensors, doc)
-    if ds.num_classes != run_cfg.training.classes:
-        raise ConfigError(
-            f"dataset has {ds.num_classes} classes but training.classes is {run_cfg.training.classes}"
-        )
+    ds = _load_dataset(args.data, run_cfg)
     out = _resolve_out(args, run_cfg, "trained.ckpt")
     model = _build_model(run_cfg, seed)
     sites = run_cfg.sites(rngmod.derive(seed, "sites"))
@@ -171,8 +176,7 @@ def cmd_fuse(args) -> int:
 def cmd_eval(args) -> int:
     tensors, doc = load_checkpoint(args.ckpt)
     restored = unpack_state(tensors, doc)
-    d_tensors, d_doc = load_checkpoint(args.data)
-    ds = unpack_dataset(d_tensors, d_doc)
+    ds = _load_dataset(args.data, restored.run_cfg)
     episode = sample_few_shot(ds, restored.run_cfg.training.shots, restored.seed)
     if args.split == "base":
         images, labels, tokens = episode.base_eval_images, episode.base_eval_labels, episode.base_tokens

@@ -36,19 +36,18 @@ never given gradients. The model keeps them in one read-only table,
 image, each in the order of ``weight_shapes``, which is the only statement
 of the layout. Every name says its modality (``frozen/text/...``,
 ``frozen/image/...``), and each forward pass reads only the names of its
-own. Neither the table nor an entry of it can be rebound. The model wraps
-its arrays as Tensors once (``DualEncoder.tensors``): read-only, zero-copy
-views, finite-checked when first built, that the forward passes index
-instead of copying and checking every weight on every call. An in-place
-write to a weight array shows through its view; a non-finite value written
-that way is caught by the finite check on the output of the primitive that
-reads it.
+own. Neither the table nor an entry of it can be rebound. Building a model
+checks every weight for NaN/Inf once and names the first bad one; the
+forward passes then hand the arrays themselves to ``linear`` and
+``layernorm``, which take frozen operands as numpy arrays. An in-place
+write to a weight array shows in the next forward pass, and a non-finite
+value written that way is caught by the finite check on the output of the
+primitive that reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 from types import MappingProxyType
 from typing import Literal, Mapping
 
@@ -121,19 +120,16 @@ class DualEncoder:
 
     ``arrays`` is keyed by the checkpoint names (``frozen/<m>/embed``,
     ``frozen/<m>/block<i>/attn/q/w``, ...): text first, then image, each in
-    ``weight_shapes`` order.
+    ``weight_shapes`` order. Every weight is finite-checked on construction.
     """
 
     cfg: EncoderConfig
     arrays: Mapping[str, np.ndarray]
 
     def __post_init__(self):
+        for name, arr in self.arrays.items():
+            ad._check_finite(arr, name)
         object.__setattr__(self, "arrays", MappingProxyType(dict(self.arrays)))  # no entry rebinding either
-
-    @cached_property
-    def tensors(self) -> dict[str, Tensor]:
-        """``arrays`` as read-only Tensor views, built and checked once."""
-        return {name: Tensor.view(arr, name) for name, arr in self.arrays.items()}
 
     @property
     def dtype(self) -> np.dtype:
@@ -245,7 +241,7 @@ def _blocks_forward(
     mask: np.ndarray | None,
     scalings: ScalingMap | None,
 ) -> Tensor:
-    cfg, t = model.cfg, model.tensors
+    cfg, t = model.cfg, model.arrays
     eps = cfg.eps
     for i in range(cfg.L):
         p = f"frozen/{m}/block{i}/"
@@ -275,7 +271,7 @@ def _readout(
     m: Modality,
     scalings: ScalingMap | None,
 ) -> Tensor:
-    t = model.tensors
+    t = model.arrays
     p = f"frozen/{m}/"
     feat = ad.row(x, index)
     feat = ad.layernorm(feat, t[p + "final_ln/gamma"], t[p + "final_ln/beta"], model.cfg.eps)

@@ -199,9 +199,9 @@ def test_fuse_layernorm_matches_unfused_path():
         beta = (0.2 * gen.standard_normal(d)).astype(np.float32)
         a = (1.0 + 0.5 * gen.standard_normal(d)).astype(np.float32)
         b = (0.5 * gen.standard_normal(d)).astype(np.float32)
-        unfused = ad_affine(ad_layernorm(x, Tensor(gamma), Tensor(beta), 1e-5), Tensor(a), Tensor(b)).data
+        unfused = ad_affine(ad_layernorm(x, gamma, beta, 1e-5), Tensor(a), Tensor(b)).data
         g2, b2 = fuse_layernorm(gamma, beta, a, b)
-        fused = ad_layernorm(x, Tensor(g2), Tensor(b2), 1e-5).data
+        fused = ad_layernorm(x, g2, b2, 1e-5).data
         assert np.max(np.abs(unfused - fused)) <= 1e-6
 
 
@@ -225,9 +225,9 @@ def test_fuse_linear_matches_unfused_path():
         bias = gen.standard_normal(d_out).astype(np.float32)
         a = (1.0 + 0.5 * gen.standard_normal(d_out)).astype(np.float32)
         b = (0.5 * gen.standard_normal(d_out)).astype(np.float32)
-        unfused = ad_affine(ad_linear(x, Tensor(w), Tensor(bias)), Tensor(a), Tensor(b)).data
+        unfused = ad_affine(ad_linear(x, w, bias), Tensor(a), Tensor(b)).data
         w2, b2 = fuse_linear(w, bias, a, b)
-        fused = ad_linear(x, Tensor(w2), Tensor(b2)).data
+        fused = ad_linear(x, w2, b2).data
         assert np.max(np.abs(unfused - fused)) <= 1e-6
 
 

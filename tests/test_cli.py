@@ -383,6 +383,17 @@ def _five_prototypes(tensors, doc):
     tensors["data/prototypes"] = tensors["data/prototypes"][:5]
 
 
+def _nan_in(name):
+    def edit(tensors, doc):
+        tensors[name] = tensors[name].copy()
+        tensors[name].flat[3] = np.nan
+
+    return edit
+
+
+NAN_WEIGHT = "frozen/image/block0/mlp/fc2/w"
+
+
 # case -> (container edited, command run on it, edit, the error it must print)
 _MALFORMED = {
     "ckpt-no-run-config-fuse": ("ckpt", "fuse", _only_kind, "checkpoint has no 'run_config'"),
@@ -396,6 +407,14 @@ _MALFORMED = {
         "checkpoint field 'opt_step' must be an integer, got '8'",
     ),
     "ckpt-str-fused": ("ckpt", "eval", _set("fused", "no"), "checkpoint field 'fused' must be true or false, got 'no'"),
+    "ckpt-nan-weight-fuse": ("ckpt", "fuse", _nan_in(NAN_WEIGHT), f"{NAN_WEIGHT}: non-finite value in result"),
+    "ckpt-nan-weight-eval": ("ckpt", "eval", _nan_in(NAN_WEIGHT), f"{NAN_WEIGHT}: non-finite value in result"),
+    "ckpt-nan-weight-report-norms": (
+        "ckpt",
+        "report-norms",
+        _nan_in(NAN_WEIGHT),
+        f"{NAN_WEIGHT}: non-finite value in result",
+    ),
     "data-str-noise": ("data", "train", _set("noise", "x"), "dataset field 'noise' must be a number, got 'x'"),
     "data-bool-noise": ("data", "train", _set("noise", True), "dataset field 'noise' must be a number, got True"),
     "data-repeated-base-class": (
@@ -456,10 +475,27 @@ def test_a_malformed_document_exits_1_naming_what_is_wrong(trained, tmp_path, ca
         "fuse": ["fuse", "--ckpt", ckpt, "--out", str(out)],
         "eval": ["eval", "--ckpt", ckpt, "--data", data, "--split", "novel"],
         "train": ["train", "--config", cfg, "--data", data, "--out", str(out)],
+        "report-norms": ["report-norms", "--ckpt", ckpt, "--out", str(out)],
     }[command]
     capsys.readouterr()
     assert run(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_train_and_eval_reject_a_dataset_of_another_class_count(trained, tmp_path, capsys):
+    cfg, _, ckpt = trained
+    other = tmp_path / "cfg8.json"
+    other.write_text(json.dumps(dict(MICRO_CONFIG, training=dict(MICRO_CONFIG["training"], classes=8))))
+    data, out = str(tmp_path / "d8.bin"), tmp_path / "out.ckpt"
+    assert run(["gen-data", "--config", str(other), "--out", data]) == 0
+    for argv in (
+        ["train", "--config", cfg, "--data", data, "--out", str(out)],
+        ["eval", "--ckpt", ckpt, "--data", data, "--split", "base"],
+    ):
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", "error: dataset has 8 classes but training.classes is 6\n")
     assert not out.exists()
 
 
