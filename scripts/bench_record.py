@@ -17,11 +17,17 @@ may be claimed, which needs at least ten pairs, wins in nine tenths of them,
 and a median better by more than the before side's interquartile range.
 Correct runs left without a partner are counted per workload under
 ``unpaired_runs``.
+
+Traced runs (``--trace 1``) are kept apart from the pairing. When either
+side has any, the document gains ``per_layer``: for every workload and
+per-layer metric of ``BENCHMARK.json``, each side's median over its correct
+traced runs and the relative change, which shows where a saving lands.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -38,21 +44,25 @@ def _stats(values: list[float]) -> dict | None:
     return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
 
 
-def _read_runs(path) -> tuple[dict[tuple[str, int], list[dict]], int, dict | None]:
+def _read_runs(path) -> tuple[dict[tuple[str, int], list[dict]], dict[str, list[dict]], int, dict | None]:
     """One pass over a runs file.
 
-    Returns {(workload, seed): [metric values of each correct run, in file
-    order]}, the count of incorrect runs, and the machine facts of the first
-    record.
+    Returns {(workload, seed): [metric values of each correct untraced run,
+    in file order]}, {workload: [metric values of each correct traced run]},
+    the count of incorrect runs, and the machine facts of the first record.
     """
     records = [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
     runs: dict[tuple[str, int], list[dict]] = defaultdict(list)
+    traced: dict[str, list[dict]] = defaultdict(list)
     for rec in records:
         if rec["result"]["correct"]:
             values = {name: m["value"] for name, m in rec["result"]["metrics"].items()}
-            runs[(rec["workload"], rec["seed"])].append(values)
+            if rec.get("trace"):
+                traced[rec["workload"]].append(values)
+            else:
+                runs[(rec["workload"], rec["seed"])].append(values)
     incorrect = sum(not rec["result"]["correct"] for rec in records)
-    return runs, incorrect, records[0].get("machine") if records else None
+    return runs, traced, incorrect, records[0].get("machine") if records else None
 
 
 def _by_metric(runs: dict[tuple[str, int], list[dict]]) -> dict[tuple[str, str], list[float]]:
@@ -96,10 +106,33 @@ def _gain(entry: dict) -> bool:
     return n >= 10 and 10 * won >= 9 * n and improvement > before["q3"] - before["q1"]
 
 
+def _per_layer(spec: dict, before: dict[str, list[dict]], after: dict[str, list[dict]]) -> dict:
+    """{workload: {per-layer metric: each side's median over its traced runs, and the change}}."""
+    doc = {}
+    for w in spec["workloads"]:
+        metrics = {}
+        for m in spec["per_layer"]:
+            b = [run[m["name"]] for run in before.get(w["name"], []) if m["name"] in run]
+            a = [run[m["name"]] for run in after.get(w["name"], []) if m["name"] in run]
+            if not b and not a:
+                continue
+            bm, am = (statistics.median(v) if v else None for v in (b, a))
+            metrics[m["name"]] = {
+                "unit": m["unit"],
+                "before": bm,
+                "after": am,
+                "runs": {"before": len(b), "after": len(a)},
+                "change_pct": (am - bm) / bm * 100 if bm and am is not None else None,
+            }
+        if metrics:
+            doc[w["name"]] = metrics
+    return doc
+
+
 def record(tag: str, before_path, after_path) -> Path:
     spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
-    before_runs, bad_b, _ = _read_runs(before_path)
-    after_runs, bad_a, machine = _read_runs(after_path)
+    before_runs, before_traced, bad_b, _ = _read_runs(before_path)
+    after_runs, after_traced, bad_a, machine = _read_runs(after_path)
     before, after = _by_metric(before_runs), _by_metric(after_runs)
     pairs, unpaired = _pairs(before_runs, after_runs)
     workloads = {}
@@ -126,6 +159,8 @@ def record(tag: str, before_path, after_path) -> Path:
         "unpaired_runs": {w: unpaired[w] for w in workloads},
         "workloads": workloads,
     }
+    if before_traced or after_traced:
+        doc["per_layer"] = _per_layer(spec, before_traced, after_traced)
     out = BENCHMARK.parent / f"BENCH_{tag}.json"
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return out

@@ -10,9 +10,10 @@ only flow to taped inputs.
 
 Every primitive validates shapes/precision up front and checks that its
 output is finite; NaN/Inf raises ``NonFiniteError`` instead of silently
-propagating. The check is one reduction: a finite sum proves every element
-finite, and only a non-finite sum (a NaN/Inf element, or finite values whose
-sum overflows) pays for the full element scan that decides.
+propagating. The check is one BLAS dot, the array's sum of squares: a finite
+one proves every element finite, and only a non-finite one (a NaN/Inf
+element, or finite values whose squares overflow) pays for the full element
+scan that decides.
 
 Primitives that act on the last axis (``linear``, ``layernorm``,
 ``affine``, ``gelu``, ``softmax``, ``l2_normalize``, ``add``) take any
@@ -89,11 +90,12 @@ class NonFiniteError(ArithmeticError):
     """A primitive produced NaN or Inf."""
 
 
-def _check_finite(arr: np.ndarray, op: str) -> None:
-    # A finite sum proves every element finite; a NaN/Inf sum may still come
-    # from finite values that overflow, so only then does the full scan decide.
-    if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{op}: non-finite value in result")
+def _check_finite(arr: np.ndarray, op: str, what: str = "result") -> None:
+    # A finite sum of squares proves every element finite; a NaN/Inf one may
+    # still come from finite values whose squares overflow, so only then does
+    # the full scan decide.
+    if not math.isfinite(np.vdot(arr, arr)) and not np.all(np.isfinite(arr)):
+        raise NonFiniteError(f"{op}: non-finite value in {what}")
 
 
 class Tensor:
@@ -105,7 +107,7 @@ class Tensor:
         arr = np.array(data, order="C")
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         _check_finite(arr, "Tensor")
         self.data = arr
         self.tape = None
@@ -128,7 +130,7 @@ class Tensor:
     @staticmethod
     def _wrap(arr: np.ndarray, tape: "Tape | None" = None, node: int | None = None) -> "Tensor":
         t = object.__new__(Tensor)
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         t.data = arr
         t.tape = tape
         t.node = node

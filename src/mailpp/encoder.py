@@ -120,7 +120,9 @@ class DualEncoder:
 
     ``arrays`` is keyed by the checkpoint names (``frozen/<m>/embed``,
     ``frozen/<m>/block<i>/attn/q/w``, ...): text first, then image, each in
-    ``weight_shapes`` order. Every weight is finite-checked on construction.
+    ``weight_shapes`` order. Every weight is finite-checked on construction,
+    and a NaN/Inf raises ``NonFiniteError``: ``<name>: non-finite value in
+    weight``.
     """
 
     cfg: EncoderConfig
@@ -128,7 +130,7 @@ class DualEncoder:
 
     def __post_init__(self):
         for name, arr in self.arrays.items():
-            ad._check_finite(arr, name)
+            ad._check_finite(arr, name, "weight")
         object.__setattr__(self, "arrays", MappingProxyType(dict(self.arrays)))  # no entry rebinding either
 
     @property

@@ -26,7 +26,7 @@ from . import autodiff as ad
 from . import rng as rngmod
 from .agents import CoupledAgentSite, CouplingMode, SiteKey, build_scaling_map, flatten_params, named_params
 from .autodiff import NonFiniteError, Tensor
-from .encoder import ALL_POSITIONS, DualEncoder, Position, ScalingMap, image_forward, text_forward
+from .encoder import ALL_POSITIONS, DualEncoder, EncoderConfig, Position, ScalingMap, image_forward, text_forward
 
 __all__ = [
     "TrainingConfig",
@@ -50,7 +50,7 @@ __all__ = [
 
 METRICS_HEADER = "step,L_ce,L_reg_v,L_reg_t,L,acc"
 
-EVAL_BATCH = 16  # images per image_forward call in evaluate
+EVAL_BATCH = 16  # images per image_forward call in evaluate at the default widths, and the least
 
 
 @dataclass(frozen=True)
@@ -384,6 +384,11 @@ def _accuracy(image_feats: np.ndarray, class_feats: np.ndarray, labels: np.ndarr
     return float((pred == labels).mean())
 
 
+def _image_mlp_width(cfg: EncoderConfig) -> int:
+    """One image's MLP hidden activation, (N_v + 1) * mlp_ratio * d_v: the widest array of a pass."""
+    return (cfg.N_v + 1) * cfg.mlp_ratio * cfg.d_v
+
+
 def evaluate(
     model: DualEncoder,
     sites: Mapping[SiteKey, CoupledAgentSite] | None,
@@ -393,24 +398,44 @@ def evaluate(
 ) -> float:
     """Classification accuracy with (optionally) hooked forward passes.
 
+    ``labels`` holds one integer class index per image, each in
+    ``[0, len(tokens))``; anything else raises ``ValueError``.
+
     The class texts are encoded in one batched pass and the images in
-    batches of ``EVAL_BATCH``; ``linear`` runs each batch through a frozen
-    weight as one GEMM. One pass over a whole pool would hold a working set
-    that grows with the pool. On the default config (160 eval images),
-    batches of 16 and 24 ran about equally fast, 8, 32 and 64 slower, and
-    64 raised the process's peak memory by about 5% over 16.
+    batches sized by activation width: ``max(EVAL_BATCH, EVAL_BATCH * F0 //
+    F)`` images per ``image_forward`` call, where F is one image's MLP
+    hidden activation, (N_v + 1) * mlp_ratio * d_v, and F0 = 1,728 its value
+    at the ``EncoderConfig()`` defaults. ``linear`` runs each batch through
+    a frozen weight as one GEMM, and a batch's working set grows with
+    images * F, so this keeps it near that of 16 default-width images
+    however large the pool. Measured, BLAS on one thread:
+
+    - default widths (F = 1,728): 16 images per call; 16 and 24 ran about
+      equally fast, 8, 32 and 64 slower, and 64 raised the process's peak
+      memory by about 5% over 16;
+    - L=4, d=128 (F = 4,608): still 16; on 160 f32 images, 1,400-1,600
+      images/s against 900-1,200 at 6 and at 32;
+    - the ``oracle`` benchmark widths (L=1, d=8, N_v=4, F = 160): 172, so
+      each 32- or 48-image pool is one call, where batches of 16 made
+      overhead-bound calls.
     """
     if np.ndim(images) != 3 or len(images) == 0:
         raise ValueError(f"evaluate: images must be a non-empty (B, N_v, d_v) batch, got shape {np.shape(images)}")
+    lbl = np.asarray(labels)
+    if lbl.shape != (len(images),) or lbl.dtype.kind not in "iu":
+        raise ValueError(
+            f"evaluate: labels must be {len(images)} integer class indices, one per image, "
+            f"got {lbl.dtype} of shape {lbl.shape}"
+        )
+    if np.any(lbl < 0) or np.any(lbl >= len(tokens)):
+        raise ValueError(f"evaluate: label out of range for {len(tokens)} classes")
     scalings = build_scaling_map(sites) if sites else None
     txt = text_forward(tokens, model, scalings).data
+    per_call = max(EVAL_BATCH, EVAL_BATCH * _image_mlp_width(EncoderConfig()) // _image_mlp_width(model.cfg))
     img = np.concatenate(
-        [
-            image_forward(images[i : i + EVAL_BATCH], model, scalings).data
-            for i in range(0, len(images), EVAL_BATCH)
-        ]
+        [image_forward(images[i : i + per_call], model, scalings).data for i in range(0, len(images), per_call)]
     )
-    return _accuracy(img, txt, labels)
+    return _accuracy(img, txt, lbl)
 
 
 def _mean_drift(adapted: np.ndarray, frozen: np.ndarray) -> float:

@@ -108,6 +108,8 @@ def _check_raises(arr) -> bool:
         (np.nan, np.float32),
         ([], np.float32),
         (np.zeros((0, 3)), np.float64),
+        ([2e19], np.float32),  # a finite element whose square overflows
+        ([1e155], np.float64),
     ],
 )
 def test_finite_check_examples(values, dtype):

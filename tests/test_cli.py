@@ -407,13 +407,13 @@ _MALFORMED = {
         "checkpoint field 'opt_step' must be an integer, got '8'",
     ),
     "ckpt-str-fused": ("ckpt", "eval", _set("fused", "no"), "checkpoint field 'fused' must be true or false, got 'no'"),
-    "ckpt-nan-weight-fuse": ("ckpt", "fuse", _nan_in(NAN_WEIGHT), f"{NAN_WEIGHT}: non-finite value in result"),
-    "ckpt-nan-weight-eval": ("ckpt", "eval", _nan_in(NAN_WEIGHT), f"{NAN_WEIGHT}: non-finite value in result"),
+    "ckpt-nan-weight-fuse": ("ckpt", "fuse", _nan_in(NAN_WEIGHT), f"{NAN_WEIGHT}: non-finite value in weight"),
+    "ckpt-nan-weight-eval": ("ckpt", "eval", _nan_in(NAN_WEIGHT), f"{NAN_WEIGHT}: non-finite value in weight"),
     "ckpt-nan-weight-report-norms": (
         "ckpt",
         "report-norms",
         _nan_in(NAN_WEIGHT),
-        f"{NAN_WEIGHT}: non-finite value in result",
+        f"{NAN_WEIGHT}: non-finite value in weight",
     ),
     "data-str-noise": ("data", "train", _set("noise", "x"), "dataset field 'noise' must be a number, got 'x'"),
     "data-bool-noise": ("data", "train", _set("noise", True), "dataset field 'noise' must be a number, got True"),

@@ -125,3 +125,30 @@ def test_bench_record_pairs_by_seed_and_counts_unpaired_runs(tmp_path):
     assert step["gain"] is False
     assert doc["unpaired_runs"] == {"train-default": {"before": 2, "after": 0}}
     assert doc["incorrect_runs"] == {"before": 0, "after": 1}
+
+
+def test_bench_record_keeps_traced_runs_out_of_the_pairs_and_lists_their_layers(tmp_path):
+    before = _runs_file(tmp_path / "before.jsonl", [60.0 + i for i in range(10)])
+    after = _runs_file(tmp_path / "after.jsonl", [50.0 + i for i in range(10)])
+    for path, ms in ((before, [20.0, 30.0, 40.0]), (after, [5.0])):
+        with path.open("a", encoding="utf-8") as fh:
+            for value in ms:  # traced runs of seed 0, which untraced runs also use
+                rec = {"workload": "train-default", "seed": 0, "trace": 1, "machine": {"nproc": 2}}
+                metrics = {"training.evaluate.ms": {"value": value, "unit": "ms"}}
+                rec["result"] = {"correct": True, "metrics": metrics}
+                fh.write(json.dumps(rec) + "\n")
+    doc = _bench_record(tmp_path, before, after)
+    step = doc["workloads"]["train-default"]["train_step_ms_p50"]
+    assert step["pairs"] == {"pairs": 10, "won": 10, "lost": 0}
+    assert doc["unpaired_runs"] == {"train-default": {"before": 0, "after": 0}}
+    evaluate = doc["per_layer"]["train-default"]["training.evaluate.ms"]
+    assert evaluate == {
+        "unit": "ms",
+        "before": 30.0,
+        "after": 5.0,
+        "runs": {"before": 3, "after": 1},
+        "change_pct": (5.0 - 30.0) / 30.0 * 100,
+    }
+    assert list(doc["per_layer"]) == ["train-default"]
+    untraced = _runs_file(tmp_path / "untraced.jsonl", [1.0])
+    assert "per_layer" not in _bench_record(tmp_path, untraced, untraced)

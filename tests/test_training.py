@@ -362,8 +362,97 @@ def test_evaluate_in_any_batch_size_matches_per_row_features(monkeypatch, eval_b
     img = _feats_image(model, images, scalings).data
     want = _accuracy(img, txt, labels)
     assert 0.0 < want < 1.0
+    # The rule reads EVAL_BATCH and the default widths; at the model's own
+    # widths as the defaults, it encodes EVAL_BATCH images per call.
     monkeypatch.setattr(mailpp.training, "EVAL_BATCH", eval_batch)
+    monkeypatch.setattr(mailpp.training, "EncoderConfig", lambda: model.cfg)
+    sizes = _count_image_calls(monkeypatch)
     assert evaluate(model, sites, images, labels, tokens) == want
+    assert sizes == [min(eval_batch, 70 - i) for i in range(0, 70, eval_batch)]
+
+
+def _count_image_calls(monkeypatch) -> list[int]:
+    """The number of images of each ``image_forward`` call that ``evaluate`` makes."""
+    import mailpp.training
+
+    sizes = []
+    real = mailpp.training.image_forward
+
+    def counting(patches, model, scalings=None):
+        sizes.append(len(patches))
+        return real(patches, model, scalings)
+
+    monkeypatch.setattr(mailpp.training, "image_forward", counting)
+    return sizes
+
+
+def _width_model_and_pool(n_images, classes=4, **widths):
+    from mailpp.encoder import EncoderConfig, init_dual_encoder
+
+    cfg = EncoderConfig(**widths)
+    model = init_dual_encoder(cfg, rng.derive(0, "w"), np.float32)
+    images = rng.derive(1, "pool").standard_normal((n_images, cfg.N_v, cfg.d_v)).astype(np.float32)
+    tokens = [[1, 2 + c] for c in range(classes)]
+    return model, images, np.arange(n_images) % classes, tokens
+
+
+def test_evaluate_encodes_16_images_per_call_at_the_default_widths(monkeypatch):
+    model, images, labels, tokens = _width_model_and_pool(160)
+    sizes = _count_image_calls(monkeypatch)
+    evaluate(model, None, images, labels, tokens)
+    assert sizes == [16] * 10
+
+
+def test_evaluate_encodes_each_pool_in_one_call_at_the_oracle_widths(monkeypatch):
+    import json
+    from pathlib import Path
+
+    spec = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json").read_text())
+    widths = spec["workloads"]["oracle"]["config"]["encoder"]
+    # F = 5 * 4 * 8 = 160, so 16 * 1728 // 160 = 172 images per call
+    for n, want in ((32, [32]), (48, [48]), (200, [172, 28])):
+        model, images, labels, tokens = _width_model_and_pool(n, **widths)
+        sizes = _count_image_calls(monkeypatch)
+        evaluate(model, None, images, labels, tokens)
+        assert sizes == want
+
+
+def test_evaluate_keeps_16_images_per_call_on_wider_models(monkeypatch):
+    model, images, labels, tokens = _width_model_and_pool(40, L=4, d_t=128, d_v=128)
+    sizes = _count_image_calls(monkeypatch)
+    evaluate(model, None, images, labels, tokens)
+    assert sizes == [16, 16, 8]
+
+
+def _six_images_three_classes():
+    model, images, _, tokens = _width_model_and_pool(6, classes=3, L=1, d_t=8, d_v=8, n_heads=2, N_t=4, N_v=4)
+    return model, images, tokens
+
+
+def test_evaluate_rejects_one_label_for_many_images():
+    model, images, tokens = _six_images_three_classes()
+    with pytest.raises(ValueError, match="6 integer class indices, one per image"):
+        evaluate(model, None, images, np.array([0]), tokens)
+
+
+@pytest.mark.parametrize("bad", [5, -1, 3])
+def test_evaluate_rejects_a_label_outside_the_classes(bad):
+    model, images, tokens = _six_images_three_classes()
+    with pytest.raises(ValueError, match="label out of range for 3 classes"):
+        evaluate(model, None, images, np.array([0, 1, 2, 0, 1, bad]), tokens)
+
+
+def test_evaluate_rejects_a_label_count_that_is_not_the_image_count():
+    model, images, tokens = _six_images_three_classes()
+    for labels in (np.array([0, 1, 2, 0]), np.zeros((6, 1), dtype=np.int64)):
+        with pytest.raises(ValueError, match="one per image"):
+            evaluate(model, None, images, labels, tokens)
+
+
+def test_evaluate_rejects_labels_that_are_not_integers():
+    model, images, tokens = _six_images_three_classes()
+    with pytest.raises(ValueError, match="integer class indices"):
+        evaluate(model, None, images, np.zeros(6), tokens)
 
 
 def _count_adamw_steps(monkeypatch) -> dict:
