@@ -34,9 +34,11 @@ re-parameterisation of SSF (Lian et al., NeurIPS 2022). ``_FOLDS`` maps
 each position to the frozen tensors it folds into (1a -> ln1, 1b -> ln2,
 2 -> attn/o, 3 -> mlp/fc2, 4 -> final_ln, 5 -> proj): LayerNorm
 gamma' = gamma * a, beta' = beta * a + b; linear rows scale as
-W'[i] = a[i] * W[i], bias' = bias * a + b. ``fuse_model`` folds each site,
-its text side under ``frozen/text/`` and its image side under
-``frozen/image/``, into one copy of the model's ``arrays`` table.
+W'[i] = a[i] * W[i], bias' = bias * a + b. ``fold_scalings`` folds a
+scaling map, each hook key's (a_eff, b_eff) into the tensors under
+``frozen/<modality>/``, into one copy of the model's ``arrays`` table;
+``fuse_model`` is ``fold_scalings`` of the sites' ``build_scaling_map``,
+so a caller that already holds the map folds without recomputing it.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ __all__ = [
     "flat_views",
     "fuse_layernorm",
     "fuse_linear",
+    "fold_scalings",
     "fuse_model",
     "bridge_norm",
     "trainable_param_count",
@@ -354,19 +357,22 @@ _FOLDS: dict[Position, tuple] = {
 }
 
 
-def fuse_model(model: DualEncoder, sites: Mapping[SiteKey, CoupledAgentSite]) -> DualEncoder:
-    """Fold every site into the frozen weights; the result shares no array with ``model`` and has no hooks."""
+def fold_scalings(model: DualEncoder, scalings: ScalingMap) -> DualEncoder:
+    """Fold each hook key's (a, b) into its frozen tensors (``_FOLDS``); shares no array with ``model``."""
     arrays = dict(model.arrays)
-    for key, site in sites.items():
-        a_v, a_t, b_v, b_t = site.effective(None)
-        fold, scale_name, shift_name = _FOLDS[key.pos]
-        for m, a, b in (("text", a_t, b_t), ("image", a_v, b_v)):
-            p = f"frozen/{m}/" if key.block is None else f"frozen/{m}/block{key.block}/"
-            arrays[p + scale_name], arrays[p + shift_name] = fold(
-                arrays[p + scale_name], arrays[p + shift_name], a.data, b.data
-            )
-    # a fold returns fresh arrays; copy only the entries that no site folded
+    for (m, block, pos), (a, b) in scalings.items():
+        fold, scale_name, shift_name = _FOLDS[pos]
+        p = f"frozen/{m}/" if block is None else f"frozen/{m}/block{block}/"
+        arrays[p + scale_name], arrays[p + shift_name] = fold(
+            arrays[p + scale_name], arrays[p + shift_name], a.data, b.data
+        )
+    # a fold returns fresh arrays; copy only the entries that no hook folded
     return DualEncoder(model.cfg, {n: arr.copy() if arr is model.arrays[n] else arr for n, arr in arrays.items()})
+
+
+def fuse_model(model: DualEncoder, sites: Mapping[SiteKey, CoupledAgentSite]) -> DualEncoder:
+    """Fold every site into the frozen weights: ``fold_scalings`` of the sites' scaling map."""
+    return fold_scalings(model, build_scaling_map(sites))
 
 
 # ------------------------------------------------------------------

@@ -375,7 +375,7 @@ def log(a: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     x = a.data
-    inner = _erf(x * np.float64(0.7071067811865476)).astype(x.dtype)
+    inner = _erf(x * np.float64(0.7071067811865476)).astype(x.dtype, copy=False)
     out = 0.5 * x * (1.0 + inner)
 
     def vjp(g):  # the normal pdf is only needed here, so untaped passes skip it

@@ -9,6 +9,7 @@ MAIL_SEED environment variable, then 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -21,7 +22,7 @@ from .agents import CouplingMode, bridge_norm, build_scaling_map, fuse_model
 from .autodiff import NonFiniteError, Tensor
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, parse_config
-from .encoder import image_forward, init_dual_encoder, text_forward
+from .encoder import DualEncoder, image_forward, init_dual_encoder, text_forward
 from .state import pack_dataset, pack_state, unpack_dataset, unpack_state
 from .training import (
     METRICS_HEADER,
@@ -189,11 +190,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _gradcheck_reports(run_cfg: RunConfig, seed: int) -> list[CheckReport]:
-    """Gradient fidelity on a small f64 model driven by the full objective."""
+def _gradcheck_reports(run_cfg: RunConfig, seed: int, frozen: DualEncoder | None = None) -> list[CheckReport]:
+    """Gradient fidelity on the frozen model (built unless given) cast to f64, driven by the full objective."""
     enc = run_cfg.encoder
     t = run_cfg.training
-    model = _build_model(run_cfg, seed).astype(np.float64)
+    model = (_build_model(run_cfg, seed) if frozen is None else frozen).astype(np.float64)
     sites = run_cfg.sites(rngmod.derive(seed, "gradcheck-sites"), np.float64)
     randomize_sites(sites, rngmod.derive(seed, "gradcheck-perturb"))
 
@@ -246,9 +247,10 @@ def cmd_check(args) -> int:
     worst = max(reps, key=lambda r: r.worst_error, default=blank)
     reports.append(replace(worst, trials=sum(r.trials for r in reps), seed=seed))
 
-    # fusion equivalence with randomized agents, both precisions
+    # fusion equivalence with randomized agents, both precisions, on one frozen model cast to each
+    frozen = _build_model(run_cfg, seed)
     for label, tol in FUSION_TOL.items():
-        model = _build_model(run_cfg, seed).astype(replace(run_cfg, precision=label).dtype)
+        model = frozen.astype(replace(run_cfg, precision=label).dtype)
         worst_err = 0.0
         for trial in range(args.fusion_trials):
             sites = run_cfg.sites(rngmod.derive(seed, "check-fusion-sites", label, trial), model.dtype)
@@ -265,7 +267,7 @@ def cmd_check(args) -> int:
             )
         )
 
-    reports.extend(_gradcheck_reports(run_cfg, seed))
+    reports.extend(_gradcheck_reports(run_cfg, seed, frozen))
     reports.append(check_counter_agreement(*run_cfg.layout, seed=seed))
 
     for r in reports:
@@ -311,7 +313,9 @@ def cmd_report_norms(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="mailpp",
         description="Agent-layer adaptation on a toy dual encoder: train, fold, verify.",

@@ -6,14 +6,22 @@ hooked and folded models side by side; the closed-form parameter
 counter never instantiates a site, so it can be cross-checked against
 an enumeration of actually allocated arrays.
 
+The identity and fusion checks do each piece of work once. The identity
+check draws one input batch per model and runs the frozen passes once,
+then only the hooked passes per coupling mode. The fusion check builds
+the sites' scaling map once; the hooked passes read it and
+``fold_scalings`` folds it, so each site's bridge products are computed
+once per trial.
+
 The finite differences run on a leading trial axis: each objective call
-takes a stack of up to ``FD_TRIALS`` perturbed parameter points (flat, in
-``named_params`` order) and returns one loss per point. ``gradient_check``
-hands each stack to the same ``loss_of_params`` that the tape
-differentiates, as ``name -> (K, *shape)`` Tensors, and the encoders and
-losses carry the trial axis through (one agent-value set per trial). ``tests/test_verify.py`` ties the stacked
-objective to the per-point one: row k of a stacked call equals an
-unstacked call at point k.
+takes a stack of up to ``FD_TRIALS`` (128) perturbed parameter points
+(flat, in ``named_params`` order) and returns one loss per point, so the
+624 evaluations of the benchmark's check config take 5 calls.
+``gradient_check`` hands each stack to the same ``loss_of_params`` that
+the tape differentiates, as ``name -> (K, *shape)`` Tensors, and the
+encoders and losses carry the trial axis through (one agent-value set per
+trial). ``tests/test_verify.py`` ties the stacked objective to the
+per-point one: row k of a stacked call equals an unstacked call at point k.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .agents import (
     build_scaling_map,
     build_sites,
     flat_views,
-    fuse_model,
+    fold_scalings,
     named_params,
     trainable_param_count,
 )
@@ -62,7 +70,7 @@ CHECK_CSV_HEADER = "name,passed,worst_error,tolerance,trials,seed,detail"
 
 PARAM_CLASSES = ("a", "b", "w_up", "w_down", "a_m")
 
-FD_TRIALS = 64  # perturbed points per objective call of finite_diff_grad
+FD_TRIALS = 128  # perturbed points per objective call of finite_diff_grad
 
 FUSION_TOL = {"f64": 1e-10, "f32": 1e-5}  # dual-path fusion tolerance per precision
 
@@ -206,22 +214,25 @@ def check_identity_at_init(
     rank: int = 2,
     d_m: int = 4,
 ) -> CheckReport:
-    """Hooked output must equal frozen output bit for bit with fresh sites."""
+    """Hooked output must equal frozen output bit for bit with fresh sites.
+
+    One batch of ``n_inputs`` inputs and one frozen pass per modality serve
+    every mode; each mode runs only its hooked passes.
+    """
     worst = 0.0
     trials = 0
     detail = ""
-    gen = rngmod.derive(seed, "identity-inputs")
+    tokens, patches = _random_batch(model.cfg, rngmod.derive(seed, "identity-inputs"), model.dtype, n_inputs)
+    modes = tuple(modes) if tokens else ()
+    if modes:
+        plain_t = text_forward(tokens, model).data
+        plain_v = image_forward(patches, model).data
     for mode in modes:
         sites = build_sites(
             model.cfg, CouplingMode(mode), rank, d_m, rngmod.derive(seed, "identity-sites", str(mode)), model.dtype
         )
         scalings = build_scaling_map(sites)
-        tokens, patches = _random_batch(model.cfg, gen, model.dtype, n_inputs)
-        if not tokens:
-            continue
-        plain_t = text_forward(tokens, model).data
         hooked_t = text_forward(tokens, model, scalings).data
-        plain_v = image_forward(patches, model).data
         hooked_v = image_forward(patches, model, scalings).data
         err = max(
             float(np.max(np.abs(plain_t - hooked_t))),
@@ -263,11 +274,13 @@ def check_fusion_equivalence(
 ) -> CheckReport:
     """Dual-path oracle: hooked forward vs folded forward on random inputs.
 
-    A given ``fused`` model is checked as is; only when it fails is the
-    model folded again, to name the first tensor that differs.
+    The sites' scaling map is built once; both the hooked passes and the
+    fold (``fold_scalings``) read it. A given ``fused`` model is checked as
+    is; only when it fails is the map folded, to name the first tensor
+    that differs.
     """
-    target = fused if fused is not None else fuse_model(model, sites)
     scalings = build_scaling_map(sites)
+    target = fused if fused is not None else fold_scalings(model, scalings)
     tokens, patches = _random_batch(model.cfg, rngmod.derive(seed, "fusion-inputs"), model.dtype, n_inputs)
     worst = 0.0
     detail = ""
@@ -278,7 +291,7 @@ def check_fusion_equivalence(
         fused_v = image_forward(patches, target).data
         worst = max(relative_error(hooked_t, fused_t), relative_error(hooked_v, fused_v))
     if worst > tol and fused is not None:
-        bad = _locate_fused_mismatch(fuse_model(model, sites), fused)
+        bad = _locate_fused_mismatch(fold_scalings(model, scalings), fused)
         if bad:
             detail = f"fused tensor mismatch at {bad}"
     return CheckReport(

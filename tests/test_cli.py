@@ -287,6 +287,44 @@ def test_check_at_the_benchmark_config_passes_every_report(tmp_path, capsys):
     assert list(reports) == list(BENCH_CHECK_TRIALS)
 
 
+def test_check_at_the_benchmark_config_prints_the_same_for_any_stack_size(tmp_path, capsys, monkeypatch):
+    """The finite-difference stack size (points per objective call) moves no digit of the report here."""
+    import mailpp.verify
+
+    spec = json.loads(WORKLOADS.read_text(encoding="utf-8"))
+    cfg = tmp_path / "check.json"
+    cfg.write_text(json.dumps(spec["check_config"]))
+    assert mailpp.verify.FD_TRIALS == 128
+    outputs = {}
+    for trials in (64, 128):
+        monkeypatch.setattr(mailpp.verify, "FD_TRIALS", trials)
+        for seed in range(16):
+            assert run(["check", "--config", str(cfg), "--seed", str(seed), *spec["check_flags"]]) == 0
+            outputs[trials, seed] = capsys.readouterr().out
+    for seed in range(16):
+        assert outputs[64, seed] == outputs[128, seed], seed
+
+
+def test_the_reused_parser_carries_nothing_from_one_call_to_the_next(tmp_path, capsys, monkeypatch):
+    spec = json.loads(WORKLOADS.read_text(encoding="utf-8"))
+    cfg = tmp_path / "check.json"
+    cfg.write_text(json.dumps(spec["check_config"]))  # no seed in the config
+    argv = ["check", "--config", str(cfg), "--models", "1", "--fusion-trials", "1"]
+
+    def printed_seeds():
+        return {int(m.group(4)) for m in map(REPORT_LINE.fullmatch, capsys.readouterr().out.splitlines())}
+
+    assert run([*argv, "--seed", "3"]) == 0
+    assert printed_seeds() == {3}
+    monkeypatch.setenv("MAIL_SEED", "7")
+    assert run(argv) == 0
+    assert printed_seeds() == {7}  # the earlier --seed is gone
+    with pytest.raises(SystemExit) as exc:
+        run(["check", "--models", "1"])  # --config is missing
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err
+
+
 def _fuzz_config(gen, i: int) -> dict:
     """A small valid config: L 1-2, 1-2 heads, mode i % 4, random positions, either precision."""
     mode = list(CouplingMode)[i % 4]

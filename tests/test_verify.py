@@ -21,6 +21,10 @@ from mailpp.verify import (
 
 FULL_SCALE = EncoderConfig(L=12, d_t=512, d_v=768, n_heads=8, N_t=16, N_v=16, vocab_size=1024)
 TINY_SCALE = EncoderConfig(L=1, d_t=2, d_v=2, n_heads=1, N_t=4, N_v=3, vocab_size=8)
+# every coupling mode, and every coupled one with shift bridges
+_COUPLINGS = [(mode, False) for mode in CouplingMode] + [
+    (mode, True) for mode in CouplingMode if mode != CouplingMode.IVLU
+]
 
 
 # ------------------------------------------------------------------
@@ -166,13 +170,13 @@ def _count_folds(monkeypatch):
     import mailpp.verify
 
     calls = []
-    real = mailpp.verify.fuse_model
+    real = mailpp.verify.fold_scalings
 
-    def counting_fuse(model, sites):
+    def counting_fold(model, scalings):
         calls.append(1)
-        return real(model, sites)
+        return real(model, scalings)
 
-    monkeypatch.setattr(mailpp.verify, "fuse_model", counting_fuse)
+    monkeypatch.setattr(mailpp.verify, "fold_scalings", counting_fold)
     return calls
 
 
@@ -190,6 +194,68 @@ def test_fusion_check_folds_no_reference_for_a_passing_given_model(monkeypatch):
     rep = check_fusion_equivalence(model, sites, n_inputs=4, tol=1e-10, seed=9, fused=fused)
     assert not rep.passed and "frozen/image/proj/b" in rep.detail
     assert len(calls) == 2  # a failure folds the reference once, to name the tensor
+
+
+def _count_effective(monkeypatch):
+    from mailpp.agents import CoupledAgentSite
+
+    calls = []
+    real = CoupledAgentSite.effective
+
+    def counting_effective(self, values=None):
+        calls.append(self.key)
+        return real(self, values)
+
+    monkeypatch.setattr(CoupledAgentSite, "effective", counting_effective)
+    return calls
+
+
+def test_fusion_check_computes_each_sites_vectors_once(monkeypatch):
+    model = random_toy_model(6, np.float64)
+    sites = build_sites(model.cfg, CouplingMode.BIDIRECTIONAL, 2, 4, rng.derive(10, "s"), np.float64, True)
+    randomize_sites(sites, rng.derive(11, "p"))
+    fused = fuse_model(model, sites)
+    folds, effective = _count_folds(monkeypatch), _count_effective(monkeypatch)
+    assert check_fusion_equivalence(model, sites, n_inputs=3, tol=1e-10, seed=12).passed
+    assert len(folds) == 1 and effective == list(sites)  # one map, folded once
+    fused.arrays["frozen/text/final_ln/beta"][0] += 0.25
+    del folds[:], effective[:]
+    rep = check_fusion_equivalence(model, sites, n_inputs=3, tol=1e-10, seed=12, fused=fused)
+    assert not rep.passed and "frozen/text/final_ln/beta" in rep.detail
+    assert len(folds) == 1 and effective == list(sites)  # the failure folds the same map to name the tensor
+
+
+@pytest.mark.parametrize("mode,bridge_shift", _COUPLINGS, ids=[f"{m.value}-shift{int(s)}" for m, s in _COUPLINGS])
+def test_fuse_model_is_fold_scalings_of_the_scaling_map(mode, bridge_shift):
+    from mailpp.agents import build_scaling_map, fold_scalings
+
+    model = random_toy_model(7, np.float64)
+    sites = build_sites(model.cfg, mode, 2, 4, rng.derive(13, "s"), np.float64, bridge_shift)
+    randomize_sites(sites, rng.derive(14, "p"))
+    want = fuse_model(model, sites).arrays
+    got = fold_scalings(model, build_scaling_map(sites)).arrays
+    assert list(got) == list(want)
+    for name, arr in want.items():
+        assert got[name].dtype == arr.dtype and got[name].tobytes() == arr.tobytes(), name
+        assert not np.shares_memory(got[name], model.arrays[name]), name
+
+
+def test_identity_check_runs_the_frozen_passes_once_per_model(monkeypatch):
+    import mailpp.verify
+
+    calls = {"text_forward": [0, 0], "image_forward": [0, 0]}  # [unhooked, hooked]
+    for forward in calls:
+        real = getattr(mailpp.verify, forward)
+
+        def counting(inputs, model, scalings=None, real=real, count=calls[forward]):
+            count[scalings is not None] += 1
+            return real(inputs, model, scalings)
+
+        monkeypatch.setattr(mailpp.verify, forward, counting)
+    modes = tuple(CouplingMode)
+    rep = check_identity_at_init(random_toy_model(8, np.float64), modes, n_inputs=3, seed=2)
+    assert calls == {"text_forward": [1, len(modes)], "image_forward": [1, len(modes)]}
+    assert rep.passed and rep.worst_error == 0.0 and rep.trials == 3 * len(modes) and rep.detail == ""
 
 
 @pytest.mark.parametrize("forward", ["text_forward", "image_forward"])
@@ -345,11 +411,6 @@ def _objective_setup(seed, dtype, mode, bridge_shift, max_blocks=4, positions=AL
     labels = np.asarray([0, 2, 1])
     x0 = np.concatenate([arr.reshape(-1) for _, arr in named_params(sites)]).astype(np.float64)
     return _objective(model, sites, tokens, images, labels), x0, sites
-
-
-_COUPLINGS = [(mode, False) for mode in CouplingMode] + [
-    (mode, True) for mode in CouplingMode if mode != CouplingMode.IVLU
-]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
