@@ -20,7 +20,7 @@ import numpy as np
 from . import rng as rngmod
 from .agents import CouplingMode, bridge_norm, build_scaling_map, fuse_model
 from .autodiff import NonFiniteError, Tensor
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, write_atomic
 from .config import ConfigError, RunConfig, parse_config
 from .encoder import DualEncoder, image_forward, init_dual_encoder, text_forward
 from .state import pack_dataset, pack_state, unpack_dataset, unpack_state
@@ -86,7 +86,7 @@ def _build_model(run_cfg: RunConfig, seed: int):
 
 def _write(path: str, text: str) -> None:
     _ensure_parent(path)
-    Path(path).write_text(text, encoding="utf-8")
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _ensure_parent(path: str) -> None:

@@ -138,6 +138,8 @@ class DualEncoder:
         return self.arrays["frozen/text/pos"].dtype
 
     def astype(self, dtype) -> "DualEncoder":
+        if np.dtype(dtype) == self.dtype:  # as numpy's copy=False: no copy of a model already in dtype
+            return self
         return DualEncoder(self.cfg, {name: arr.astype(dtype) for name, arr in self.arrays.items()})
 
     def frozen_digest(self) -> str:

@@ -172,6 +172,99 @@ def test_failed_save_leaves_the_old_file_and_no_temp_file(tmp_path, monkeypatch)
     assert [p.name for p in tmp_path.iterdir()] == ["t.bin"]
 
 
+# the layout written out by hand from the module docstring, not by the writer:
+# (name, dtype tag, struct code, shape, values in C order)
+_PINNED = [
+    ("w", 0, "f", (2, 3), [0.5, -1.25, 2.0, 3.75, -0.0, 1024.0]),
+    ("σ", 1, "d", (), [-2.5]),
+    ("vecteur/é", 1, "d", (4,), [1.0, 0.1, -3.0e-300, 7.0]),
+]
+_PINNED_DOC = {"note": "é", "kind": "test", "n": 1}
+_PINNED_CONFIG = b'{"kind":"test","n":1,"note":"\\u00e9"}'
+
+
+def _pinned_bytes() -> bytes:
+    out = b"MAILCKPT" + struct.pack("<II", 1, len(_PINNED))
+    for name, tag, code, shape, values in _PINNED:
+        raw = name.encode("utf-8")
+        out += struct.pack("<H", len(raw)) + raw + struct.pack("<BB", tag, len(shape))
+        out += b"".join(struct.pack("<I", n) for n in shape)
+        out += b"".join(struct.pack("<" + code, v) for v in values)
+    return out + struct.pack("<I", len(_PINNED_CONFIG)) + _PINNED_CONFIG
+
+
+def test_writer_and_reader_follow_the_documented_layout_byte_for_byte(tmp_path):
+    dtypes = {"f": np.float32, "d": np.float64}
+    tensors = {name: np.asarray(values, dtypes[code]).reshape(shape) for name, _, code, shape, values in _PINNED}
+    path = tmp_path / "pinned.bin"
+    save_checkpoint(path, tensors, _PINNED_DOC)
+    assert path.read_bytes() == _pinned_bytes()
+
+    path.write_bytes(_pinned_bytes())
+    loaded, doc = load_checkpoint(path)
+    assert doc == _PINNED_DOC
+    assert list(loaded) == [name for name, *_ in _PINNED]
+    for name, _, code, shape, values in _PINNED:
+        arr = loaded[name]
+        assert arr.dtype == dtypes[code] and arr.shape == shape
+        assert arr.reshape(-1).tolist() == values
+
+
+def test_loaded_arrays_are_aligned_writable_native_and_their_own(tmp_path):
+    run_cfg, model, sites, opt = _full_state()
+    tensors, doc = pack_state(model, sites, opt, run_cfg, seed=3)
+    tensors = {**tensors, "s": np.asarray(1.5), "odd": np.arange(3.0), "none": np.zeros((0, 2), np.float32)}
+    path = tmp_path / "s.bin"
+    save_checkpoint(path, tensors, doc)
+    loaded, _ = load_checkpoint(path)
+    arrays = list(loaded.values())
+    for name, arr in loaded.items():
+        assert arr.flags.aligned and arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata, name
+        assert arr.dtype.isnative and arr.dtype == tensors[name].dtype, name
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
+def _field_ends(tensors: dict, config: bytes) -> list[tuple[int, str]]:
+    """(end offset, field) for every field of the layout, in file order."""
+    fields = [(8, "magic"), (4, "version"), (4, "tensor count")]
+    for i, (name, arr) in enumerate(tensors.items()):
+        fields += [
+            (2, f"name length of tensor {i}"),
+            (len(name.encode("utf-8")), f"name of tensor {i}"),
+            (1, f"dtype of tensor {name!r}"),
+            (1, f"rank of tensor {name!r}"),
+            (4 * arr.ndim, f"dims of tensor {name!r}"),
+            (arr.nbytes, f"values of tensor {name!r}"),
+        ]
+    fields += [(4, "config length"), (len(config), "config document")]
+    ends, end = [], 0
+    for size, what in fields:
+        end += size
+        ends.append((end, what))
+    return ends
+
+
+def test_every_truncation_names_the_field_it_cuts(tmp_path):
+    tensors = {
+        "w": np.arange(6, dtype=np.float32).reshape(2, 3),
+        "s": np.asarray(1.5),
+        "v": np.linspace(-1.0, 1.0, 4),
+    }
+    path = tmp_path / "t.bin"
+    save_checkpoint(path, tensors, {"kind": "test", "n": 1})
+    blob = path.read_bytes()
+    ends = _field_ends(tensors, b'{"kind":"test","n":1}')
+    assert ends[-1][0] == len(blob)
+    for cut in range(len(blob)):
+        what = next(what for end, what in ends if cut < end)  # the field holding the first missing byte
+        path.write_bytes(blob[:cut])
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"truncated file while reading {what}", cut
+
+
 # ------------------------------------------------------------------
 # full state round trips
 

@@ -546,6 +546,34 @@ def test_report_norms_prints_the_bytes_it_writes_with_out(trained, tmp_path, cap
     assert capsys.readouterr().out == out.read_text()
 
 
+@pytest.mark.parametrize("command", ["train", "check", "report-norms"])
+def test_a_failed_csv_write_leaves_the_old_file_and_no_temp_file(trained, tmp_path, capsys, monkeypatch, command):
+    import mailpp.checkpoint
+
+    cfg, data, ckpt = trained
+    csv = tmp_path / ("t.ckpt.metrics.csv" if command == "train" else "out.csv")
+    csv.write_bytes(b"an earlier table\n")
+    real_replace = mailpp.checkpoint.os.replace
+
+    def broken_replace(src, dst):
+        if str(dst).endswith(".csv"):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(mailpp.checkpoint.os, "replace", broken_replace)
+    argv = {
+        "train": ["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "t.ckpt")],
+        "check": ["check", "--config", cfg, "--models", "0", "--fusion-trials", "0", "--csv", str(csv)],
+        "report-norms": ["report-norms", "--ckpt", ckpt, "--out", str(csv)],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert csv.read_bytes() == b"an earlier table\n"
+    written = {"t.ckpt", csv.name} if command == "train" else {csv.name}
+    assert {p.name for p in tmp_path.iterdir()} == written
+
+
 def test_eval_of_a_split_with_no_samples_left_exits_1(tmp_path, capsys):
     doc = dict(MICRO_CONFIG, training=dict(MICRO_CONFIG["training"], steps=2))
     doc["training"]["shots"] = doc["data"]["pool_per_class"]  # every base sample is a training shot

@@ -129,6 +129,21 @@ def _edit_in_place(model):
     model.arrays["frozen/image/cls"][0] += 1.0
 
 
+def test_astype_to_the_models_own_dtype_is_the_model_itself(tiny_cfg):
+    model = init_dual_encoder(tiny_cfg, rng.derive(11, "tiny-model"), np.float64)
+    assert model.astype(model.dtype) is model
+    assert model.astype(np.float64) is model
+    cast = model.astype(np.float32)
+    assert cast is not model and cast.dtype == np.float32
+    back = cast.astype(np.float64)
+    for name, arr in model.arrays.items():
+        assert cast.arrays[name].dtype == np.float32
+        assert np.array_equal(cast.arrays[name], arr.astype(np.float32))
+        assert back.arrays[name].dtype == np.float64
+        assert not np.shares_memory(cast.arrays[name], arr)
+        assert not np.shares_memory(back.arrays[name], cast.arrays[name])
+
+
 def test_in_place_weight_edit_after_a_forward_pass_shows_through(tiny_cfg):
     gen = rng.derive(12, "inputs")
     tokens = [1, 3, 5]
