@@ -66,6 +66,7 @@ __all__ = [
     "CouplingMode",
     "SiteKey",
     "CoupledAgentSite",
+    "site_shapes",
     "build_sites",
     "build_scaling_map",
     "named_params",
@@ -227,6 +228,42 @@ class CoupledAgentSite:
 # construction
 
 
+def site_shapes(
+    cfg: EncoderConfig,
+    mode: CouplingMode,
+    rank: int,
+    d_m: int,
+    bridge_shift: bool = False,
+    positions: tuple[Position, ...] = ALL_POSITIONS,
+) -> dict[SiteKey, dict[str, tuple[int, ...]]]:
+    """Every requested site's local name -> shape table, sites in canonical order, names in table order."""
+    mode = CouplingMode(mode)
+    for p in positions:
+        if p not in ALL_POSITIONS:
+            raise ValueError(f"unknown position {p!r}")
+    if d_m < 1:
+        raise ValueError("d_m must be positive")
+    keys = [SiteKey(i, p) for i in range(cfg.L) for p in BLOCK_POSITIONS if p in positions]
+    keys += [SiteKey(None, p) for p in FINAL_POSITIONS if p in positions]
+
+    names = _local_names(mode, bridge_shift)
+    bridges = {field: (side, source) for field, side, source in _BRIDGES[mode]}
+    layout: dict[SiteKey, dict[str, tuple[int, ...]]] = {}
+    for key in keys:
+        widths = {"image": cfg.hook_width("image", key.pos), "text": cfg.hook_width("text", key.pos), "meta": d_m}
+        shapes: dict[str, tuple[int, ...]] = {}
+        for name in names:
+            head, kind = name.rsplit("/", 1)
+            head = head.removeprefix("shift_")
+            if kind in ("w_up", "w_down"):
+                side, source = bridges[head]
+                shapes[name] = (widths[side], rank) if kind == "w_up" else (rank, widths[source])
+            else:  # an agent vector of side `head`, or the meta vector
+                shapes[name] = (widths[head],)
+        layout[key] = shapes
+    return layout
+
+
 def build_sites(
     cfg: EncoderConfig,
     mode: CouplingMode,
@@ -237,34 +274,21 @@ def build_sites(
     bridge_shift: bool = False,
     positions: tuple[Position, ...] = ALL_POSITIONS,
 ) -> dict[SiteKey, CoupledAgentSite]:
-    """Freshly initialized sites for every requested position, in canonical order.
+    """Freshly initialized sites of the ``site_shapes`` layout.
 
     Agents start at a = 1, b = 0, meta vectors at 1, every W_up at 0; each
     W_down is drawn with std 1/sqrt(in_dim), site by site in table order.
     """
     mode = CouplingMode(mode)
-    for p in positions:
-        if p not in ALL_POSITIONS:
-            raise ValueError(f"unknown position {p!r}")
-    if d_m < 1:
-        raise ValueError("d_m must be positive")
-    keys = [SiteKey(i, p) for i in range(cfg.L) for p in BLOCK_POSITIONS if p in positions]
-    keys += [SiteKey(None, p) for p in FINAL_POSITIONS if p in positions]
-
     sites: dict[SiteKey, CoupledAgentSite] = {}
-    for key in keys:
-        widths = {"image": cfg.hook_width("image", key.pos), "text": cfg.hook_width("text", key.pos), "meta": d_m}
+    for key, shapes in site_shapes(cfg, mode, rank, d_m, bridge_shift, positions).items():
         arrays = {}
-        for side in ("image", "text"):
-            arrays[f"{side}/a"] = np.ones(widths[side], dtype=dtype)
-            arrays[f"{side}/b"] = np.zeros(widths[side], dtype=dtype)
-        for prefix, meta_name in _COUPLED_PAIRS[: 1 + bridge_shift]:
-            if _has_meta(mode):
-                arrays[meta_name] = np.ones(d_m, dtype=dtype)
-            for field, side, source in _BRIDGES[mode]:
-                n_in = widths[source]
-                arrays[f"{prefix}{field}/w_up"] = np.zeros((widths[side], rank), dtype=dtype)
-                arrays[f"{prefix}{field}/w_down"] = (rng.standard_normal((rank, n_in)) / np.sqrt(n_in)).astype(dtype)
+        for name, shape in shapes.items():
+            kind = name.rsplit("/", 1)[1]
+            if kind == "w_down":
+                arrays[name] = (rng.standard_normal(shape) / np.sqrt(shape[1])).astype(dtype)
+            else:
+                arrays[name] = (np.zeros if kind in ("b", "w_up") else np.ones)(shape, dtype=dtype)
         sites[key] = CoupledAgentSite(key=key, mode=mode, bridge_shift=bridge_shift, arrays=arrays)
     return sites
 

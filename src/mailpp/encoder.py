@@ -30,19 +30,22 @@ sequence or a list of them. A text batch is right-padded to its longest
 sequence and each row is read at its own last token; the causal mask makes
 this exact (see ``text_forward``).
 
-Weights are frozen: plain numpy arrays, never registered on a tape, and
-never given gradients. The model keeps them in one read-only table,
-``DualEncoder.arrays``: checkpoint name -> array, text first and then
-image, each in the order of ``weight_shapes``, which is the only statement
-of the layout. Every name says its modality (``frozen/text/...``,
-``frozen/image/...``), and each forward pass reads only the names of its
-own. Neither the table nor an entry of it can be rebound. Building a model
-checks every weight for NaN/Inf once and names the first bad one; the
-forward passes then hand the arrays themselves to ``linear`` and
-``layernorm``, which take frozen operands as numpy arrays. An in-place
-write to a weight array shows in the next forward pass, and a non-finite
-value written that way is caught by the finite check on the output of the
-primitive that reads it.
+The readout reads one row per input, so the last block keeps only that row
+right after its attention residual and runs its MLP half (LN2, hook 1b,
+fc1, GELU, fc2, hook 3, residual) on it alone. That is exact: those steps
+act on each row by itself, and nothing after them reads another row.
+Attention and every earlier block run on all rows, as attention mixes them.
+
+Weights are frozen: plain numpy arrays, never on a tape, never given
+gradients, kept in one read-only table, ``DualEncoder.arrays``: checkpoint
+name -> array, text then image, each in ``weight_shapes`` order (the one
+statement of the layout). Each name says its modality, and each forward
+pass reads only its own. Neither the table nor an entry can be rebound.
+Building a model checks every weight for NaN/Inf once and names the first
+bad one; the passes hand the arrays themselves to ``linear`` and
+``layernorm``. An in-place write to a weight shows in the next pass, and a
+non-finite value written that way is caught by the finite check on the
+output of the primitive that reads it.
 """
 
 from __future__ import annotations
@@ -240,13 +243,13 @@ def init_dual_encoder(cfg: EncoderConfig, rng: np.random.Generator, dtype=np.flo
 
 def _blocks_forward(
     x: Tensor,
+    index: int | np.ndarray,
     model: DualEncoder,
     m: Modality,
     mask: np.ndarray | None,
     scalings: ScalingMap | None,
 ) -> Tensor:
-    cfg, t = model.cfg, model.arrays
-    eps = cfg.eps
+    cfg, t, eps = model.cfg, model.arrays, model.cfg.eps
     for i in range(cfg.L):
         p = f"frozen/{m}/block{i}/"
         h = ad.layernorm(x, t[p + "ln1/gamma"], t[p + "ln1/beta"], eps)
@@ -258,6 +261,8 @@ def _blocks_forward(
         o = ad.linear(ctx, t[p + "attn/o/w"], t[p + "attn/o/b"])
         o = _apply_hook(o, (m, i, "2"), scalings)
         x = ad.add(x, o)
+        if i == cfg.L - 1:  # the readout rows: the rest of the last block acts per row
+            x = ad.row(x, index)
         h2 = ad.layernorm(x, t[p + "ln2/gamma"], t[p + "ln2/beta"], eps)
         h2 = _apply_hook(h2, (m, i, "1b"), scalings)
         u = ad.linear(h2, t[p + "mlp/fc1/w"], t[p + "mlp/fc1/b"])
@@ -268,17 +273,9 @@ def _blocks_forward(
     return x
 
 
-def _readout(
-    x: Tensor,
-    index: int | np.ndarray,
-    model: DualEncoder,
-    m: Modality,
-    scalings: ScalingMap | None,
-) -> Tensor:
-    t = model.arrays
-    p = f"frozen/{m}/"
-    feat = ad.row(x, index)
-    feat = ad.layernorm(feat, t[p + "final_ln/gamma"], t[p + "final_ln/beta"], model.cfg.eps)
+def _readout(x: Tensor, model: DualEncoder, m: Modality, scalings: ScalingMap | None) -> Tensor:
+    t, p = model.arrays, f"frozen/{m}/"
+    feat = ad.layernorm(x, t[p + "final_ln/gamma"], t[p + "final_ln/beta"], model.cfg.eps)
     feat = _apply_hook(feat, (m, None, "4"), scalings)
     feat = ad.linear(feat, t[p + "proj/w"], t[p + "proj/b"])
     feat = _apply_hook(feat, (m, None, "5"), scalings)
@@ -333,8 +330,8 @@ def text_forward(tokens, model: DualEncoder, scalings: ScalingMap | None = None)
             last = np.broadcast_to(last, trials + last.shape)
     x = Tensor(x)
     mask = ad.causal_mask(n, pos.dtype)
-    x = _blocks_forward(x, model, "text", mask, scalings)
-    return _readout(x, last, model, "text", scalings)
+    x = _blocks_forward(x, last, model, "text", mask, scalings)
+    return _readout(x, model, "text", scalings)
 
 
 def image_forward(patch_tokens, model: DualEncoder, scalings: ScalingMap | None = None) -> Tensor:
@@ -358,6 +355,6 @@ def image_forward(patch_tokens, model: DualEncoder, scalings: ScalingMap | None 
     stacked[..., 1:, :] = patches
     stacked += pos
     x = Tensor(stacked)
-    x = _blocks_forward(x, model, "image", None, scalings)
-    return _readout(x, 0, model, "image", scalings)
+    x = _blocks_forward(x, 0, model, "image", None, scalings)
+    return _readout(x, model, "image", scalings)
 

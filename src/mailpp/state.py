@@ -11,8 +11,9 @@ the ``weight_shapes`` names of both modalities from the loaded tensors,
 after checking them, without copying. The trainable arrays are stored as
 ``agent/<site>/<local>`` in ``named_params`` order, and the optimizer's
 flat moments as ``opt/m/<site>/<local>`` and ``opt/v/<site>/<local>``,
-cut in the same order; unpacking writes the arrays into freshly built
-sites and concatenates the moments back.
+cut in the same order; unpacking builds each site from copies of its
+checked tensors, laid out by ``site_shapes`` (no random draw), and
+concatenates the moments back.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng as rngmod
-from .agents import CoupledAgentSite, SiteKey, flat_views, named_params
+from .agents import CoupledAgentSite, SiteKey, flat_views, named_params, site_shapes
 from .checkpoint import CheckpointError
 from .config import RunConfig, parse_config_doc
 from .encoder import DualEncoder, weight_shapes
@@ -123,35 +123,28 @@ def unpack_state(tensors: dict[str, np.ndarray], doc: dict) -> RestoredState:
 
     frozen = {**weight_shapes(enc, "text"), **weight_shapes(enc, "image")}
     expected = dict(frozen)
-    sites: dict[SiteKey, CoupledAgentSite] | None = None
-    has_opt = False
-    if not fused:
-        sites = run_cfg.sites(rngmod.derive(seed, "restore-sites"))
-        params = {name: arr.shape for name, arr in named_params(sites)}
-        expected.update({f"agent/{pname}": shape for pname, shape in params.items()})
-        has_opt = any(n.startswith("opt/") for n in tensors)
-        if has_opt:
-            for moment in ("m", "v"):
-                expected.update({f"opt/{moment}/{pname}": shape for pname, shape in params.items()})
+    layout = {} if fused else site_shapes(*run_cfg.layout)
+    params = {f"{key}/{local}": shape for key, shapes in layout.items() for local, shape in shapes.items()}
+    has_opt = not fused and any(n.startswith("opt/") for n in tensors)
+    for prefix in ("agent/", "opt/m/", "opt/v/")[: 3 if has_opt else 1]:
+        expected.update({prefix + pname: shape for pname, shape in params.items()})
     _check_layout(tensors, expected, run_cfg.dtype)
 
-    # the loaded arrays themselves, not copies
+    # the loaded frozen arrays themselves; the sites get copies they own
     model = DualEncoder(enc, {name: tensors[name] for name in frozen})
+    sites: dict[SiteKey, CoupledAgentSite] | None = None
     opt_state: AdamState | None = None
-    if sites is not None:
-        for name, arr in named_params(sites):
-            arr[...] = tensors[f"agent/{name}"]
+    if not fused:
+        t = run_cfg.training
+        sites = {
+            key: CoupledAgentSite(key, t.mode, t.bridge_shift, {n: tensors[f"agent/{key}/{n}"].copy() for n in shapes})
+            for key, shapes in layout.items()
+        }
         if has_opt:
             m, v = (np.concatenate([tensors[f"opt/{moment}/{name}"].reshape(-1) for name in params]) for moment in "mv")
             opt_state = AdamState(step=_field(doc, "opt_step"), m=m, v=v)
     return RestoredState(
-        run_cfg=run_cfg,
-        model=model,
-        sites=sites,
-        opt_state=opt_state,
-        seed=seed,
-        step=step,
-        fused=fused,
+        run_cfg=run_cfg, model=model, sites=sites, opt_state=opt_state, seed=seed, step=step, fused=fused
     )
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "adamw_step",
     "train",
     "evaluate",
-    "nearest_prototype_accuracy",
     "METRICS_HEADER",
 ]
 
@@ -152,16 +151,6 @@ def gen_synthetic(
         noise=noise,
         seed=seed,
     )
-
-
-def nearest_prototype_accuracy(dataset: SyntheticDataset) -> float:
-    """Closed-form probe: classify mean-patch latents by nearest prototype."""
-    C, pool = dataset.num_classes, dataset.pool_per_class
-    latents = dataset.images.mean(axis=2).reshape(C * pool, -1)
-    sims = latents @ dataset.prototypes.T
-    pred = sims.argmax(axis=1)
-    truth = np.repeat(np.arange(C), pool)
-    return float((pred == truth).mean())
 
 
 @dataclass
@@ -402,22 +391,18 @@ def evaluate(
     ``[0, len(tokens))``; anything else raises ``ValueError``.
 
     The class texts are encoded in one batched pass and the images in
-    batches sized by activation width: ``max(EVAL_BATCH, EVAL_BATCH * F0 //
-    F)`` images per ``image_forward`` call, where F is one image's MLP
-    hidden activation, (N_v + 1) * mlp_ratio * d_v, and F0 = 1,728 its value
-    at the ``EncoderConfig()`` defaults. ``linear`` runs each batch through
-    a frozen weight as one GEMM, and a batch's working set grows with
-    images * F, so this keeps it near that of 16 default-width images
-    however large the pool. Measured, BLAS on one thread:
-
-    - default widths (F = 1,728): 16 images per call; 16 and 24 ran about
-      equally fast, 8, 32 and 64 slower, and 64 raised the process's peak
-      memory by about 5% over 16;
-    - L=4, d=128 (F = 4,608): still 16; on 160 f32 images, 1,400-1,600
-      images/s against 900-1,200 at 6 and at 32;
-    - the ``oracle`` benchmark widths (L=1, d=8, N_v=4, F = 160): 172, so
-      each 32- or 48-image pool is one call, where batches of 16 made
-      overhead-bound calls.
+    batches of ``max(EVAL_BATCH, EVAL_BATCH * F0 // F)`` per ``image_forward``
+    call, where F is one image's MLP activation in a block before the last,
+    (N_v + 1) * mlp_ratio * d_v, and F0 = 1,728 its value at the defaults. A
+    batch's working set grows with images * F, so this keeps it near that of
+    16 default-width images however large the pool; at L = 1 the last block
+    runs its MLP on the class token alone, so there it is an upper bound.
+    Measured with every MLP on all rows, BLAS on one thread: at default
+    widths 16 and 24 images per call ran about equally fast, 8, 32 and 64
+    slower, and 64 raised peak memory about 5%; at L=4, d=128 (F = 4,608,
+    still 16 per call), 1,400-1,600 f32 images/s against 900-1,200 at 6 and
+    at 32; at the ``oracle`` widths (F = 160) the rule gives 172, so each
+    pool is one call, where batches of 16 made overhead-bound calls.
     """
     if np.ndim(images) != 3 or len(images) == 0:
         raise ValueError(f"evaluate: images must be a non-empty (B, N_v, d_v) batch, got shape {np.shape(images)}")

@@ -347,6 +347,29 @@ def test_unpacked_model_uses_the_loaded_arrays_in_layout_order():
     assert all(arrays[name] is tensors[name] for name in arrays)
 
 
+@pytest.mark.parametrize("mode", list(CouplingMode))
+def test_unpack_state_makes_no_random_draw_and_repacks_to_the_same_bytes(monkeypatch, mode):
+    import mailpp.agents
+    import mailpp.config
+
+    run_cfg, model, sites, opt = _full_state(mode=mode)
+    tensors, doc = pack_state(model, sites, opt, run_cfg, seed=3, step=17)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("unpack_state drew random numbers")
+
+    for module, name in ((rng, "derive"), (mailpp.agents, "build_sites"), (mailpp.config, "build_sites")):
+        monkeypatch.setattr(module, name, no_draw)
+    restored = unpack_state(tensors, doc)
+    repacked, doc2 = pack_state(
+        restored.model, restored.sites, restored.opt_state, restored.run_cfg, restored.seed, restored.step
+    )
+    assert doc2 == doc and list(repacked) == list(tensors)
+    assert all(repacked[name].tobytes() == tensors[name].tobytes() for name in tensors)
+    for name, arr in named_params(restored.sites):  # the sites own their arrays
+        assert not np.shares_memory(arr, tensors[f"agent/{name}"]), name
+
+
 def _first(tensors, prefix):
     return next(n for n in tensors if n.startswith(prefix))
 

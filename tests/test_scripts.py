@@ -1,5 +1,7 @@
-"""Smoke runs of the scripts: a two-step experiment prints its whole table, and the benchmark record."""
+"""Smoke runs of the scripts: a two-step experiment prints its whole table, the artifact digests, and the
+benchmark record."""
 
+import importlib.util
 import json
 import os
 import shutil
@@ -42,6 +44,38 @@ def test_flow_direction_ablation_prints_one_row_per_mode():
     assert _labels(lines[2:6]) == ["ivlu", "text_to_image", "image_to_text", "bidirectional"]
     assert lines[6].split()[:2] == ["coupling", "norms:"]
     assert len(lines) == 7
+
+
+def test_artifact_digests_prints_the_same_lines_in_any_directory(tmp_path, monkeypatch, capsys):
+    # in process, with every config shrunk to the benchmark's check-config widths: at full width one run at
+    # --steps 2 takes about 8 s
+    spec = importlib.util.spec_from_file_location("artifact_digests", ROOT / "scripts" / "artifact_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    encoder = {"L": 1, "d_t": 4, "d_v": 4, "n_heads": 2, "N_t": 4, "N_v": 4}
+    tiny = {"rank": 2, "d_m": 4, "classes": 4}
+    configs = {}
+    for name, doc in script.CONFIGS.items():
+        configs[name] = {**doc, "encoder": encoder, "training": {**doc["training"], **tiny}}
+    monkeypatch.setattr(script, "CONFIGS", configs)
+    first, second = [], []
+    for side, lines in (("a", first), ("b", second)):
+        script.main([str(tmp_path / side), "--steps", "2"])
+        lines += capsys.readouterr().out.splitlines()
+    assert first == second
+    rows = [line.split() for line in first]
+    assert all(len(row) == 3 and len(row[2]) == 64 for row in rows)
+    artifacts = {}
+    for config, name, _ in rows:
+        artifacts.setdefault(config, []).append(name)
+    assert list(artifacts) == ["default", "shift-bidirectional", "shift-text_to_image"]
+    common = ["check.csv", "check.stdout", "config.json", "dataset.bin"]
+    common += [f"eval-{c}-{s}.stdout" for c in ("fused", "trained") for s in ("base", "novel")]
+    common += ["fuse.stdout", "fused.ckpt", "gen-data.stdout", "train.stdout"]
+    common += ["trained.ckpt", "trained.ckpt.metrics.csv"]
+    norms = ["norms.csv", "report-norms.stdout"]  # bidirectional configs only
+    assert artifacts["default"] == artifacts["shift-bidirectional"] == sorted(common + norms)
+    assert artifacts["shift-text_to_image"] == sorted(common)
 
 
 

@@ -13,7 +13,6 @@ from mailpp.training import (
     ce_loss,
     evaluate,
     gen_synthetic,
-    nearest_prototype_accuracy,
     reg_losses,
     sample_few_shot,
     total_loss,
@@ -237,6 +236,14 @@ def test_gen_synthetic_prototypes_orthonormal():
 def test_gen_synthetic_too_many_classes():
     with pytest.raises(ValueError, match="orthogonal prototypes"):
         gen_synthetic(9, 2, 0.1, seed=0, dims=(3, 8))
+
+
+def nearest_prototype_accuracy(dataset) -> float:
+    """Closed-form probe: classify mean-patch latents by nearest prototype."""
+    C, pool = dataset.num_classes, dataset.pool_per_class
+    latents = dataset.images.mean(axis=2).reshape(C * pool, -1)
+    pred = (latents @ dataset.prototypes.T).argmax(axis=1)
+    return float((pred == np.repeat(np.arange(C), pool)).mean())
 
 
 def test_gen_synthetic_probe_separability():
