@@ -19,7 +19,8 @@ Primitives that act on the last axis (``linear``, ``layernorm``,
 ``affine``, ``gelu``, ``softmax``, ``l2_normalize``, ``add``) take any
 leading axes, ``attention_core`` takes (..., n, d) with one (n, n) mask
 for every item and runs its heads as one more batch axis, (..., H, n,
-d / H), ``row`` reads axis -2, one index for all items or one per item, and
+d / H), and with ``index`` computes one query row per item, ``row`` reads
+axis -2, one index for all items or one per item, and
 ``pick`` reads one column per row of the last two axes. That is how a whole
 batch runs as one chain of primitives. A leading trial axis goes through
 them too: ``affine`` takes one scale/shift pair per trial, (*T, w) for y of
@@ -39,6 +40,11 @@ of ``linear``, the gain and shift of ``layernorm`` and the mask of
 ``attention_core``. Nothing can put them on a tape, so ``linear`` and
 ``layernorm`` record ``x`` alone and their VJPs return its gradient only.
 
+``gelu`` is the exact erf GELU, with erf in the input's precision: an f32
+rational in plain numpy for f32, scipy's erf for f64. scipy.special is
+imported on the first f64 call, so a process that runs only f32 never
+loads it (most of a fresh process's start-up otherwise).
+
 A Tape is single-use: run the forward pass again to differentiate again.
 ``backward`` pops each record as it replays it, so the tape no longer
 reaches the graph afterwards and the step's intermediates are freed by
@@ -48,11 +54,11 @@ the cyclic garbage collector.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
 
 __all__ = [
     "Tensor",
@@ -373,16 +379,74 @@ def log(a: Tensor) -> Tensor:
     return _emit("log", np.log(ad), (a,), lambda g: (g / ad,))
 
 
+# f32 erf as x · P(x²) / Q(x²), the rational of Eigen's and XLA's f32 erf;
+# coefficients highest degree first, held as f32 scalars because numpy
+# converts a Python float anew on every call
+_ERF32_P = tuple(np.float32([
+    2.2905065861350646e-4, 3.4082910107109506e-3, 5.0955695062380861e-2, 0.18520832239976145, 1.128379143519084
+]))
+_ERF32_Q = tuple(np.float32([
+    -1.1791602954361697e-7, 2.3547966471313185e-5, 1.0179625278914885e-3, 1.4070470171167667e-2,
+    0.11098505178285362, 0.49746925110067538, 1.0,
+]))
+_F32_FOUR, _F32_ONE = np.float32(4.0), np.float32(1.0)
+_SQRT_HALF = 0.7071067811865476
+
+
+def _horner(z: np.ndarray, coeffs: tuple) -> np.ndarray:
+    """The polynomial with ``coeffs`` (highest degree first) at z, in z's precision."""
+    acc = z * coeffs[0]
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= z
+    acc += coeffs[-1]
+    return acc
+
+
+def _erf_f32(x: np.ndarray) -> np.ndarray:
+    """erf of an f32 array in f32, within 4.2e-7 of erf at every f32 input.
+
+    x is clamped to [-4, 4], outside of which erf rounds to ±1 in f32, and
+    the quotient is clipped to [-1, 1], which it passes by up to 1e-6 for
+    |x| above about 3.67. Both polynomials see only x², so erf(-x) is
+    exactly -erf(x) and ±0 maps to ±0.
+    """
+    x = np.minimum(x, _F32_FOUR)
+    np.maximum(x, -_F32_FOUR, out=x)
+    z = x * x
+    p = _horner(z, _ERF32_P)
+    p *= x
+    p /= _horner(z, _ERF32_Q)
+    np.minimum(p, _F32_ONE, out=p)
+    return np.maximum(p, -_F32_ONE, out=p)
+
+
+@functools.cache
+def _erf_f64():
+    """scipy's erf, imported on the first f64 ``gelu``: an f32 process never loads scipy.special."""
+    from scipy.special import erf
+
+    return erf
+
+
 def gelu(a: Tensor) -> Tensor:
+    """The exact GELU, x · Φ(x) = x (1 + erf(x / √2)) / 2.
+
+    erf runs in the input's precision: f32 through ``_erf_f32``, f64
+    through scipy's erf.
+    """
     x = a.data
-    inner = _erf(x * np.float64(0.7071067811865476)).astype(x.dtype, copy=False)
-    out = 0.5 * x * (1.0 + inner)
+    if x.dtype == np.float32:
+        inner = _erf_f32(x * np.float32(_SQRT_HALF))
+    else:
+        inner = _erf_f64()(x * np.float64(_SQRT_HALF))
+    cdf = 0.5 * (1.0 + inner)
 
     def vjp(g):  # the normal pdf is only needed here, so untaped passes skip it
-        pdf = (np.exp(-0.5 * x * x) * x.dtype.type(0.3989422804014327)).astype(x.dtype)
-        return (g * (0.5 * (1.0 + inner) + x * pdf),)
+        pdf = np.exp(-0.5 * x * x) * x.dtype.type(0.3989422804014327)
+        return (g * (cdf + x * pdf),)
 
-    return _emit("gelu", out, (a,), vjp)
+    return _emit("gelu", x * cdf, (a,), vjp)
 
 
 # ------------------------------------------------------------------
@@ -522,13 +586,20 @@ def softmax(x: Tensor) -> Tensor:
     return _emit("softmax", y, (x,), vjp)
 
 
-def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray | None = None) -> Tensor:
+def attention_core(
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray | None = None, index: int | np.ndarray | None = None
+) -> Tensor:
     """Scaled dot-product attention over column-split heads.
 
     q, k, v: (..., n, d) with d divisible by n_heads; any leading axes are
     independent items. mask: additive (n, n) constant (0 where attention is
     allowed, a large negative value where it is not), shared by every item.
     Gradients flow to q, k, v.
+
+    ``index``, one int or one per item as for ``row``, keeps one query row:
+    the output is then (..., d), row ``index`` of the full output, computed
+    from that row of q and its mask row against every key and value. The
+    q-gradient is zero off that row.
     """
     _same_precision("attention_core", q, k, v)
     if q.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
@@ -548,19 +619,37 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarr
     def merge(a):  # (..., H, n, dh) -> (..., n, d), C-contiguous
         return a.swapaxes(-2, -3).reshape(*lead, n, d)
 
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    kh, vh = heads(k.data), heads(v.data)
+    if index is None:
+        q_heads, q_merge, qh = heads, merge, heads(q.data)
+    else:
+        sel = _row_select("attention_core", q.shape, index)
+
+        def q_heads(a):  # (..., d) -> (..., H, 1, dh)
+            return a.reshape(*lead, n_heads, 1, dh)
+
+        def q_merge(a):  # (..., H, 1, dh) -> (..., d)
+            return a.reshape(*lead, d)
+
+        qh = q_heads(q.data[sel])
+        if mask is not None:
+            mask = mask[index][..., None, None, :]
     scores = (qh @ kh.swapaxes(-1, -2)) * sc
     if mask is not None:
         scores = scores + mask
     p = _softmax_forward(scores)
-    out = merge(p @ vh)
+    out = q_merge(p @ vh)
 
     def vjp(g):
-        go = heads(g)
+        go = q_heads(g)
         dv = p.swapaxes(-1, -2) @ go
         dp = go @ vh.swapaxes(-1, -2)
         ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p
-        return merge((ds @ kh) * sc), merge((ds.swapaxes(-1, -2) @ qh) * sc), merge(dv)
+        dq = q_merge((ds @ kh) * sc)
+        if index is not None:
+            dq_rows, dq = dq, np.zeros(q.shape, dtype=dq.dtype)
+            dq[sel] = dq_rows
+        return dq, merge((ds.swapaxes(-1, -2) @ qh) * sc), merge(dv)
 
     return _emit("attention_core", out, (q, k, v), vjp)
 
@@ -621,6 +710,21 @@ def l2_normalize(a: Tensor) -> Tensor:
 # structural primitives
 
 
+def _row_select(op: str, shape: tuple[int, ...], i: int | np.ndarray) -> tuple:
+    """The index that reads row ``i`` along axis -2 of ``shape``: one int, or one integer per item of ``shape[:-2]``."""
+    n = shape[-2]
+    if isinstance(i, (int, np.integer)):
+        if not 0 <= i < n:
+            raise ValueError(f"{op}: index {i} out of range for {n} rows")
+        return (Ellipsis, i, slice(None))
+    idx = np.asarray(i)
+    if idx.dtype.kind not in "iu" or idx.shape != shape[:-2]:
+        raise ValueError(f"{op}: need an int or one integer index per item of {shape[:-2]}, got {idx.shape}")
+    if np.any(idx < 0) or np.any(idx >= n):
+        raise ValueError(f"{op}: index out of range for {n} rows")
+    return (*np.indices(idx.shape, sparse=True), idx, slice(None))
+
+
 def row(a: Tensor, i: int | np.ndarray) -> Tensor:
     """Select row ``i`` along axis -2: (..., n, d) -> (..., d).
 
@@ -629,19 +733,8 @@ def row(a: Tensor, i: int | np.ndarray) -> Tensor:
     """
     if a.ndim < 2:
         raise ValueError("row: expected a matrix or a stack of matrices")
-    n = a.shape[-2]
     ashape = a.shape
-    if isinstance(i, (int, np.integer)):
-        if not 0 <= i < n:
-            raise ValueError(f"row: index {i} out of range for {n} rows")
-        sel = (Ellipsis, i, slice(None))
-    else:
-        idx = np.asarray(i)
-        if idx.dtype.kind not in "iu" or idx.shape != ashape[:-2]:
-            raise ValueError(f"row: need an int or one integer index per item of {ashape[:-2]}, got {idx.shape}")
-        if np.any(idx < 0) or np.any(idx >= n):
-            raise ValueError(f"row: index out of range for {n} rows")
-        sel = (*np.indices(idx.shape, sparse=True), idx, slice(None))
+    sel = _row_select("row", ashape, i)
     out = np.ascontiguousarray(a.data[sel])
 
     def vjp(g):

@@ -30,11 +30,13 @@ sequence or a list of them. A text batch is right-padded to its longest
 sequence and each row is read at its own last token; the causal mask makes
 this exact (see ``text_forward``).
 
-The readout reads one row per input, so the last block keeps only that row
-right after its attention residual and runs its MLP half (LN2, hook 1b,
-fc1, GELU, fc2, hook 3, residual) on it alone. That is exact: those steps
-act on each row by itself, and nothing after them reads another row.
-Attention and every earlier block run on all rows, as attention mixes them.
+The readout reads one row per input, so the last block computes attention
+for that query row alone (against every key and value) and runs the rest
+of the block on it: the output projection, hook 2 and the attention
+residual, then the MLP half (LN2, hook 1b, fc1, GELU, fc2, hook 3,
+residual). That is exact: one query row's attention reads no other query
+row, the other steps act on each row by itself, and nothing after them
+reads another row. Keys, values and every earlier block run on all rows.
 
 Weights are frozen: plain numpy arrays, never on a tape, never given
 gradients, kept in one read-only table, ``DualEncoder.arrays``: checkpoint
@@ -257,12 +259,13 @@ def _blocks_forward(
         q = ad.linear(h, t[p + "attn/q/w"], t[p + "attn/q/b"])
         k = ad.linear(h, t[p + "attn/k/w"], t[p + "attn/k/b"])
         v = ad.linear(h, t[p + "attn/v/w"], t[p + "attn/v/b"])
-        ctx = ad.attention_core(q, k, v, cfg.n_heads, mask)
+        last = i == cfg.L - 1  # from its attention on, the last block runs on the readout rows only
+        ctx = ad.attention_core(q, k, v, cfg.n_heads, mask, index if last else None)
         o = ad.linear(ctx, t[p + "attn/o/w"], t[p + "attn/o/b"])
         o = _apply_hook(o, (m, i, "2"), scalings)
-        x = ad.add(x, o)
-        if i == cfg.L - 1:  # the readout rows: the rest of the last block acts per row
+        if last:
             x = ad.row(x, index)
+        x = ad.add(x, o)
         h2 = ad.layernorm(x, t[p + "ln2/gamma"], t[p + "ln2/beta"], eps)
         h2 = _apply_hook(h2, (m, i, "1b"), scalings)
         u = ad.linear(h2, t[p + "mlp/fc1/w"], t[p + "mlp/fc1/b"])

@@ -17,11 +17,12 @@ The finite differences run on a leading trial axis: each objective call
 takes a stack of up to ``FD_TRIALS`` (128) perturbed parameter points
 (flat, in ``named_params`` order) and returns one loss per point, so the
 624 evaluations of the benchmark's check config take 5 calls.
-``gradient_check`` hands each stack to the same ``loss_of_params`` that
-the tape differentiates, as ``name -> (K, *shape)`` Tensors, and the
-encoders and losses carry the trial axis through (one agent-value set per
-trial). ``tests/test_verify.py`` ties the stacked objective to the
-per-point one: row k of a stacked call equals an unstacked call at point k.
+``gradient_check`` hands each call's points to the same ``loss_of_params``
+that the tape differentiates, as ``name -> (K, *shape)`` Tensors built
+block by block (no (K, n) stack is made), and the encoders and losses
+carry the trial axis through (one agent-value set per trial).
+``tests/test_verify.py`` ties the stacked objective to the per-point one:
+row k of a stacked call equals an unstacked call at point k.
 """
 
 from __future__ import annotations
@@ -114,13 +115,24 @@ class CheckReport:
 # finite differences
 
 
-def finite_diff_grad(f: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
+def _stacked_points(flat: np.ndarray, coords: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The (K, n) stack of points: row k is ``flat`` with coordinate coords[k] moved by steps[k]."""
+    points = np.repeat(flat[None, :], coords.size, axis=0)
+    points[np.arange(coords.size), coords] += steps
+    return points
+
+
+def finite_diff_grad(
+    f: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, h: float = 1e-5, build: Callable = _stacked_points
+) -> np.ndarray:
     """Central differences (f(x + h e_i) - f(x - h e_i)) / 2h per coordinate, in f64.
 
     ``f`` maps a (K, n) stack of points (x0 flattened, one perturbed
     coordinate per row) to K values, K <= ``FD_TRIALS``. Trial 2i moves
     coordinate i by +h and trial 2i + 1 by -h; each call's points are built
-    from a copy of x0, so x0 itself is never written.
+    from a copy of x0, so x0 itself is never written. ``build(flat, coords,
+    steps)`` makes each call's argument from flat x0, the coordinate each
+    trial moves and its step; the default builds the stack.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -130,9 +142,7 @@ def finite_diff_grad(f: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, h: f
     for start in range(0, values.size, FD_TRIALS):
         trials = np.arange(start, min(start + FD_TRIALS, values.size))
         coords = trials // 2
-        points = np.repeat(flat[None, :], trials.size, axis=0)
-        points[np.arange(trials.size), coords] += np.where(trials % 2 == 0, h, -h)
-        got = np.asarray(f(points), dtype=np.float64)
+        got = np.asarray(f(build(flat, coords, np.where(trials % 2 == 0, h, -h))), dtype=np.float64)
         if got.shape != trials.shape:
             raise ValueError(f"finite_diff_grad: f returned shape {got.shape} for {trials.size} points")
         bad = np.flatnonzero(~np.isfinite(got))
@@ -364,16 +374,32 @@ def check_counter_agreement(
 # gradient fidelity
 
 
-def _trial_objective(
-    sites: Mapping[SiteKey, CoupledAgentSite],
-    loss_of_params: Callable[[Mapping[str, Tensor] | None], Tensor],
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The stacked objective: (K, n) flat points -> K losses, one ``loss_of_params`` call."""
+def _trial_points(sites: Mapping[SiteKey, CoupledAgentSite]) -> Callable:
+    """A ``build`` for ``finite_diff_grad``: name -> (K, *shape) Tensor of the trials' values.
 
-    def f(points: np.ndarray) -> np.ndarray:
-        return loss_of_params({name: Tensor(v) for name, v in flat_views(points, sites).items()}).data
+    The blocks lie one after another in one buffer of K * n values, each
+    filled from its own piece of the flat point, so no (K, n) stack is held
+    next to them. Their values are the stack's, bit for bit.
+    """
+    named = [(name, arr.shape, arr.size) for name, arr in named_params(sites)]
+    sizes = np.array([size for _, _, size in named])
+    starts = np.cumsum(sizes) - sizes
+    start_of, size_of = np.repeat(starts, sizes), np.repeat(sizes, sizes)  # per flat coordinate
 
-    return f
+    def build(flat: np.ndarray, coords: np.ndarray, steps: np.ndarray) -> dict[str, Tensor]:
+        k = coords.size
+        buf = np.empty(k * flat.size)
+        blocks = {}
+        for (name, shape, size), start in zip(named, starts):
+            block = buf[k * start : k * (start + size)].reshape(k, size)
+            block[:] = flat[start : start + size]
+            blocks[name] = block.reshape(k, *shape)
+        # trial t moves coordinate c: row t of c's block, column c minus the block's first coordinate
+        first = start_of[coords]
+        buf[k * first + np.arange(k) * size_of[coords] + coords - first] += steps
+        return {name: Tensor.view(block, name) for name, block in blocks.items()}
+
+    return build
 
 
 def _param_class(name: str) -> str:
@@ -415,7 +441,8 @@ def gradient_check(
     loss = loss_of_params(leaves)
     grads = tape.backward(loss)
     analytic = {name: grads[leaf.node].data for name, leaf in leaves.items()}
-    numeric = flat_views(finite_diff_grad(_trial_objective(sites, loss_of_params), x0, h), sites)
+    numeric = finite_diff_grad(lambda named: loss_of_params(named).data, x0, h, _trial_points(sites))
+    numeric = flat_views(numeric, sites)
 
     reports = []
     for cls in PARAM_CLASSES:

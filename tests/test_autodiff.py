@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -365,6 +366,21 @@ def _build_attention_batched_kv(gen):
     return (2, 4, 6), lambda x: ad.attention_core(Tensor(q), x, ad.scale(x, 0.5), n_heads=3)
 
 
+@_case("attention_core_query_row")
+def _build_attention_query_row(gen):
+    k = gen.standard_normal((4, 6))
+    mask = ad.causal_mask(4, np.dtype(np.float64))
+    return (4, 6), lambda x: ad.attention_core(x, Tensor(k), ad.scale(x, 0.5), n_heads=2, mask=mask, index=2)
+
+
+@_case("attention_core_query_rows_batched")
+def _build_attention_query_rows(gen):
+    q = gen.standard_normal((2, 2, 4, 6))
+    mask = ad.causal_mask(4, np.dtype(np.float64))
+    idx = np.asarray([[3, 0], [1, 2]])
+    return (2, 2, 4, 6), lambda x: ad.attention_core(ad.add(x, Tensor(q)), x, x, n_heads=3, mask=mask, index=idx)
+
+
 @_case("l2_normalize")
 def _build_l2n(gen):
     return (3, 4), lambda x: ad.l2_normalize(x)
@@ -607,6 +623,65 @@ def test_head_batched_attention_equals_the_per_head_loop(monkeypatch, n_heads, m
     for got, ref in zip(vjp(g), ref_vjp(g)):
         assert got.shape == ref.shape and got.dtype == dtype
         assert got.flags.c_contiguous and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["single", "batch", "trials-batch"])
+@pytest.mark.parametrize("masked", [False, True], ids=["open", "causal"])
+@pytest.mark.parametrize("per_item", [False, True], ids=["int", "per-item"])
+def test_query_row_attention_is_the_full_attentions_row(monkeypatch, per_item, masked, lead, dtype):
+    """With ``index``, the output is that row of the full output, and the VJP that of the row-scattered gradient."""
+    gen = np.random.default_rng(37)
+    n, d, n_heads = 5, 12, 3
+    q, k, v = (gen.standard_normal((*lead, n, d)).astype(dtype) for _ in range(3))
+    g = gen.standard_normal((*lead, d)).astype(dtype)
+    index = gen.integers(0, n, lead) if per_item and lead else 3
+    mask = ad.causal_mask(n, np.dtype(dtype)) if masked else None
+    out, vjp = _vjp_of(monkeypatch, lambda: ad.attention_core(Tensor(q), Tensor(k), Tensor(v), n_heads, mask, index))
+    full, full_vjp = _vjp_of(monkeypatch, lambda: ad.attention_core(Tensor(q), Tensor(k), Tensor(v), n_heads, mask))
+    sel = ad._row_select("attention_core", q.shape, index)
+    g_full = np.zeros(q.shape, dtype)
+    g_full[sel] = g
+    tol = 1e-5 if dtype == np.float32 else 1e-13
+    assert out.shape == (*lead, d) and out.data.dtype == dtype and out.data.flags.c_contiguous
+    assert relative_error(out.data, full.data[sel]) <= tol
+    for got, want in zip(vjp(g), full_vjp(g_full)):
+        assert got.shape == want.shape and got.dtype == dtype and relative_error(got, want) <= tol
+    dq = vjp(g)[0].copy()
+    dq[sel] = 0
+    assert not dq.any()  # q's gradient is zero off the selected rows
+
+
+def test_query_row_attention_checks_its_index():
+    x = Tensor(np.zeros((3, 4, 6)))
+    for bad in (4, -1, np.asarray([0, 1]), np.asarray([0, 4, 1]), np.asarray([0.0, 1.0, 2.0])):
+        with pytest.raises(ValueError, match="^attention_core: "):
+            ad.attention_core(x, x, x, 2, index=bad)
+
+
+def test_f32_erf_is_within_1e6_of_the_exact_erf():
+    xs = np.linspace(-6.0, 6.0, 240_001, dtype=np.float32)
+    got = ad._erf_f32(xs)
+    assert got.dtype == np.float32
+    exact = np.array([math.erf(x) for x in xs.tolist()])
+    assert np.max(np.abs(got - exact)) <= 1e-6
+    assert np.max(np.abs(got)) <= 1.0
+
+
+def test_f32_erf_is_exactly_odd_and_keeps_the_sign_of_zero():
+    xs = np.random.default_rng(41).standard_normal(10_000).astype(np.float32) * np.float32(3.0)
+    xs = np.concatenate([xs, np.float32([4.0, 1e-30, 3.7466848, 1e30])])
+    assert np.array_equal(ad._erf_f32(-xs), -ad._erf_f32(xs))
+    zeros = ad._erf_f32(np.float32([0.0, -0.0]))
+    assert np.array_equal(zeros, [0.0, 0.0]) and np.array_equal(np.signbit(zeros), [False, True])
+
+
+def test_f64_gelu_keeps_the_scipy_erf_bits():
+    from scipy.special import erf
+
+    x = np.random.default_rng(43).standard_normal((4, 9, 16)) * 3.0
+    want = 0.5 * x * (1.0 + erf(x * np.float64(0.7071067811865476)))
+    assert ad.gelu(Tensor(x)).data.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

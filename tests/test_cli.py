@@ -588,3 +588,49 @@ def test_eval_of_a_split_with_no_samples_left_exits_1(tmp_path, capsys):
     assert captured.err == "error: split 'base' has no evaluation samples\n"
     assert captured.out == ""
     assert run(["eval", "--ckpt", ckpt, "--data", data, "--split", "novel"]) == 0
+
+
+_NO_SCIPY_SESSION = """
+import json, sys
+import numpy as np
+from mailpp import autodiff as ad
+from mailpp.cli import run
+
+workloads = json.load(open(sys.argv[1], encoding="utf-8"))
+cfg = dict(workloads["check_config"], precision="f32")
+cfg["training"] = dict(cfg["training"], steps=2)
+open("cfg.json", "w", encoding="utf-8").write(json.dumps(cfg))
+for argv in (
+    ["gen-data", "--config", "cfg.json", "--out", "data.bin"],
+    ["train", "--config", "cfg.json", "--data", "data.bin", "--out", "run.ckpt"],
+    ["fuse", "--ckpt", "run.ckpt", "--out", "fused.ckpt"],
+    ["eval", "--ckpt", "fused.ckpt", "--data", "data.bin", "--split", "base"],
+    ["report-norms", "--ckpt", "run.ckpt"],
+):
+    assert run(argv) == 0, argv
+    assert "scipy.special" not in sys.modules, argv
+ad.gelu(ad.Tensor(np.zeros(3)))
+assert "scipy.special" in sys.modules
+print("ok")
+"""
+
+
+def test_an_f32_session_never_imports_scipy_special(tmp_path):
+    """f32 GELU computes its erf with numpy; only the first f64 gelu loads scipy.special."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SESSION, str(WORKLOADS)],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"

@@ -5,7 +5,7 @@ import pytest
 
 from mailpp import rng
 from mailpp.agents import CouplingMode, build_sites, flat_views, fuse_model, named_params
-from mailpp.autodiff import Tensor
+from mailpp.autodiff import NonFiniteError, Tensor
 from mailpp.encoder import ALL_POSITIONS, EncoderConfig
 from mailpp.verify import (
     CheckReport,
@@ -417,12 +417,10 @@ def _objective_setup(seed, dtype, mode, bridge_shift, max_blocks=4, positions=AL
 @pytest.mark.parametrize("mode,bridge_shift", _COUPLINGS, ids=[f"{m.value}-shift{int(s)}" for m, s in _COUPLINGS])
 def test_stacked_objective_equals_the_per_point_objective(dtype, mode, bridge_shift):
     """Row k of one stacked call equals an unstacked loss_of_params call at point k."""
-    from mailpp.verify import _trial_objective
-
     loss_of_params, x0, sites = _objective_setup(11, dtype, mode, bridge_shift)
     gen = rng.derive(12, "points")
     points = (x0[None, :] + 0.05 * gen.standard_normal((5, x0.size))).astype(dtype)
-    stacked = _trial_objective(sites, loss_of_params)(points)
+    stacked = loss_of_params({name: Tensor(v) for name, v in flat_views(points, sites).items()}).data
     assert stacked.shape == (5,) and stacked.dtype == dtype
     tol = 1e-12 if dtype == np.float64 else 1e-5
     for k, point in enumerate(points):
@@ -432,23 +430,40 @@ def test_stacked_objective_equals_the_per_point_objective(dtype, mode, bridge_sh
         assert relative_error(stacked[k], single.item()) <= tol, (k, stacked[k], single.item())
 
 
+def test_trial_blocks_hold_the_stacks_values_bit_for_bit():
+    """Each name's (K, *shape) block is that name's piece of the (K, n) stack, C-contiguous and finite-checked."""
+    from mailpp.verify import _stacked_points, _trial_points
+
+    _, x0, sites = _objective_setup(14, np.float64, CouplingMode.BIDIRECTIONAL, True)
+    coords = np.repeat(np.arange(x0.size), 2)
+    steps = np.tile([1e-5, -1e-5], x0.size)
+    stack = _stacked_points(x0, coords, steps)
+    blocks = _trial_points(sites)(x0, coords, steps)
+    pieces = flat_views(stack, sites)
+    assert list(blocks) == list(pieces)
+    for name, block in blocks.items():
+        assert block.data.flags.c_contiguous and block.data.tobytes() == np.ascontiguousarray(pieces[name]).tobytes()
+    with pytest.raises(NonFiniteError, match=f"^{next(iter(blocks))}: "):
+        _trial_points(sites)(x0, coords[:1], np.asarray([np.inf]))
+
+
 def test_fd_gradient_is_the_same_for_any_number_of_trials_per_call(monkeypatch):
     import mailpp.verify
-    from mailpp.verify import _trial_objective
+    from mailpp.verify import _trial_points
 
     # one block and two sites keep the one-point-per-call run short
     loss_of_params, x0, sites = _objective_setup(13, np.float64, CouplingMode.BIDIRECTIONAL, True, 1, ("2", "5"))
-    objective = _trial_objective(sites, loss_of_params)
+    build = _trial_points(sites)
     grads = {}
     for trials in (1, 7, 2 * x0.size, 2 * x0.size + 5):
         monkeypatch.setattr(mailpp.verify, "FD_TRIALS", trials)
         rows = []
 
-        def counting(xs):
-            rows.append(len(xs))
-            return objective(xs)
+        def counting(named):
+            rows.append(len(next(iter(named.values())).data))
+            return loss_of_params(named).data
 
-        grads[trials] = finite_diff_grad(counting, x0, h=1e-5)
+        grads[trials] = finite_diff_grad(counting, x0, h=1e-5, build=build)
         assert max(rows) <= trials and sum(rows) == 2 * x0.size
     first = grads[1]
     for trials, g in grads.items():
