@@ -26,6 +26,16 @@ is ``<site>/<local>`` (``named_params``); checkpoints store it under
 place, so ``flatten_params`` can make every entry a view into one
 contiguous buffer that the optimizer updates as a whole.
 
+That layout is stated once, in ``_local_axes`` (local name, in table
+order -> the width each axis takes), and each site rule is checked once.
+``site_shapes`` sizes the layout and checks the positions, d_m and the
+bridge rank (1 <= rank <= min(in, out)). ``CoupledAgentSite`` checks that
+``bridge_shift`` has a coupled mode and that its table holds exactly the
+layout's names. The shapes are ``site_shapes``': ``build_sites`` allocates
+them and ``unpack_state`` checks every tensor against them. A hand-built
+site with miswired shapes fails in the first primitive that combines them
+(for a bridge, in ``effective()``), with that primitive's shape error.
+
 The encoders see the sites only through ``build_scaling_map``: one
 (a_eff, b_eff) pair per hook key, (modality, block | None, position).
 
@@ -129,15 +139,20 @@ def _has_meta(mode: CouplingMode) -> bool:
     return any(source == "meta" for _, _, source in _BRIDGES[mode])
 
 
-def _local_names(mode: CouplingMode, bridge_shift: bool) -> list[str]:
-    """Every trainable array's local name, in table order."""
-    names = ["image/a", "image/b", "text/a", "text/b"]
+def _local_axes(mode: CouplingMode, bridge_shift: bool) -> dict[str, tuple[str, ...]]:
+    """Every trainable array's local name, in table order -> the width each axis takes.
+
+    A width is ``"image"`` or ``"text"`` (that side's hook width), ``"meta"``
+    (d_m) or ``"rank"``; ``site_shapes`` turns the widths into sizes.
+    """
+    axes = {"image/a": ("image",), "image/b": ("image",), "text/a": ("text",), "text/b": ("text",)}
     for prefix, meta_name in _COUPLED_PAIRS[: 1 + bridge_shift]:
         if _has_meta(mode):
-            names.append(meta_name)
-        for field, _, _ in _BRIDGES[mode]:
-            names += [f"{prefix}{field}/w_up", f"{prefix}{field}/w_down"]
-    return names
+            axes[meta_name] = ("meta",)
+        for field, side, source in _BRIDGES[mode]:
+            axes[f"{prefix}{field}/w_up"] = (side, "rank")
+            axes[f"{prefix}{field}/w_down"] = ("rank", source)
+    return axes
 
 
 @dataclass
@@ -152,32 +167,10 @@ class CoupledAgentSite:
     def __post_init__(self):
         if self.bridge_shift and self.mode == CouplingMode.IVLU:
             raise ValueError("bridge_shift requires a coupled mode")
-        want = _local_names(self.mode, self.bridge_shift)
-        if set(self.arrays) != set(want):
+        want = _local_axes(self.mode, self.bridge_shift)
+        if self.arrays.keys() != want.keys():
             raise ValueError(f"{self.mode.value} sites need exactly {sorted(want)}, got {sorted(self.arrays)}")
         self.arrays = {name: np.ascontiguousarray(self.arrays[name]) for name in want}
-        arr = self.arrays
-        for side in ("image", "text"):
-            a, b = arr[f"{side}/a"], arr[f"{side}/b"]
-            if a.ndim != 1 or a.shape != b.shape:
-                raise ValueError(f"agent vectors must be equal-length 1-D, got {a.shape} and {b.shape}")
-        for prefix, meta_name in _COUPLED_PAIRS[: 1 + self.bridge_shift]:
-            dims = {"image": arr["image/a"].shape[0], "text": arr["text/a"].shape[0]}
-            if _has_meta(self.mode):
-                if arr[meta_name].ndim != 1:
-                    raise ValueError("meta-scaling vector must be 1-D")
-                dims["meta"] = arr[meta_name].shape[0]
-            for field, side, source in _BRIDGES[self.mode]:
-                w_up, w_down = arr[f"{prefix}{field}/w_up"], arr[f"{prefix}{field}/w_down"]
-                if w_down.ndim != 2 or w_up.ndim != 2 or w_up.shape[1] != w_down.shape[0]:
-                    raise ValueError(f"bridge shapes {w_up.shape} / {w_down.shape} are inconsistent")
-                (out_dim, rank), in_dim = w_up.shape, w_down.shape[1]
-                if in_dim != dims[source] or out_dim != dims[side]:
-                    raise ValueError(
-                        f"bridge dims ({in_dim} -> {out_dim}) do not match site ({dims[source]} -> {dims[side]})"
-                    )
-                if not 1 <= rank <= min(in_dim, out_dim):
-                    raise ValueError(f"bridge rank {rank} outside [1, min({in_dim}, {out_dim})]")
 
     # ---- trainable parameter registry -------------------------------
 
@@ -246,21 +239,15 @@ def site_shapes(
     keys = [SiteKey(i, p) for i in range(cfg.L) for p in BLOCK_POSITIONS if p in positions]
     keys += [SiteKey(None, p) for p in FINAL_POSITIONS if p in positions]
 
-    names = _local_names(mode, bridge_shift)
-    bridges = {field: (side, source) for field, side, source in _BRIDGES[mode]}
+    axes = _local_axes(mode, bridge_shift)
     layout: dict[SiteKey, dict[str, tuple[int, ...]]] = {}
     for key in keys:
-        widths = {"image": cfg.hook_width("image", key.pos), "text": cfg.hook_width("text", key.pos), "meta": d_m}
-        shapes: dict[str, tuple[int, ...]] = {}
-        for name in names:
-            head, kind = name.rsplit("/", 1)
-            head = head.removeprefix("shift_")
-            if kind in ("w_up", "w_down"):
-                side, source = bridges[head]
-                shapes[name] = (widths[side], rank) if kind == "w_up" else (rank, widths[source])
-            else:  # an agent vector of side `head`, or the meta vector
-                shapes[name] = (widths[head],)
-        layout[key] = shapes
+        image, text = cfg.hook_width("image", key.pos), cfg.hook_width("text", key.pos)
+        widths = {"image": image, "text": text, "meta": d_m, "rank": rank}
+        for _, side, source in _BRIDGES[mode]:
+            if not 1 <= rank <= min(widths[source], widths[side]):
+                raise ValueError(f"bridge rank {rank} outside [1, min({widths[source]}, {widths[side]})]")
+        layout[key] = {name: tuple(widths[axis] for axis in names) for name, names in axes.items()}
     return layout
 
 
@@ -358,15 +345,15 @@ def fuse_layernorm(
     gamma: np.ndarray, beta: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """gamma' = gamma * a, beta' = beta * a + b."""
-    if gamma.shape != a.shape or beta.shape != a.shape:
-        raise ValueError(f"fuse_layernorm: agent width {a.shape} does not match gamma {gamma.shape}")
+    if gamma.shape != a.shape or beta.shape != a.shape or b.shape != a.shape:
+        raise ValueError(f"fuse_layernorm: agent pair {a.shape}/{b.shape} does not match gamma {gamma.shape}")
     return gamma * a, beta * a + b
 
 
 def fuse_linear(w: np.ndarray, bias: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row i of W scales by a[i]; bias' = bias * a + b."""
-    if w.ndim != 2 or w.shape[0] != a.shape[0] or bias.shape != a.shape:
-        raise ValueError(f"fuse_linear: agent width {a.shape} does not match weight {w.shape}")
+    if w.ndim != 2 or a.ndim != 1 or w.shape[0] != a.shape[0] or bias.shape != a.shape or b.shape != a.shape:
+        raise ValueError(f"fuse_linear: agent pair {a.shape}/{b.shape} does not match weight {w.shape}")
     return w * a[:, None], bias * a + b
 
 

@@ -461,22 +461,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """
     _same_precision("matmul", a, b)
     ad, bd = a.data, b.data
-    if a.ndim == 2 and b.ndim == 1:
-        if a.shape[1] != b.shape[0]:
-            raise ValueError(f"matmul: inner dimension mismatch ({a.shape} @ {b.shape})")
-
-        def vjp(g):
-            return np.outer(g, bd), ad.T @ g
-
-        return _emit("matmul", ad @ bd, (a, b), vjp)
-    if a.ndim < 2 or b.ndim not in (a.ndim - 1, a.ndim):
-        raise ValueError(f"matmul: unsupported ranks {a.ndim} and {b.ndim}")
-    vector = b.ndim < a.ndim
-    lead, inner = (b.shape[:-1], b.shape[-1]) if vector else (b.shape[:-2], b.shape[-2])
-    if a.shape[-1] != inner:
-        raise ValueError(f"matmul: inner dimension mismatch ({a.shape} @ {b.shape})")
-    if a.shape[:-2] != lead:
-        raise ValueError(f"matmul: leading axes do not match ({a.shape} @ {b.shape})")
+    if ad.ndim < 2 or bd.ndim not in (ad.ndim - 1, ad.ndim):
+        raise ValueError(f"matmul: unsupported ranks {ad.ndim} and {bd.ndim}")
+    vector = bd.ndim < ad.ndim
+    lead, inner = (bd.shape[:-1], bd.shape[-1]) if vector else (bd.shape[:-2], bd.shape[-2])
+    if ad.shape[-1] != inner:
+        raise ValueError(f"matmul: inner dimension mismatch ({ad.shape} @ {bd.shape})")
+    if ad.shape[:-2] != lead:
+        raise ValueError(f"matmul: leading axes do not match ({ad.shape} @ {bd.shape})")
     if vector:
         out = (ad @ bd[..., None])[..., 0]
 

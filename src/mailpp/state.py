@@ -11,9 +11,11 @@ the ``weight_shapes`` names of both modalities from the loaded tensors,
 after checking them, without copying. The trainable arrays are stored as
 ``agent/<site>/<local>`` in ``named_params`` order, and the optimizer's
 flat moments as ``opt/m/<site>/<local>`` and ``opt/v/<site>/<local>``,
-cut in the same order; unpacking builds each site from copies of its
-checked tensors, laid out by ``site_shapes`` (no random draw), and
-concatenates the moments back.
+cut in the same order. Unpacking checks every tensor once, by name, shape
+and dtype, against the config (``_check_layout``; the agent shapes come
+from ``site_shapes``, which also checks the bridge rank). It then builds
+each site from copies of its tensors (no random draw), which re-checks
+only the site's name set, and concatenates the moments back.
 """
 
 from __future__ import annotations

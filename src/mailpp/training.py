@@ -134,11 +134,9 @@ def gen_synthetic(
     # QR of a square Gaussian gives orthonormal rows; keep the first C
     q, _ = np.linalg.qr(gen.standard_normal((d_v, d_v)))
     prototypes = np.ascontiguousarray(q.T[:C]).astype(dtype)
-    images = np.empty((C, k_pool, n_v, d_v), dtype=dtype)
-    for c in range(C):
-        lifted = (prototypes[c] * np.sqrt(d_v)).astype(dtype)  # O(1) per-channel magnitude
-        jitter = gen.standard_normal((k_pool, n_v, d_v)).astype(dtype)
-        images[c] = lifted[None, None, :] + float(noise) * jitter
+    lifted = (prototypes * np.sqrt(d_v)).astype(dtype)  # O(1) per-channel magnitude
+    jitter = gen.standard_normal((C, k_pool, n_v, d_v)).astype(dtype)  # the stream of one draw per class
+    images = lifted[:, None, None, :] + float(noise) * jitter
     # class "names": a shared start token then a class-specific id, distinct per class
     tokens = [[1] + [2 + c] * (text_len - 1) for c in range(C)]
     half = C // 2
@@ -173,37 +171,23 @@ class Episode:
 
 def sample_few_shot(dataset: SyntheticDataset, k: int, seed: int) -> Episode:
     """Deterministically pick k train shots per base class; the rest is eval."""
-    if k > dataset.pool_per_class:
-        raise ValueError(f"k={k} exceeds pool of {dataset.pool_per_class} samples per class")
+    pool = dataset.pool_per_class
+    if k > pool:
+        raise ValueError(f"k={k} exceeds pool of {pool} samples per class")
     gen = rngmod.derive(seed, "episode")
-    train_imgs, train_lbls = [], []
-    base_eval_imgs, base_eval_lbls = [], []
-    for label, c in enumerate(dataset.base_classes):
-        order = gen.permutation(dataset.pool_per_class)
-        for idx in order[:k]:
-            train_imgs.append(dataset.images[c, idx])
-            train_lbls.append(label)
-        for idx in order[k:]:
-            base_eval_imgs.append(dataset.images[c, idx])
-            base_eval_lbls.append(label)
-    novel_eval_imgs, novel_eval_lbls = [], []
-    for label, c in enumerate(dataset.novel_classes):
-        for idx in range(dataset.pool_per_class):
-            novel_eval_imgs.append(dataset.images[c, idx])
-            novel_eval_lbls.append(label)
-    dtype = dataset.images.dtype
-    d_shape = dataset.images.shape[2:]
+    base, novel = (np.asarray(c, dtype=np.int64) for c in (dataset.base_classes, dataset.novel_classes))
+    order = np.array([gen.permutation(pool) for _ in base], dtype=np.int64).reshape(len(base), pool)
 
-    def pack(lst, shape):
-        return np.stack(lst) if lst else np.empty((0,) + shape, dtype=dtype)
+    def split(classes: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The images at (classes[i], idx[i, j]), row by row, each labelled i."""
+        images = dataset.images[classes[:, None], idx]
+        labels = np.repeat(np.arange(len(classes), dtype=np.int64), idx.shape[1])
+        return images.reshape((-1,) + images.shape[2:]), labels
 
     return Episode(
-        train_images=pack(train_imgs, d_shape),
-        train_labels=np.asarray(train_lbls, dtype=np.int64),
-        base_eval_images=pack(base_eval_imgs, d_shape),
-        base_eval_labels=np.asarray(base_eval_lbls, dtype=np.int64),
-        novel_eval_images=pack(novel_eval_imgs, d_shape),
-        novel_eval_labels=np.asarray(novel_eval_lbls, dtype=np.int64),
+        *split(base, order[:, :k]),  # train
+        *split(base, order[:, k:]),  # base eval
+        *split(novel, np.arange(pool)[None, :]),  # novel eval: every pool image
         base_tokens=[dataset.tokens[c] for c in dataset.base_classes],
         novel_tokens=[dataset.tokens[c] for c in dataset.novel_classes],
     )
@@ -395,14 +379,10 @@ def evaluate(
     call, where F is one image's MLP activation in a block before the last,
     (N_v + 1) * mlp_ratio * d_v, and F0 = 1,728 its value at the defaults. A
     batch's working set grows with images * F, so this keeps it near that of
-    16 default-width images however large the pool; at L = 1 the last block
-    runs its MLP on the class token alone, so there it is an upper bound.
-    Measured with every MLP on all rows, BLAS on one thread: at default
-    widths 16 and 24 images per call ran about equally fast, 8, 32 and 64
-    slower, and 64 raised peak memory about 5%; at L=4, d=128 (F = 4,608,
-    still 16 per call), 1,400-1,600 f32 images/s against 900-1,200 at 6 and
-    at 32; at the ``oracle`` widths (F = 160) the rule gives 172, so each
-    pool is one call, where batches of 16 made overhead-bound calls.
+    16 default-width images however large the pool, while narrow models
+    encode a pool in a few calls instead of many overhead-bound ones. At
+    L = 1 the last block runs its MLP on the class token alone, so there it
+    is an upper bound.
     """
     if np.ndim(images) != 3 or len(images) == 0:
         raise ValueError(f"evaluate: images must be a non-empty (B, N_v, d_v) batch, got shape {np.shape(images)}")

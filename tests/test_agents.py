@@ -1,4 +1,5 @@
 import inspect
+import re
 from collections import Counter
 
 import numpy as np
@@ -141,9 +142,11 @@ def test_shift_coupling_follows_the_scale_rule():
     def i2t(field):
         return _bridge(field, np.zeros((1, 3)), np.zeros((2, 1)))
 
-    site(CouplingMode.TEXT_TO_IMAGE, True, t2i("bridge_v"), t2i("shift_bridge_v"))
-    with pytest.raises(ValueError, match="dims"):  # an image -> text shift bridge where text -> image belongs
-        site(CouplingMode.TEXT_TO_IMAGE, True, t2i("bridge_v"), i2t("shift_bridge_v"))
+    site(CouplingMode.TEXT_TO_IMAGE, True, t2i("bridge_v"), t2i("shift_bridge_v")).effective()
+    # an image -> text shift bridge where text -> image belongs: the bridge's first product raises
+    miswired = site(CouplingMode.TEXT_TO_IMAGE, True, t2i("bridge_v"), i2t("shift_bridge_v"))
+    with pytest.raises(ValueError, match=re.escape("matmul: inner dimension mismatch ((1, 3) @ (2,))")):
+        miswired.effective()
     with pytest.raises(ValueError, match="text_to_image"):  # shift bridge without bridge_shift
         site(CouplingMode.TEXT_TO_IMAGE, False, t2i("bridge_v"), t2i("shift_bridge_v"))
 
@@ -170,9 +173,24 @@ def test_bridge_init_distribution_and_rank():
     downs = np.concatenate([s.arrays["bridge_v/w_down"].ravel() for s in sites.values()])
     assert downs.size == 40 * 4 * 64
     assert abs(float(downs.std()) - 1.0 / np.sqrt(64)) < 0.01  # std = 1/sqrt(in_dim)
-    for rank in (0, 5):
-        with pytest.raises(ValueError, match="rank"):
-            build_sites(EncoderConfig(d_t=4, d_v=8), CouplingMode.TEXT_TO_IMAGE, rank, 1, gen)
+    # the rank rule, 1 <= rank <= min(in, out) for every bridge, in every coupled mode and shift setting;
+    # each case names the first bridge that breaks it, at d_t = 4, d_v = 8, d_m = 16
+    small = EncoderConfig(d_t=4, d_v=8)
+    cases = {
+        (CouplingMode.TEXT_TO_IMAGE, 0): "min(4, 8)",
+        (CouplingMode.TEXT_TO_IMAGE, 5): "min(4, 8)",
+        (CouplingMode.IMAGE_TO_TEXT, 0): "min(8, 4)",
+        (CouplingMode.IMAGE_TO_TEXT, 5): "min(8, 4)",
+        (CouplingMode.BIDIRECTIONAL, 0): "min(16, 8)",
+        (CouplingMode.BIDIRECTIONAL, 5): "min(16, 4)",  # meta -> image takes 5; meta -> text does not
+    }
+    for (mode, rank), bound in cases.items():
+        for shift in (False, True):
+            with pytest.raises(ValueError, match=re.escape(f"bridge rank {rank} outside [1, {bound}]")):
+                build_sites(small, mode, rank, 16, gen, bridge_shift=shift)
+            build_sites(small, mode, 4, 16, gen, bridge_shift=shift)  # rank = min(d_t, d_v) is allowed
+    with pytest.raises(ValueError, match=re.escape("bridge rank 3 outside [1, min(2, 8)]")):  # rank > d_m
+        build_sites(small, CouplingMode.BIDIRECTIONAL, 3, 2, gen)
 
 
 # ------------------------------------------------------------------
@@ -214,6 +232,16 @@ def test_fuse_linear_identity_and_arithmetic():
     w2, b2 = fuse_linear(w, bias, np.asarray([2.0, 0.5]), np.asarray([0.0, 1.0]))
     assert w2.tolist() == [[2.0, 4.0], [1.5, 2.0]]
     assert b2.tolist() == [2.0, 1.5]
+
+
+def test_folds_reject_an_agent_pair_of_another_width():
+    # a shift of width 1 would broadcast over the channels instead of raising
+    gamma, w = np.ones(2), np.ones((2, 3))
+    for a, b in ((np.ones(3), np.zeros(3)), (np.ones(2), np.zeros(1)), (np.ones(2), np.zeros(3))):
+        with pytest.raises(ValueError, match="fuse_layernorm: agent pair"):
+            fuse_layernorm(gamma, np.zeros(2), a, b)
+        with pytest.raises(ValueError, match="fuse_linear: agent pair"):
+            fuse_linear(w, np.zeros(2), a, b)
 
 
 def test_fuse_linear_matches_unfused_path():

@@ -6,6 +6,8 @@ import pytest
 from mailpp import rng
 from mailpp.agents import CouplingMode, build_sites
 from mailpp.autodiff import NonFiniteError, Tensor
+from mailpp.checkpoint import load_checkpoint, save_checkpoint
+from mailpp.state import pack_dataset, unpack_dataset
 from mailpp.training import (
     TrainingConfig,
     adamw_init,
@@ -269,6 +271,83 @@ def test_sample_few_shot_deterministic_and_counts():
 
     with pytest.raises(ValueError, match="exceeds pool"):
         sample_few_shot(ds, 6, seed=9)
+
+
+def _gen_synthetic_images_per_class(ds):
+    """The per-class jitter loop that ``gen_synthetic`` replaced, kept as its oracle."""
+    C, pool, n_v, d_v = ds.images.shape
+    gen = rng.derive(ds.seed, "synthetic")
+    gen.standard_normal((d_v, d_v))  # the draw the prototypes come from
+    dtype = ds.images.dtype
+    images = np.empty((C, pool, n_v, d_v), dtype=dtype)
+    for c in range(C):
+        lifted = (ds.prototypes[c] * np.sqrt(d_v)).astype(dtype)
+        jitter = gen.standard_normal((pool, n_v, d_v)).astype(dtype)
+        images[c] = lifted[None, None, :] + float(ds.noise) * jitter
+    return images
+
+
+def _sample_few_shot_per_sample(dataset, k, seed):
+    """The per-sample loop that ``sample_few_shot`` replaced, kept as its oracle: the six split arrays."""
+    gen = rng.derive(seed, "episode")
+    splits = {"train": ([], []), "base": ([], []), "novel": ([], [])}
+    for label, c in enumerate(dataset.base_classes):
+        order = gen.permutation(dataset.pool_per_class)
+        for split, idxs in (("train", order[:k]), ("base", order[k:])):
+            for idx in idxs:
+                splits[split][0].append(dataset.images[c, idx])
+                splits[split][1].append(label)
+    for label, c in enumerate(dataset.novel_classes):
+        for idx in range(dataset.pool_per_class):
+            splits["novel"][0].append(dataset.images[c, idx])
+            splits["novel"][1].append(label)
+    out = []
+    for images, labels in splits.values():
+        empty = np.empty((0,) + dataset.images.shape[2:], dtype=dataset.images.dtype)
+        out += [np.stack(images) if images else empty, np.asarray(labels, dtype=np.int64)]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gen_synthetic_equals_the_per_class_loop(dtype):
+    for C, pool, noise, seed, dims in ((6, 5, 0.1, 3, (4, 10)), (2, 1, 0.0, 0, (1, 2)), (8, 16, 0.3, 11, (9, 32))):
+        ds = gen_synthetic(C, pool, noise, seed, dims=dims, dtype=dtype)
+        want = _gen_synthetic_images_per_class(ds)
+        assert ds.images.dtype == want.dtype and ds.images.flags.c_contiguous
+        assert ds.images.tobytes() == want.tobytes()
+
+
+def test_sample_few_shot_equals_the_per_sample_loop(tmp_path):
+    import dataclasses
+
+    ds = gen_synthetic(8, 5, 0.1, seed=7, dims=(3, 8))
+    shuffled = dataclasses.replace(ds, base_classes=[6, 1, 3], novel_classes=[0, 7])
+    save_checkpoint(tmp_path / "d.bin", *pack_dataset(shuffled))
+    loaded = unpack_dataset(*load_checkpoint(tmp_path / "d.bin"))  # read from disk, classes out of order
+    datasets = {
+        "generated": ds,
+        "f64": gen_synthetic(6, 4, 0.2, seed=1, dims=(2, 6), dtype=np.float64),
+        "one base class": dataclasses.replace(ds, base_classes=[5], novel_classes=[2, 4]),
+        "no novel class": dataclasses.replace(ds, novel_classes=[]),
+        "loaded": loaded,
+    }
+    for name, dataset in datasets.items():
+        for k in (1, 2, dataset.pool_per_class):  # k == pool leaves the base eval split empty
+            for seed in (0, 9):
+                ep = sample_few_shot(dataset, k, seed)
+                got = [
+                    ep.train_images,
+                    ep.train_labels,
+                    ep.base_eval_images,
+                    ep.base_eval_labels,
+                    ep.novel_eval_images,
+                    ep.novel_eval_labels,
+                ]
+                for g, w in zip(got, _sample_few_shot_per_sample(dataset, k, seed)):
+                    assert g.shape == w.shape and g.dtype == w.dtype and g.flags.c_contiguous, (name, k)
+                    assert g.tobytes() == w.tobytes(), (name, k, seed)
+                assert ep.base_tokens == [dataset.tokens[c] for c in dataset.base_classes]
+                assert ep.novel_tokens == [dataset.tokens[c] for c in dataset.novel_classes]
 
 
 # ------------------------------------------------------------------
