@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -676,12 +677,53 @@ def test_f32_erf_is_exactly_odd_and_keeps_the_sign_of_zero():
     assert np.array_equal(zeros, [0.0, 0.0]) and np.array_equal(np.signbit(zeros), [False, True])
 
 
-def test_f64_gelu_keeps_the_scipy_erf_bits():
-    from scipy.special import erf
+def _ulps_from_math_erf(xs):
+    exact = np.array([math.erf(x) for x in xs.tolist()])
+    return np.abs(ad._erf_f64(xs) - exact) / np.spacing(np.abs(exact))
 
+
+def test_f64_erf_is_within_2_ulp_of_math_erf():
+    dense = np.linspace(-8.0, 8.0, 1_600_001)
+    near_zero = np.random.default_rng(47).standard_normal(200_000) * 1e-2  # |erf| small: the tightest ulp
+    assert np.max(_ulps_from_math_erf(dense)) <= 2.0
+    assert np.max(_ulps_from_math_erf(near_zero)) <= 2.0
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 6.0, 6.001, 1e300, -1e300, np.inf, -np.inf])
+    assert np.max(_ulps_from_math_erf(edges)) <= 2.0
+
+
+def test_f64_erf_reads_the_nearest_grid_point(monkeypatch):
+    """|u| <= 1/2 is what the six terms' error bound assumes; a table of grid indices shows which point is read."""
+    rows = ad._erf64_table().shape[1]
+    indices = np.zeros((ad._ERF64_TERMS, rows))
+    indices[0] = np.arange(rows)
+    monkeypatch.setattr(ad, "_erf64_table", lambda: indices)
+    xs = np.random.default_rng(53).uniform(-8.0, 8.0, 100_000)
+    want = np.minimum(np.rint(np.abs(xs) * ad._ERF64_GRID), rows - 1)
+    assert np.array_equal(ad._erf_f64(xs), np.copysign(want, xs))
+
+
+def test_f64_erf_is_exactly_odd_and_keeps_the_sign_of_zero():
+    xs = np.random.default_rng(41).standard_normal(10_000) * 3.0
+    xs = np.concatenate([xs, [6.0, 1e-300, 5.93, 1e300, np.inf]])
+    assert np.array_equal(ad._erf_f64(-xs), -ad._erf_f64(xs))
+    zeros = ad._erf_f64(np.array([0.0, -0.0]))
+    assert np.array_equal(zeros, [0.0, 0.0]) and np.array_equal(np.signbit(zeros), [False, True])
+
+
+def test_f64_erf_maps_nan_to_nan_without_a_warning():
+    xs = np.array([np.nan, -np.nan, 0.5, np.inf])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = ad._erf_f64(xs)
+    assert np.isnan(got[:2]).all() and got[2] == math.erf(0.5) and got[3] == 1.0
+
+
+def test_f64_gelu_computes_its_erf_in_f64():
     x = np.random.default_rng(43).standard_normal((4, 9, 16)) * 3.0
-    want = 0.5 * x * (1.0 + erf(x * np.float64(0.7071067811865476)))
-    assert ad.gelu(Tensor(x)).data.tobytes() == want.tobytes()
+    want = np.array([0.5 * v * (1.0 + math.erf(v * 0.7071067811865476)) for v in x.ravel().tolist()])
+    got = ad.gelu(Tensor(x)).data
+    assert got.dtype == np.float64
+    assert np.all(np.abs(got.ravel() - want) <= 1e-15 * np.abs(x.ravel()))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

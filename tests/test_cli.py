@@ -592,31 +592,31 @@ def test_eval_of_a_split_with_no_samples_left_exits_1(tmp_path, capsys):
 
 _NO_SCIPY_SESSION = """
 import json, sys
-import numpy as np
-from mailpp import autodiff as ad
 from mailpp.cli import run
 
 workloads = json.load(open(sys.argv[1], encoding="utf-8"))
-cfg = dict(workloads["check_config"], precision="f32")
-cfg["training"] = dict(cfg["training"], steps=2)
-open("cfg.json", "w", encoding="utf-8").write(json.dumps(cfg))
-for argv in (
-    ["gen-data", "--config", "cfg.json", "--out", "data.bin"],
-    ["train", "--config", "cfg.json", "--data", "data.bin", "--out", "run.ckpt"],
-    ["fuse", "--ckpt", "run.ckpt", "--out", "fused.ckpt"],
-    ["eval", "--ckpt", "fused.ckpt", "--data", "data.bin", "--split", "base"],
-    ["report-norms", "--ckpt", "run.ckpt"],
-):
-    assert run(argv) == 0, argv
-    assert "scipy.special" not in sys.modules, argv
-ad.gelu(ad.Tensor(np.zeros(3)))
-assert "scipy.special" in sys.modules
+for precision in ("f32", "f64"):
+    cfg = dict(workloads["check_config"], precision=precision)
+    cfg["training"] = dict(cfg["training"], steps=2)
+    name = precision + ".json"
+    open(name, "w", encoding="utf-8").write(json.dumps(cfg))
+    for argv in (
+        ["gen-data", "--config", name, "--out", "data.bin"],
+        ["train", "--config", name, "--data", "data.bin", "--out", "run.ckpt"],
+        ["fuse", "--ckpt", "run.ckpt", "--out", "fused.ckpt"],
+        ["eval", "--ckpt", "fused.ckpt", "--data", "data.bin", "--split", "base"],
+        ["report-norms", "--ckpt", "run.ckpt"],
+        ["check", "--config", name, *workloads["check_flags"]],
+        ["gradcheck", "--config", name],
+    ):
+        assert run(argv) == 0, argv
+        assert "scipy" not in sys.modules, argv
 print("ok")
 """
 
 
-def test_an_f32_session_never_imports_scipy_special(tmp_path):
-    """f32 GELU computes its erf with numpy; only the first f64 gelu loads scipy.special."""
+def test_no_session_imports_scipy(tmp_path):
+    """GELU computes its erf with numpy in both precisions, so no command loads scipy."""
     import os
     import subprocess
     import sys
