@@ -27,14 +27,17 @@ place, so ``flatten_params`` can make every entry a view into one
 contiguous buffer that the optimizer updates as a whole.
 
 That layout is stated once, in ``_local_axes`` (local name, in table
-order -> the width each axis takes), and each site rule is checked once.
-``site_shapes`` sizes the layout and checks the positions, d_m and the
-bridge rank (1 <= rank <= min(in, out)). ``CoupledAgentSite`` checks that
-``bridge_shift`` has a coupled mode and that its table holds exactly the
-layout's names. The shapes are ``site_shapes``': ``build_sites`` allocates
-them and ``unpack_state`` checks every tensor against them. A hand-built
-site with miswired shapes fails in the first primitive that combines them
-(for a bridge, in ``effective()``), with that primitive's shape error.
+order -> the width each axis takes), and each of its rules has one owner.
+``_local_axes`` holds the rule that ``bridge_shift`` needs a coupled mode,
+so ``site_shapes`` and a hand-built ``CoupledAgentSite`` both raise it.
+``site_shapes`` holds the rest: positions are non-empty, unique and known,
+d_m >= 1, and 1 <= rank <= min(in, out) for every bridge at every site.
+Each error starts with the field it names, so ``parse_config_doc`` reports
+it as ``training.<error>``. A site checks only its name set. The shapes
+are ``site_shapes``': ``build_sites`` allocates them and ``unpack_state``
+checks every tensor against them. A hand-built site with miswired shapes
+fails in the first primitive that combines them (for a bridge, in
+``effective()``), with that primitive's shape error.
 
 The encoders see the sites only through ``build_scaling_map``: one
 (a_eff, b_eff) pair per hook key, (modality, block | None, position).
@@ -145,6 +148,8 @@ def _local_axes(mode: CouplingMode, bridge_shift: bool) -> dict[str, tuple[str, 
     A width is ``"image"`` or ``"text"`` (that side's hook width), ``"meta"``
     (d_m) or ``"rank"``; ``site_shapes`` turns the widths into sizes.
     """
+    if bridge_shift and mode == CouplingMode.IVLU:
+        raise ValueError("bridge_shift requires a coupled mode")
     axes = {"image/a": ("image",), "image/b": ("image",), "text/a": ("text",), "text/b": ("text",)}
     for prefix, meta_name in _COUPLED_PAIRS[: 1 + bridge_shift]:
         if _has_meta(mode):
@@ -165,8 +170,6 @@ class CoupledAgentSite:
     arrays: dict[str, np.ndarray]
 
     def __post_init__(self):
-        if self.bridge_shift and self.mode == CouplingMode.IVLU:
-            raise ValueError("bridge_shift requires a coupled mode")
         want = _local_axes(self.mode, self.bridge_shift)
         if self.arrays.keys() != want.keys():
             raise ValueError(f"{self.mode.value} sites need exactly {sorted(want)}, got {sorted(self.arrays)}")
@@ -229,25 +232,38 @@ def site_shapes(
     bridge_shift: bool = False,
     positions: tuple[Position, ...] = ALL_POSITIONS,
 ) -> dict[SiteKey, dict[str, tuple[int, ...]]]:
-    """Every requested site's local name -> shape table, sites in canonical order, names in table order."""
+    """Every requested site's local name -> shape table, sites in canonical order, names in table order.
+
+    Checks the layout rules (module docstring). Sites with the same (image,
+    text) hook widths share one table, sized and rank-checked once.
+    """
     mode = CouplingMode(mode)
+    if not positions:
+        raise ValueError("positions must not be empty")
+    if len(set(positions)) != len(positions):
+        raise ValueError("positions contains duplicates")
     for p in positions:
         if p not in ALL_POSITIONS:
-            raise ValueError(f"unknown position {p!r}")
+            raise ValueError(f"positions: unknown position {p!r}")
     if d_m < 1:
         raise ValueError("d_m must be positive")
-    keys = [SiteKey(i, p) for i in range(cfg.L) for p in BLOCK_POSITIONS if p in positions]
-    keys += [SiteKey(None, p) for p in FINAL_POSITIONS if p in positions]
-
+    if rank < 1:
+        raise ValueError("rank must be positive")
     axes = _local_axes(mode, bridge_shift)
-    layout: dict[SiteKey, dict[str, tuple[int, ...]]] = {}
-    for key in keys:
-        image, text = cfg.hook_width("image", key.pos), cfg.hook_width("text", key.pos)
-        widths = {"image": image, "text": text, "meta": d_m, "rank": rank}
-        for _, side, source in _BRIDGES[mode]:
-            if not 1 <= rank <= min(widths[source], widths[side]):
-                raise ValueError(f"bridge rank {rank} outside [1, min({widths[source]}, {widths[side]})]")
-        layout[key] = {name: tuple(widths[axis] for axis in names) for name, names in axes.items()}
+    tables: dict[tuple[int, int], dict[str, tuple[int, ...]]] = {}  # (image, text) hook widths -> table
+    by_pos: dict[Position, dict[str, tuple[int, ...]]] = {}
+    for p in ALL_POSITIONS:  # the sites' order, so the first site to break a rule names it
+        if p in positions:
+            hooks = cfg.hook_width("image", p), cfg.hook_width("text", p)
+            if hooks not in tables:
+                widths = {"image": hooks[0], "text": hooks[1], "meta": d_m, "rank": rank}
+                for _, side, source in _BRIDGES[mode]:
+                    if rank > min(widths[source], widths[side]):
+                        raise ValueError(f"rank {rank} outside [1, min({widths[source]}, {widths[side]})]")
+                tables[hooks] = {name: tuple([widths[axis] for axis in names]) for name, names in axes.items()}
+            by_pos[p] = tables[hooks]
+    layout = {SiteKey(i, p): by_pos[p] for i in range(cfg.L) for p in BLOCK_POSITIONS if p in by_pos}
+    layout.update({SiteKey(None, p): by_pos[p] for p in FINAL_POSITIONS if p in by_pos})
     return layout
 
 

@@ -411,6 +411,8 @@ def _erf_f32(x: np.ndarray) -> np.ndarray:
     |x| above about 3.67. Both polynomials see only x², so erf(-x) is
     exactly -erf(x) and ±0 maps to ±0.
     """
+    if x.ndim == 0:  # ufuncs return scalars here, which the in-place steps cannot write into
+        return _erf_f32(x.reshape(1)).reshape(())
     x = np.minimum(x, _F32_FOUR)
     np.maximum(x, -_F32_FOUR, out=x)
     z = x * x

@@ -8,9 +8,11 @@ field, a coercion chosen by the field's type, and the default. Parsing
 and ``to_doc`` walk that table. The JSON key is the field name, except
 ``lambda`` for ``TrainingConfig.lam``, the one alias.
 
-Unknown keys and duplicate keys are rejected outright so a typo in a
-hyperparameter name cannot silently fall back to a default. Validation
-errors always name the offending key.
+``parse_config_doc`` checks itself only JSON types, unknown and duplicate
+keys (so a typo cannot silently fall back to a default) and the rules
+across sections. Every other rule belongs to the section's dataclass or,
+for the agent-site layout, to ``agents.site_shapes``. Their ValueErrors
+start with the field name and are reported as ``<section>.<error>``.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import Any, Callable, Literal, NamedTuple
 
 import numpy as np
 
-from .agents import CouplingMode, build_sites
-from .encoder import ALL_POSITIONS, EncoderConfig
+from .agents import build_sites, site_shapes
+from .encoder import EncoderConfig
 from .training import TrainingConfig
 
 __all__ = [
@@ -51,11 +53,11 @@ class DataConfig:
 
     def __post_init__(self):
         if self.pool_per_class < 1:
-            raise ConfigError("data.pool_per_class must be >= 1")
+            raise ValueError("pool_per_class must be >= 1")
         if self.noise < 0:
-            raise ConfigError("data.noise must be >= 0")
+            raise ValueError("noise must be >= 0")
         if self.text_len < 2:
-            raise ConfigError("data.text_len must be >= 2")
+            raise ValueError("text_len must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -193,14 +195,12 @@ def _to_doc(obj) -> dict:
     return doc
 
 
-def _build(cls, values: dict, path: str):
-    """``cls(**values)``, its own ValueErrors prefixed with the section."""
+def _build(path: str, make: Callable, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValueErrors re-raised as ConfigErrors prefixed with ``<path>.``."""
     try:
-        return cls(**values)
-    except ConfigError:
-        raise
+        return make(*args, **kwargs)
     except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
+        raise ConfigError(f"{path}.{e}") from e
 
 
 DEFAULT_CONFIG_DOC = RunConfig().to_doc()
@@ -233,37 +233,11 @@ def parse_config_doc(doc) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     raw = _read(doc, RunConfig, "")
-    enc, trn = raw["encoder"], raw["training"]
-
-    for key, value in enc.items():
-        if value <= 0:
-            raise ConfigError(f"encoder.{key} must be positive")
-    encoder = _build(EncoderConfig, enc, "encoder")
-
-    positions = trn["positions"]
-    if not positions:
-        raise ConfigError("training.positions must not be empty")
-    if len(set(positions)) != len(positions):
-        raise ConfigError("training.positions contains duplicates")
-    for p in positions:
-        if p not in ALL_POSITIONS:
-            raise ConfigError(f"training.positions: unknown position {p!r}")
-
-    mode, rank = trn["mode"], trn["rank"]
-    if trn["d_m"] < 1:
-        raise ConfigError("training.d_m must be positive")
-    if rank < 1:
-        raise ConfigError("training.rank must be positive")
-    if mode in (CouplingMode.TEXT_TO_IMAGE, CouplingMode.IMAGE_TO_TEXT):
-        bound = min(encoder.d_t, encoder.d_v)
-        if rank > bound:
-            raise ConfigError(f"training.rank {rank} exceeds min(d_t, d_v) = {bound}")
-    if mode == CouplingMode.BIDIRECTIONAL:
-        bound = min(encoder.d_t, encoder.d_v, trn["d_m"])
-        if rank > bound:
-            raise ConfigError(f"training.rank {rank} exceeds min(d_t, d_v, d_m) = {bound}")
-    training = _build(TrainingConfig, trn, "training")
-    data = _build(DataConfig, raw["data"], "data")
+    encoder = _build("encoder", EncoderConfig, **raw["encoder"])
+    training = _build("training", TrainingConfig, **raw["training"])
+    data = _build("data", DataConfig, **raw["data"])
+    run = RunConfig(**{**raw, "encoder": encoder, "training": training, "data": data})
+    _build("training", site_shapes, *run.layout)
 
     # cross-section consistency
     if training.classes + 2 > encoder.vocab_size:
@@ -277,7 +251,4 @@ def parse_config_doc(doc) -> RunConfig:
         raise ConfigError(f"data.text_len {data.text_len} exceeds encoder.N_t {encoder.N_t}")
     if training.shots > data.pool_per_class:
         raise ConfigError(f"training.shots {training.shots} exceeds data.pool_per_class {data.pool_per_class}")
-    if training.bridge_shift and mode == CouplingMode.IVLU:
-        raise ConfigError("training.bridge_shift requires a coupled mode")
-
-    return RunConfig(**{**raw, "encoder": encoder, "training": training, "data": data})
+    return run

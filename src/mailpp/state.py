@@ -13,7 +13,7 @@ after checking them, without copying. The trainable arrays are stored as
 flat moments as ``opt/m/<site>/<local>`` and ``opt/v/<site>/<local>``,
 cut in the same order. Unpacking checks every tensor once, by name, shape
 and dtype, against the config (``_check_layout``; the agent shapes come
-from ``site_shapes``, which also checks the bridge rank). It then builds
+from ``site_shapes``, which also checks the layout's rules). It then builds
 each site from copies of its tensors (no random draw), which re-checks
 only the site's name set, and concatenates the moments back.
 """

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import re
 from collections import Counter
 
@@ -22,6 +23,7 @@ from mailpp.agents import (
     fuse_linear,
     fuse_model,
     named_params,
+    site_shapes,
     trainable_param_count,
 )
 from mailpp.autodiff import Tape, Tensor
@@ -29,7 +31,7 @@ from mailpp.autodiff import affine as ad_affine
 from mailpp.autodiff import layernorm as ad_layernorm
 from mailpp.autodiff import linear as ad_linear
 from mailpp.config import RunConfig
-from mailpp.encoder import BLOCK_POSITIONS, EncoderConfig, image_forward, init_dual_encoder, text_forward
+from mailpp.encoder import ALL_POSITIONS, BLOCK_POSITIONS, EncoderConfig, image_forward, init_dual_encoder, text_forward
 from mailpp.verify import count_trainable_params, randomize_sites
 
 
@@ -174,23 +176,64 @@ def test_bridge_init_distribution_and_rank():
     assert downs.size == 40 * 4 * 64
     assert abs(float(downs.std()) - 1.0 / np.sqrt(64)) < 0.01  # std = 1/sqrt(in_dim)
     # the rank rule, 1 <= rank <= min(in, out) for every bridge, in every coupled mode and shift setting;
-    # each case names the first bridge that breaks it, at d_t = 4, d_v = 8, d_m = 16
+    # each case above the bound names the first bridge that breaks it, at d_t = 4, d_v = 8, d_m = 16
     small = EncoderConfig(d_t=4, d_v=8)
     cases = {
-        (CouplingMode.TEXT_TO_IMAGE, 0): "min(4, 8)",
-        (CouplingMode.TEXT_TO_IMAGE, 5): "min(4, 8)",
-        (CouplingMode.IMAGE_TO_TEXT, 0): "min(8, 4)",
-        (CouplingMode.IMAGE_TO_TEXT, 5): "min(8, 4)",
-        (CouplingMode.BIDIRECTIONAL, 0): "min(16, 8)",
-        (CouplingMode.BIDIRECTIONAL, 5): "min(16, 4)",  # meta -> image takes 5; meta -> text does not
+        (CouplingMode.TEXT_TO_IMAGE, 0): "rank must be positive",
+        (CouplingMode.TEXT_TO_IMAGE, 5): "rank 5 outside [1, min(4, 8)]",
+        (CouplingMode.IMAGE_TO_TEXT, 0): "rank must be positive",
+        (CouplingMode.IMAGE_TO_TEXT, 5): "rank 5 outside [1, min(8, 4)]",
+        (CouplingMode.BIDIRECTIONAL, 0): "rank must be positive",
+        # meta -> image takes 5; meta -> text does not
+        (CouplingMode.BIDIRECTIONAL, 5): "rank 5 outside [1, min(16, 4)]",
     }
-    for (mode, rank), bound in cases.items():
+    for (mode, rank), message in cases.items():
         for shift in (False, True):
-            with pytest.raises(ValueError, match=re.escape(f"bridge rank {rank} outside [1, {bound}]")):
+            with pytest.raises(ValueError, match=re.escape(message)):
                 build_sites(small, mode, rank, 16, gen, bridge_shift=shift)
             build_sites(small, mode, 4, 16, gen, bridge_shift=shift)  # rank = min(d_t, d_v) is allowed
-    with pytest.raises(ValueError, match=re.escape("bridge rank 3 outside [1, min(2, 8)]")):  # rank > d_m
+    with pytest.raises(ValueError, match=re.escape("rank 3 outside [1, min(2, 8)]")):  # rank > d_m
         build_sites(small, CouplingMode.BIDIRECTIONAL, 3, 2, gen)
+
+
+def _reference_shapes(cfg, mode, rank, d_m, shift, positions):
+    """The layout sized site by site from the coupling table of the module docstring, for ``site_shapes`` to match."""
+    bridges = {  # field -> (side it adds to, vector it reads)
+        CouplingMode.IVLU: {},
+        CouplingMode.TEXT_TO_IMAGE: {"bridge_v": ("image", "text")},
+        CouplingMode.IMAGE_TO_TEXT: {"bridge_t": ("text", "image")},
+        CouplingMode.BIDIRECTIONAL: {"bridge_v": ("image", "meta"), "bridge_t": ("text", "meta")},
+    }[mode]
+    keys = [SiteKey(i, p) for i in range(cfg.L) for p in ("1a", "1b", "2", "3") if p in positions]
+    keys += [SiteKey(None, p) for p in ("4", "5") if p in positions]
+    layout = []
+    for key in keys:
+        widths = {"image": cfg.d_t if key.pos == "5" else cfg.d_v, "text": cfg.d_t, "meta": d_m}
+        table = [("image/a", (widths["image"],)), ("image/b", (widths["image"],))]
+        table += [("text/a", (widths["text"],)), ("text/b", (widths["text"],))]
+        for prefix, meta_name in (("", "meta/a_m"), ("shift_", "shift_meta/b_m"))[: 1 + shift]:
+            if mode == CouplingMode.BIDIRECTIONAL:
+                table.append((meta_name, (d_m,)))
+            for field, (side, source) in bridges.items():
+                table.append((f"{prefix}{field}/w_up", (widths[side], rank)))
+                table.append((f"{prefix}{field}/w_down", (rank, widths[source])))
+        layout.append((key, table))
+    return layout
+
+
+def test_site_shapes_shares_one_table_per_hook_width_pair():
+    """Every site's table equals the per-site reference, in order; sites of one hook-width pair share it."""
+    subsets = [c for n in range(1, 7) for c in itertools.combinations(ALL_POSITIONS, n)]  # with and without "5"
+    for L in (1, 2, 3):
+        cfg = EncoderConfig(L=L, d_t=8, d_v=12, n_heads=2)
+        for positions in subsets:
+            for mode, shift in _ALL_COUPLINGS:
+                layout = site_shapes(cfg, mode, 3, 5, shift, positions)
+                want = _reference_shapes(cfg, mode, 3, 5, shift, positions)
+                assert [(key, list(table.items())) for key, table in layout.items()] == want
+                tables = {}  # position 5's hook widths (8, 8) or everyone else's (12, 8) -> the one table
+                for key, table in layout.items():
+                    assert tables.setdefault(key.pos == "5", table) is table
 
 
 # ------------------------------------------------------------------

@@ -727,6 +727,18 @@ def test_f64_gelu_computes_its_erf_in_f64():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_erf_and_gelu_of_a_0d_array_give_the_bits_of_shape_1(dtype):
+    erf = ad._erf_f32 if dtype == np.float32 else ad._erf_f64
+    for v in (0.0, -0.0, np.nan, 1.0, -2.5, 5.0):
+        got, want = erf(np.array(v, dtype)), erf(np.array([v], dtype))
+        assert np.shape(got) == () and got.dtype == dtype and np.asarray(got).tobytes() == want.tobytes()
+        if np.isfinite(v):
+            got, want = ad.gelu(Tensor(np.array(v, dtype))).data, ad.gelu(Tensor(np.array([v], dtype))).data
+            assert np.shape(got) == () and np.asarray(got).tobytes() == want.tobytes()
+    assert np.signbit(erf(np.array(-0.0, dtype))) and not np.signbit(erf(np.array(0.0, dtype)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("biased", [False, True], ids=["no-bias", "bias"])
 @pytest.mark.parametrize("lead", [(), (9,), (16, 9), (3, 16, 9)], ids=["vector", "rows", "batch", "trials-batch"])
 def test_linear_folds_its_leading_axes_into_one_row_axis(monkeypatch, lead, biased, dtype):

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mailpp import rng
-from mailpp.agents import CouplingMode, build_sites, named_params
+from mailpp.agents import CouplingMode, SiteKey, build_sites, named_params, trainable_param_count
 from mailpp.checkpoint import config_bytes
+from mailpp.cli import run as cli_run
 from mailpp.config import ConfigError, DEFAULT_CONFIG_DOC, RunConfig, parse_config, parse_config_doc
-from mailpp.encoder import ALL_POSITIONS
+from mailpp.encoder import ALL_POSITIONS, EncoderConfig
+from mailpp.training import TrainingConfig
+from mailpp.verify import check_counter_agreement
 
 
 def test_minimal_document_gets_defaults():
@@ -131,10 +134,9 @@ def test_lambda_key_maps_to_tradeoff():
         parse_config('{"training": {"lambda": -0.5}}')
 
 
-# Every document below has exactly one fault. The messages were recorded
-# from the hand-written parser that the dataclass-derived schema replaced;
-# only the three DataConfig messages changed (they used to read
-# `data: data.<key> ...`).
+# Every document below has exactly one fault. A value rule of a section's
+# dataclass or of the site layout (`site_shapes`) reads `<section>.<error>`;
+# a rank bound names the two widths of the first bridge that breaks it.
 ONE_FAULT_MESSAGES = [
     # whole document
     ('{', 'config is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)'),
@@ -172,8 +174,8 @@ ONE_FAULT_MESSAGES = [
     ('{"encoder": {"vocab_size": 0}}', 'encoder.vocab_size must be positive'),
     ('{"encoder": {"eps": 0}}', 'encoder.eps must be positive'),
     ('{"encoder": {"eps": -1e-5}}', 'encoder.eps must be positive'),
-    ('{"encoder": {"d_t": 30}}', 'encoder: d_t=30 not divisible by n_heads=4'),
-    ('{"encoder": {"d_v": 50}}', 'encoder: d_v=50 not divisible by n_heads=4'),
+    ('{"encoder": {"d_t": 30}}', 'encoder.d_t=30 not divisible by n_heads=4'),
+    ('{"encoder": {"d_v": 50}}', 'encoder.d_v=50 not divisible by n_heads=4'),
     # training: keys and types
     ('{"training": {"lrate": 0.1}}', "unknown key 'lrate' in section 'training'"),
     ('{"training": {"lam": 1.0}}', "unknown key 'lam' in section 'training'"),
@@ -209,19 +211,19 @@ ONE_FAULT_MESSAGES = [
     ('{"training": {"positions": ["9"]}}', "training.positions: unknown position '9'"),
     ('{"training": {"d_m": 0}}', 'training.d_m must be positive'),
     ('{"training": {"rank": 0}}', 'training.rank must be positive'),
-    ('{"training": {"rank": 17}}', 'training.rank 17 exceeds min(d_t, d_v, d_m) = 16'),
-    ('{"training": {"rank": 33, "mode": "text_to_image", "d_m": 64}}', 'training.rank 33 exceeds min(d_t, d_v) = 32'),
-    ('{"training": {"rank": 33, "mode": "image_to_text"}}', 'training.rank 33 exceeds min(d_t, d_v) = 32'),
-    ('{"training": {"lambda": -0.5}}', 'training: lambda must be non-negative'),
-    ('{"training": {"shots": 0}}', 'training: shots must be >= 1'),
-    ('{"training": {"classes": 1}}', 'training: classes must be >= 2'),
-    ('{"training": {"lr": 0}}', 'training: lr must be positive'),
-    ('{"training": {"temperature": 0}}', 'training: temperature must be positive'),
-    ('{"training": {"batch_size": 0}}', 'training: batch_size must be >= 1 and steps >= 0'),
-    ('{"training": {"steps": -1}}', 'training: batch_size must be >= 1 and steps >= 0'),
-    ('{"training": {"betas": [1.0, 0.999]}}', 'training: betas must lie in [0, 1)'),
-    ('{"training": {"betas": [0.9, -0.1]}}', 'training: betas must lie in [0, 1)'),
-    ('{"training": {"betas": [true, 0.999]}}', 'training: betas must lie in [0, 1)'),
+    ('{"training": {"rank": 17}}', 'training.rank 17 outside [1, min(16, 48)]'),
+    ('{"training": {"rank": 33, "mode": "text_to_image", "d_m": 64}}', 'training.rank 33 outside [1, min(32, 48)]'),
+    ('{"training": {"rank": 33, "mode": "image_to_text"}}', 'training.rank 33 outside [1, min(48, 32)]'),
+    ('{"training": {"lambda": -0.5}}', 'training.lambda must be non-negative'),
+    ('{"training": {"shots": 0}}', 'training.shots must be >= 1'),
+    ('{"training": {"classes": 1}}', 'training.classes must be >= 2'),
+    ('{"training": {"lr": 0}}', 'training.lr must be positive'),
+    ('{"training": {"temperature": 0}}', 'training.temperature must be positive'),
+    ('{"training": {"batch_size": 0}}', 'training.batch_size must be >= 1 and steps >= 0'),
+    ('{"training": {"steps": -1}}', 'training.batch_size must be >= 1 and steps >= 0'),
+    ('{"training": {"betas": [1.0, 0.999]}}', 'training.betas must lie in [0, 1)'),
+    ('{"training": {"betas": [0.9, -0.1]}}', 'training.betas must lie in [0, 1)'),
+    ('{"training": {"betas": [true, 0.999]}}', 'training.betas must lie in [0, 1)'),
     # data
     ('{"data": {"foo": 1}}', "unknown key 'foo' in section 'data'"),
     ('{"data": {"noise": 0.1, "noise": 0.2}}', "duplicate key 'noise'"),
@@ -258,6 +260,59 @@ def test_one_fault_table_leaves_no_section_unchecked():
     for section in ("encoder", "training", "data"):
         keys = {k for doc in docs if isinstance(doc, dict) and isinstance(doc.get(section), dict) for k in doc[section]}
         assert set(DEFAULT_CONFIG_DOC[section]) <= keys, section
+
+
+# ------------------------------------------------------------------
+# the agent-site layout's rules have one owner, site_shapes
+
+# widths 8 (text), 12 (image) and d_m 6: each rank bound below breaks the narrower end of one bridge
+_LAYOUT_ENCODER = {"L": 1, "d_t": 8, "d_v": 12, "n_heads": 2, "N_t": 6, "N_v": 5, "mlp_ratio": 2, "vocab_size": 24}
+LAYOUT_FAULTS = [
+    ({"positions": ()}, "positions must not be empty"),
+    ({"positions": ("1a", "1a")}, "positions contains duplicates"),
+    ({"positions": ("9",)}, "positions: unknown position '9'"),
+    ({"d_m": 0}, "d_m must be positive"),
+    *[({"mode": mode, "rank": 0}, "rank must be positive") for mode in CouplingMode],
+    *[
+        ({"mode": mode, "rank": rank, "bridge_shift": shift}, f"rank {rank} outside [1, {bound}]")
+        for mode, rank, bound in (
+            (CouplingMode.TEXT_TO_IMAGE, 9, "min(8, 12)"),
+            (CouplingMode.IMAGE_TO_TEXT, 9, "min(12, 8)"),
+            (CouplingMode.BIDIRECTIONAL, 7, "min(6, 12)"),
+        )
+        for shift in (False, True)
+    ],
+    ({"mode": CouplingMode.IVLU, "bridge_shift": True}, "bridge_shift requires a coupled mode"),
+]
+
+
+@pytest.mark.parametrize("fields,message", LAYOUT_FAULTS, ids=[json.dumps(f) for f, _ in LAYOUT_FAULTS])
+def test_each_layout_rule_is_stated_once_by_site_shapes(fields, message):
+    """parse_config reports exactly what build_sites raises on the same values, under `training.`."""
+    training = {"classes": 4, "d_m": 6, **fields}
+    enc = EncoderConfig(**_LAYOUT_ENCODER)
+    t = TrainingConfig(**training)
+    with pytest.raises(ValueError) as built:
+        build_sites(enc, t.mode, t.rank, t.d_m, rng.derive(0, "layout"), np.float32, t.bridge_shift, t.positions)
+    assert type(built.value) is ValueError and str(built.value) == message
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(json.dumps({"encoder": _LAYOUT_ENCODER, "training": training}))
+    assert str(parsed.value) == "training." + message
+
+
+def test_a_layout_that_build_sites_builds_is_accepted(tmp_path, capsys):
+    """At position 5 both hooks are d_t wide, so a text -> image bridge there may take a rank above d_v."""
+    training = {"classes": 8, "mode": "text_to_image", "rank": 20, "positions": ["5"]}
+    doc = {"encoder": {"d_t": 32, "d_v": 16}, "training": training}
+    cfg = parse_config(json.dumps(doc))
+    sites = cfg.sites(rng.derive(0, "position-5"))
+    assert list(sites) == [SiteKey(None, "5")]
+    assert sites[SiteKey(None, "5")].arrays["bridge_v/w_down"].shape == (20, 32)
+    assert check_counter_agreement(*cfg.layout).passed
+    path = tmp_path / "position5.json"
+    path.write_text(json.dumps(doc))
+    assert cli_run(["count-params", "--config", str(path)]) == 0
+    assert int(capsys.readouterr().out.splitlines()[0]) == trainable_param_count(sites)
 
 
 def _number(lo, hi):
