@@ -41,6 +41,14 @@ fails in the first primitive that combines them (for a bridge, in
 
 The encoders see the sites only through ``build_scaling_map``: one
 (a_eff, b_eff) pair per hook key, (modality, block | None, position).
+When no value a site reads is on a tape (``values`` is None or holds
+untaped (K, *shape) trial stacks), ``effective`` computes the coupled
+vectors in numpy with the expressions of ``ad.matmul``'s vector path and
+of ``ad.add``, so with their bits, and finite-checks each once; an
+uncoupled vector is a view checked by its name, as on the tape. Whatever
+the primitives would refuse (a non-finite value, mixed dtypes, a shape they
+do not take as it is) makes the site replay their chain, which raises the
+error that the tape would.
 
 After training, agents fold exactly into the frozen parameters, the
 re-parameterisation of SSF (Lian et al., NeurIPS 2022). ``_FOLDS`` maps
@@ -56,6 +64,7 @@ so a caller that already holds the map folds without recomputing it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping
@@ -136,6 +145,24 @@ _BRIDGES: dict[CouplingMode, tuple[tuple[str, Modality, str], ...]] = {
     CouplingMode.BIDIRECTIONAL: (("bridge_v", "image", "meta"), ("bridge_t", "text", "meta")),
 }
 _COUPLED_PAIRS = (("", "meta/a_m"), ("shift_", "shift_meta/b_m"))  # (field prefix, meta parameter name)
+_SIDES = ("image/a", "text/a", "image/b", "text/b")  # the vectors ``effective`` returns, in its order
+
+
+def _gemv(w: np.ndarray, v: np.ndarray | None) -> np.ndarray | None:
+    """``ad.matmul``'s vector path in numpy; None for operands that it does not take as they are."""
+    if v is None or w.ndim < 2 or w.shape[:-2] + w.shape[-1:] != v.shape:
+        return None
+    return (w @ v[..., None])[..., 0]
+
+
+def _add(x: np.ndarray, y: np.ndarray | None) -> np.ndarray | None:
+    """``ad.add`` in numpy on operands of one shape; None for any other pair."""
+    return x + y if y is not None and x.shape == y.shape else None
+
+
+def _coupling_term(read, matmul, bridge: str, v):
+    """W_up . W_down . v of one bridge (its ``_BRIDGES`` field with its prefix), through ``matmul``."""
+    return matmul(read(f"{bridge}/w_up"), matmul(read(f"{bridge}/w_down"), v))
 
 
 def _has_meta(mode: CouplingMode) -> bool:
@@ -188,36 +215,34 @@ class CoupledAgentSite:
 
     # ---- effective vectors ------------------------------------------
 
-    def _value(self, values: Mapping[str, Tensor] | None, local_name: str) -> Tensor:
-        full = f"{self.key}/{local_name}"
-        if values is not None and full in values:
-            return values[full]
-        return Tensor.view(self.arrays[local_name], full)
-
-    def _couple(
-        self, values: Mapping[str, Tensor] | None, v: Tensor, t: Tensor, prefix: str, meta_name: str
-    ) -> tuple[Tensor, Tensor]:
-        """One (image, text) vector pair after the mode's bridges (``_BRIDGES``)."""
-        vectors = {"image": v, "text": t}
-        if _has_meta(self.mode):
-            vectors["meta"] = self._value(values, meta_name)
-        out = {"image": v, "text": t}
-        for field, side, source in _BRIDGES[self.mode]:
-            w_up = self._value(values, f"{prefix}{field}/w_up")
-            w_down = self._value(values, f"{prefix}{field}/w_down")
-            out[side] = ad.add(out[side], ad.matmul(w_up, ad.matmul(w_down, vectors[source])))
-        return out["image"], out["text"]
+    def _pairs(self, read, add, matmul) -> list:
+        """[a_v, a_t, b_v, b_t] as ``read`` gives them, after the mode's bridges through ``add`` and ``matmul``."""
+        out = [read(name) for name in _SIDES]
+        for i, (prefix, meta_name) in zip((0, 2), _COUPLED_PAIRS[: 1 + self.bridge_shift]):
+            meta = read(meta_name) if meta_name in self.arrays else None  # a meta vector exists where a bridge reads it
+            vectors = {"image": out[i], "text": out[i + 1], "meta": meta}
+            for field, side, source in _BRIDGES[self.mode]:
+                j = i + (side == "text")
+                out[j] = add(out[j], _coupling_term(read, matmul, prefix + field, vectors[source]))
+        return out
 
     def effective(self, values: Mapping[str, Tensor] | None = None) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        """(a_v_eff, a_t_eff, b_v_eff, b_t_eff), on the tape if values are leaves."""
-        a_v = self._value(values, "image/a")
-        a_t = self._value(values, "text/a")
-        b_v = self._value(values, "image/b")
-        b_t = self._value(values, "text/b")
-        a_v, a_t = self._couple(values, a_v, a_t, *_COUPLED_PAIRS[0])
-        if self.bridge_shift:
-            b_v, b_t = self._couple(values, b_v, b_t, *_COUPLED_PAIRS[1])
-        return a_v, a_t, b_v, b_t
+        """(a_v_eff, a_t_eff, b_v_eff, b_t_eff), on the tape if values are leaves, else in numpy (module docstring)."""
+        prefix = f"{self.key}/"
+        given = {n: values[prefix + n] for n in self.arrays if prefix + n in values} if values else {}
+
+        def read(name: str) -> Tensor:  # a given value as it is, else a view of the site's array checked by name
+            return given[name] if name in given else Tensor.view(self.arrays[name], prefix + name)
+
+        if all(t.tape is None for t in given.values()):  # off the tape: numpy, where the primitives would agree
+            raw = self.arrays | {n: t.data for n, t in given.items()} if given else self.arrays
+            dt = raw["image/a"].dtype
+            if dt in (np.float32, np.float64) and all(a.dtype == dt and a.flags.c_contiguous for a in raw.values()):
+                with np.errstate(all="ignore"):  # a non-finite result warns nothing here: the replay raises for it
+                    out = dict(zip(_SIDES, self._pairs(raw.__getitem__, _add, _gemv)))
+                if all(x is raw[n] or x is not None and math.isfinite(np.vdot(x, x)) for n, x in out.items()):
+                    return tuple([read(n) if x is raw[n] else Tensor._wrap(x) for n, x in out.items()])
+        return tuple(self._pairs(read, ad.add, ad.matmul))  # the chain, or its error
 
 
 # ------------------------------------------------------------------
@@ -411,8 +436,9 @@ def bridge_norm(site: CoupledAgentSite, side: Modality) -> float:
     if site.mode != CouplingMode.BIDIRECTIONAL:
         raise ValueError("bridge_norm needs a bidirectional site with a meta vector")
     field = "bridge_v" if side == "image" else "bridge_t"
-    arr = site.arrays
-    vec = arr[f"{field}/w_up"] @ (arr[f"{field}/w_down"] @ arr["meta/a_m"])
+    vec = _coupling_term(site.arrays.__getitem__, _gemv, field, site.arrays["meta/a_m"])
+    if vec is None:  # an operand that ``matmul`` refuses: it raises its error
+        site.effective()
     d = vec.shape[0]
     return float(100.0 / np.sqrt(d) * np.linalg.norm(vec))
 

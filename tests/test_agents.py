@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -26,7 +27,7 @@ from mailpp.agents import (
     site_shapes,
     trainable_param_count,
 )
-from mailpp.autodiff import Tape, Tensor
+from mailpp.autodiff import NonFiniteError, Tape, Tensor
 from mailpp.autodiff import affine as ad_affine
 from mailpp.autodiff import layernorm as ad_layernorm
 from mailpp.autodiff import linear as ad_linear
@@ -196,14 +197,18 @@ def test_bridge_init_distribution_and_rank():
         build_sites(small, CouplingMode.BIDIRECTIONAL, 3, 2, gen)
 
 
+# the coupling table of the module docstring: per mode, bridge field -> (side it adds to, vector it reads)
+_COUPLING_RULE = {
+    CouplingMode.IVLU: {},
+    CouplingMode.TEXT_TO_IMAGE: {"bridge_v": ("image", "text")},
+    CouplingMode.IMAGE_TO_TEXT: {"bridge_t": ("text", "image")},
+    CouplingMode.BIDIRECTIONAL: {"bridge_v": ("image", "meta"), "bridge_t": ("text", "meta")},
+}
+
+
 def _reference_shapes(cfg, mode, rank, d_m, shift, positions):
     """The layout sized site by site from the coupling table of the module docstring, for ``site_shapes`` to match."""
-    bridges = {  # field -> (side it adds to, vector it reads)
-        CouplingMode.IVLU: {},
-        CouplingMode.TEXT_TO_IMAGE: {"bridge_v": ("image", "text")},
-        CouplingMode.IMAGE_TO_TEXT: {"bridge_t": ("text", "image")},
-        CouplingMode.BIDIRECTIONAL: {"bridge_v": ("image", "meta"), "bridge_t": ("text", "meta")},
-    }[mode]
+    bridges = _COUPLING_RULE[mode]
     keys = [SiteKey(i, p) for i in range(cfg.L) for p in ("1a", "1b", "2", "3") if p in positions]
     keys += [SiteKey(None, p) for p in ("4", "5") if p in positions]
     layout = []
@@ -578,3 +583,219 @@ def test_flatten_params_makes_every_entry_a_view_of_one_buffer(mode, bridge_shif
         site.set_param("text/c", np.zeros(arr.shape, np.float32))
     with pytest.raises(ValueError, match="shape"):
         site.set_param("text/b", np.zeros(arr.size + 1, np.float32))
+
+
+# ------------------------------------------------------------------
+# the coupling off the tape: numpy with the primitives' bits, and a replay through them for their errors
+
+def _primitive_chain(site, values=None):
+    """(a_v, a_t, b_v, b_t) by ``ad.matmul``, ``ad.matmul``, ``ad.add`` per bridge, reading each parameter as
+    ``effective`` does: the given value, else a view of the site's array checked by its name."""
+
+    def read(name):
+        full = f"{site.key}/{name}"
+        return values[full] if values is not None and full in values else Tensor.view(site.arrays[name], full)
+
+    out = {name: read(name) for name in ("image/a", "text/a", "image/b", "text/b")}
+    pairs = (("", "a", "meta/a_m"), ("shift_", "b", "shift_meta/b_m"))  # (field prefix, vector kind, meta name)
+    for prefix, kind, meta_name in pairs[: 1 + site.bridge_shift]:
+        vectors = {"image": out[f"image/{kind}"], "text": out[f"text/{kind}"]}
+        if site.mode == CouplingMode.BIDIRECTIONAL:
+            vectors["meta"] = read(meta_name)
+        for field, (side, source) in _COUPLING_RULE[site.mode].items():
+            w_up = read(f"{prefix}{field}/w_up")
+            w_down = read(f"{prefix}{field}/w_down")
+            out[f"{side}/{kind}"] = ad.add(out[f"{side}/{kind}"], ad.matmul(w_up, ad.matmul(w_down, vectors[source])))
+    return out["image/a"], out["text/a"], out["image/b"], out["text/b"]
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.data.dtype == w.data.dtype and g.shape == w.shape and g.data.tobytes() == w.data.tobytes()
+
+
+def _trial_stacks(sites, k=5):
+    """(K, *shape) values per name as ``gradient_check`` builds them (K points, each one coordinate moved), cast
+    to the sites' dtype."""
+    from mailpp.verify import _trial_points
+
+    x0 = np.concatenate([arr.reshape(-1) for _, arr in named_params(sites)])
+    coords = np.linspace(0, x0.size - 1, k).astype(int)
+    blocks = _trial_points(sites)(x0.astype(np.float64), coords, np.full(k, 1e-3))
+    return {name: Tensor(block.data.astype(x0.dtype)) for name, block in blocks.items()}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("positions", [ALL_POSITIONS, ("1b", "4", "5")], ids=["all", "three"])
+def test_the_untaped_coupling_has_the_bits_of_the_primitive_chain(dtype, positions):
+    """Every mode, shift on and off, plain and (K, w) values; the taped map keeps the chain's bits too."""
+    for mode, shift in _ALL_COUPLINGS:
+        sites = build_sites(EncoderConfig(), mode, 4, 16, rng.derive(40, "s", mode.value), dtype, shift, positions)
+        randomize_sites(sites, rng.derive(41, "p", mode.value))
+        stacks = _trial_stacks(sites)
+        tape = Tape()
+        leaves = {name: tape.leaf(Tensor.view(arr, name), name) for name, arr in named_params(sites)}
+        for values in (None, stacks, leaves):
+            scalings = build_scaling_map(sites, values)
+            for key, site in sites.items():
+                (a_v, b_v), (a_t, b_t) = (scalings[(m, key.block, key.pos)] for m in ("image", "text"))
+                _assert_same_bits((a_v, a_t, b_v, b_t), _primitive_chain(site, values))
+                _assert_same_bits(site.effective(values), (a_v, a_t, b_v, b_t))
+                assert (a_v.tape is None) == (values is not leaves)
+
+
+def test_an_untaped_map_calls_no_autodiff_primitive(monkeypatch):
+    sites = build_sites(EncoderConfig(), CouplingMode.BIDIRECTIONAL, 4, 16, rng.derive(42, "s"), np.float32, True)
+    randomize_sites(sites, rng.derive(43, "p"))
+    stacks = _trial_stacks(sites)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an untaped scaling map called an autodiff primitive")
+
+    for name in ad.__all__:
+        if name[0].islower():
+            monkeypatch.setattr(ad, name, refuse)
+    for values in (None, stacks):
+        for a, b in build_scaling_map(sites, values).values():
+            assert a.tape is None and b.tape is None
+    bridge_norm(next(iter(sites.values())), "image")
+
+
+def test_a_taped_map_at_the_default_layout_records_60_coupling_records():
+    """Ten bidirectional sites, two bridges each, ``matmul``, ``matmul``, ``add`` per bridge."""
+    sites = RunConfig().sites(rng.derive(44, "s"))
+    tape = Tape()
+    build_scaling_map(sites, {name: tape.leaf(Tensor.view(arr, name), name) for name, arr in named_params(sites)})
+    assert len(sites) == 10 and tape.num_records == 60
+
+
+def test_bridge_norm_reads_the_coupling_term_of_the_primitive_chain(tiny_cfg):
+    sites = build_sites(tiny_cfg, CouplingMode.BIDIRECTIONAL, 2, 4, rng.derive(45, "s"), np.float32)
+    randomize_sites(sites, rng.derive(46, "p"))
+    for site in sites.values():
+        meta = Tensor.view(site.arrays["meta/a_m"])
+        for side, field in (("image", "bridge_v"), ("text", "bridge_t")):
+            w_up, w_down = (Tensor.view(site.arrays[f"{field}/{w}"]) for w in ("w_up", "w_down"))
+            term = ad.matmul(w_up, ad.matmul(w_down, meta)).data
+            assert bridge_norm(site, side) == float(100.0 / np.sqrt(term.shape[0]) * np.linalg.norm(term))
+
+
+def _error(call):
+    """The exception ``call`` raises, as (type, message); None if it returns."""
+    try:
+        call()
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the chain on given NaN/Inf values
+@pytest.mark.parametrize(
+    "mode,bridge_shift", _ALL_COUPLINGS, ids=[f"{m.value}-shift{int(s)}" for m, s in _ALL_COUPLINGS]
+)
+def test_a_non_finite_parameter_raises_the_error_of_the_primitive_chain(mode, bridge_shift):
+    """A NaN or an Inf in any one array, or in two, gives the chain's first error, plain and stacked."""
+    cfg = EncoderConfig(L=1, d_t=8, d_v=12, n_heads=2, N_t=6, N_v=5, mlp_ratio=2, vocab_size=24)
+    sites = build_sites(cfg, mode, 2, 3, rng.derive(47, "s"), np.float64, bridge_shift, ("2", "5"))
+    randomize_sites(sites, rng.derive(48, "p"))
+    site = next(iter(sites.values()))
+    names = list(site.arrays)
+    for bad in [(n,) for n in names] + list(itertools.combinations(names, 2)):
+        for poison in (np.nan, np.inf, -np.inf):
+            saved = {n: site.arrays[n].copy() for n in bad}
+            for n in bad:
+                site.arrays[n].flat[-1] = poison
+            want = _error(lambda: _primitive_chain(site))
+            assert want[0] is NonFiniteError
+            assert _error(site.effective) == want
+            for n in bad:
+                site.set_param(n, saved[n])
+            # given values are taken as they are: a poisoned one that no primitive reads is returned unchecked
+            stacks = _trial_stacks({site.key: site}, k=3)
+            for n in bad:
+                stacks[f"{site.key}/{n}"] = Tensor._wrap(np.full(stacks[f"{site.key}/{n}"].shape, poison))
+            want = _error(lambda: _primitive_chain(site, stacks))
+            assert _error(lambda: site.effective(stacks)) == want
+            if want is None:
+                _assert_same_bits(site.effective(stacks), _primitive_chain(site, stacks))
+
+
+# one array of each parameter class at a bidirectional site with bridge_shift, which has all six
+_ONE_PER_CLASS = ("image/a", "text/b", "bridge_t/w_up", "shift_bridge_v/w_down", "meta/a_m", "shift_meta/b_m")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("local", _ONE_PER_CLASS)
+def test_each_parameter_class_names_its_non_finite_value_at_every_entry_point(local, dtype):
+    from mailpp.training import evaluate
+    from mailpp.verify import check_fusion_equivalence
+
+    cfg = EncoderConfig(L=2, d_t=8, d_v=12, n_heads=2, N_t=6, N_v=5, mlp_ratio=2, vocab_size=24)
+    model = init_dual_encoder(cfg, rng.derive(49, "m"), dtype)
+    sites = build_sites(cfg, CouplingMode.BIDIRECTIONAL, 2, 3, rng.derive(50, "s"), dtype, True)
+    randomize_sites(sites, rng.derive(51, "p"))
+    key = SiteKey(1, "2")
+    images = rng.derive(52, "x").standard_normal((3, cfg.N_v, cfg.d_v)).astype(dtype)
+    entry_points = {
+        "build_scaling_map": lambda: build_scaling_map(sites),
+        "evaluate": lambda: evaluate(model, sites, images, np.array([0, 1, 0]), [[1, 2], [3]]),
+        "fuse_model": lambda: fuse_model(model, sites),
+        "check_fusion_equivalence": lambda: check_fusion_equivalence(model, sites, n_inputs=2),
+    }
+    message = f"^{re.escape(f'{key}/{local}: non-finite value in result')}$"
+    for poison in (np.nan, np.inf):
+        arr = sites[key].arrays[local]
+        saved = arr.copy()
+        arr.flat[0] = poison
+        for entry, call in entry_points.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(NonFiniteError, match=message):
+                    call()
+            assert not caught, (entry, [str(w.message) for w in caught])  # numpy's arithmetic on it warns nothing
+        sites[key].set_param(local, saved)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the primitive that overflows warns first
+def test_an_overflowing_coupling_raises_the_primitive_that_overflowed():
+    # finite parameters: W_up . (W_down . a_t) overflows in the second matmul, a_v + term in the add
+    site = _scalar_site(CouplingMode.TEXT_TO_IMAGE, a_v=1.0, a_t=1.0, w_up_v=1e200, w_down_v=1e200)
+    with pytest.raises(NonFiniteError, match="^matmul: non-finite value in result$"):
+        site.effective()
+    site = _scalar_site(CouplingMode.TEXT_TO_IMAGE, a_v=1.5e308, a_t=1.0, w_up_v=1e308, w_down_v=1.0)
+    with pytest.raises(NonFiniteError, match="^add: non-finite value in result$"):
+        build_scaling_map({site.key: site})
+    # finite vectors whose sum of squares overflows are replayed, and keep their values
+    site = _scalar_site(CouplingMode.TEXT_TO_IMAGE, a_v=1e200, a_t=1.0, w_up_v=2e199, w_down_v=1.0)
+    _assert_same_bits(site.effective(), _primitive_chain(site))
+    assert site.effective()[0].data.tolist() == [1.2e200]
+
+
+def test_operands_the_primitives_refuse_raise_their_error():
+    def t2i(image_a, w_up, w_down):
+        arrays = _identity(3, 2) | {"image/a": image_a, "bridge_v/w_up": w_up, "bridge_v/w_down": w_down}
+        return CoupledAgentSite(SiteKey(None, "4"), CouplingMode.TEXT_TO_IMAGE, False, arrays)
+
+    # a mixed-precision hand-built site: numpy would promote to f64
+    mixed = t2i(np.ones(3), np.ones((3, 1), np.float32), np.ones((1, 2)))
+    with pytest.raises(ValueError, match=re.escape("matmul: precision mismatch (f32 vs f64)")):
+        mixed.effective()
+    # an ``a`` of shape (1,): numpy would broadcast it over the three channels
+    narrow = t2i(np.ones(1), np.ones((3, 1)), np.ones((1, 2)))
+    with pytest.raises(ValueError, match=re.escape("add: shapes (1,) and (3,) do not broadcast")):
+        narrow.effective()
+    # a one-axis W_down, alone and with a zero-axis W_up given: numpy's matmul would take W_down as a vector
+    for values in (None, {"final.4/bridge_v/w_up": Tensor(np.ones(()))}):
+        with pytest.raises(ValueError, match=re.escape("matmul: unsupported ranks 1 and 1")):
+            t2i(np.ones(3), np.ones((3, 1)), np.ones(2)).effective(values)
+    # a miswired meta bridge: ``bridge_norm`` raises the error that ``effective`` raises
+    arrays = _identity(3, 2) | {"meta/a_m": np.ones(4)} | _bridge("bridge_t", np.ones((1, 4)), np.ones((2, 1)))
+    arrays |= _bridge("bridge_v", np.ones((1, 3)), np.ones((3, 1)))  # W_down reads 3 values, a_m has 4
+    miswired = CoupledAgentSite(SiteKey(None, "4"), CouplingMode.BIDIRECTIONAL, False, arrays)
+    for call in (miswired.effective, lambda: bridge_norm(miswired, "image")):
+        with pytest.raises(ValueError, match=re.escape("matmul: inner dimension mismatch ((1, 3) @ (4,))")):
+            call()
+    # stacked values whose leading axes differ: ``matmul`` wants them equal, numpy would broadcast
+    stacked = {"final.4/text/a": Tensor(np.ones((3, 2))), "final.4/bridge_v/w_down": Tensor(np.ones((1, 1, 2)))}
+    with pytest.raises(ValueError, match=re.escape("matmul: leading axes do not match ((1, 1, 2) @ (3, 2))")):
+        t2i(np.ones(3), np.ones((3, 1)), np.ones((1, 2))).effective(stacked)
