@@ -12,8 +12,6 @@ from .agents import (
     SiteKey,
     bridge_norm,
     build_sites,
-    fuse_layernorm,
-    fuse_linear,
     fuse_model,
 )
 from .autodiff import NonFiniteError, Tape, Tensor

@@ -50,16 +50,11 @@ the primitives would refuse (a non-finite value, mixed dtypes, a shape they
 do not take as it is) makes the site replay their chain, which raises the
 error that the tape would.
 
-After training, agents fold exactly into the frozen parameters, the
-re-parameterisation of SSF (Lian et al., NeurIPS 2022). ``_FOLDS`` maps
-each position to the frozen tensors it folds into (1a -> ln1, 1b -> ln2,
-2 -> attn/o, 3 -> mlp/fc2, 4 -> final_ln, 5 -> proj): LayerNorm
-gamma' = gamma * a, beta' = beta * a + b; linear rows scale as
-W'[i] = a[i] * W[i], bias' = bias * a + b. ``fold_scalings`` folds a
-scaling map, each hook key's (a_eff, b_eff) into the tensors under
-``frozen/<modality>/``, into one copy of the model's ``arrays`` table;
-``fuse_model`` is ``fold_scalings`` of the sites' ``build_scaling_map``,
-so a caller that already holds the map folds without recomputing it.
+After training, agents fold exactly into the frozen parameters.
+``fuse_model`` is the encoder's ``fold_scalings`` of the sites'
+``build_scaling_map``; the encoder owns the fold rule and the tensors each
+position folds into, so a caller that already holds the map folds it
+there without recomputing it.
 """
 
 from __future__ import annotations
@@ -82,6 +77,7 @@ from .encoder import (
     Modality,
     Position,
     ScalingMap,
+    fold_scalings,
 )
 
 __all__ = [
@@ -94,9 +90,6 @@ __all__ = [
     "named_params",
     "flatten_params",
     "flat_views",
-    "fuse_layernorm",
-    "fuse_linear",
-    "fold_scalings",
     "fuse_model",
     "bridge_norm",
     "trainable_param_count",
@@ -382,46 +375,6 @@ def flatten_params(sites: Mapping[SiteKey, CoupledAgentSite]) -> np.ndarray:
 # folding
 
 
-def fuse_layernorm(
-    gamma: np.ndarray, beta: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """gamma' = gamma * a, beta' = beta * a + b."""
-    if gamma.shape != a.shape or beta.shape != a.shape or b.shape != a.shape:
-        raise ValueError(f"fuse_layernorm: agent pair {a.shape}/{b.shape} does not match gamma {gamma.shape}")
-    return gamma * a, beta * a + b
-
-
-def fuse_linear(w: np.ndarray, bias: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row i of W scales by a[i]; bias' = bias * a + b."""
-    if w.ndim != 2 or a.ndim != 1 or w.shape[0] != a.shape[0] or bias.shape != a.shape or b.shape != a.shape:
-        raise ValueError(f"fuse_linear: agent pair {a.shape}/{b.shape} does not match weight {w.shape}")
-    return w * a[:, None], bias * a + b
-
-
-# position -> (fold, scale tensor, shift tensor), names under frozen/<m>/[block<i>/]
-_FOLDS: dict[Position, tuple] = {
-    "1a": (fuse_layernorm, "ln1/gamma", "ln1/beta"),
-    "1b": (fuse_layernorm, "ln2/gamma", "ln2/beta"),
-    "2": (fuse_linear, "attn/o/w", "attn/o/b"),
-    "3": (fuse_linear, "mlp/fc2/w", "mlp/fc2/b"),
-    "4": (fuse_layernorm, "final_ln/gamma", "final_ln/beta"),
-    "5": (fuse_linear, "proj/w", "proj/b"),
-}
-
-
-def fold_scalings(model: DualEncoder, scalings: ScalingMap) -> DualEncoder:
-    """Fold each hook key's (a, b) into its frozen tensors (``_FOLDS``); shares no array with ``model``."""
-    arrays = dict(model.arrays)
-    for (m, block, pos), (a, b) in scalings.items():
-        fold, scale_name, shift_name = _FOLDS[pos]
-        p = f"frozen/{m}/" if block is None else f"frozen/{m}/block{block}/"
-        arrays[p + scale_name], arrays[p + shift_name] = fold(
-            arrays[p + scale_name], arrays[p + shift_name], a.data, b.data
-        )
-    # a fold returns fresh arrays; copy only the entries that no hook folded
-    return DualEncoder(model.cfg, {n: arr.copy() if arr is model.arrays[n] else arr for n, arr in arrays.items()})
-
-
 def fuse_model(model: DualEncoder, sites: Mapping[SiteKey, CoupledAgentSite]) -> DualEncoder:
     """Fold every site into the frozen weights: ``fold_scalings`` of the sites' scaling map."""
     return fold_scalings(model, build_scaling_map(sites))
@@ -437,10 +390,10 @@ def bridge_norm(site: CoupledAgentSite, side: Modality) -> float:
         raise ValueError("bridge_norm needs a bidirectional site with a meta vector")
     field = "bridge_v" if side == "image" else "bridge_t"
     vec = _coupling_term(site.arrays.__getitem__, _gemv, field, site.arrays["meta/a_m"])
-    if vec is None:  # an operand that ``matmul`` refuses: it raises its error
-        site.effective()
-    d = vec.shape[0]
-    return float(100.0 / np.sqrt(d) * np.linalg.norm(vec))
+    if vec is None:  # operands that ``_gemv`` does not take as they are: the chain raises its error or computes it
+        views = {n: Tensor.view(x, f"{site.key}/{n}") for n, x in site.arrays.items() if n.startswith((field, "meta"))}
+        vec = _coupling_term(views.__getitem__, ad.matmul, field, views["meta/a_m"]).data
+    return float(100.0 / np.sqrt(vec.shape[0]) * np.linalg.norm(vec))
 
 
 def trainable_param_count(sites: Mapping[SiteKey, CoupledAgentSite]) -> int:

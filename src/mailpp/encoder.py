@@ -30,6 +30,12 @@ sequence or a list of them. A text batch is right-padded to its longest
 sequence and each row is read at its own last token; the causal mask makes
 this exact (see ``text_forward``).
 
+Every hook follows a LayerNorm or a linear, so one rule folds a scaling
+map into the frozen weights (``fold_scalings``, SSF's re-parameterisation,
+Lian et al., NeurIPS 2022): the op's output channels scale by a (gamma' =
+gamma * a; W'[i] = a[i] * W[i]) and its shift becomes shift * a + b.
+``_FOLDS`` names the op each position follows.
+
 The readout reads one row per input, so the last block computes attention
 for that query row alone (against every key and value) and runs the rest
 of the block on it: the output projection, hook 2 and the attention
@@ -72,6 +78,7 @@ __all__ = [
     "ScalingMap",
     "init_dual_encoder",
     "weight_shapes",
+    "fold_scalings",
     "text_forward",
     "image_forward",
 ]
@@ -177,6 +184,31 @@ def _trial_axes(scalings: ScalingMap | None) -> tuple[int, ...]:
     for a, _ in (scalings or {}).values():
         return a.shape[:-1]
     return ()
+
+
+# position -> (scale tensor, shift tensor) of the op its hook follows, names under frozen/<m>/[block<i>/]
+_FOLDS: dict[Position, tuple[str, str]] = {
+    "1a": ("ln1/gamma", "ln1/beta"),
+    "1b": ("ln2/gamma", "ln2/beta"),
+    "2": ("attn/o/w", "attn/o/b"),
+    "3": ("mlp/fc2/w", "mlp/fc2/b"),
+    "4": ("final_ln/gamma", "final_ln/beta"),
+    "5": ("proj/w", "proj/b"),
+}
+
+
+def fold_scalings(model: DualEncoder, scalings: ScalingMap) -> DualEncoder:
+    """Fold each hook key's (a, b) into its op's tensors (``_FOLDS``); shares no array with ``model``."""
+    arrays = dict(model.arrays)
+    for (m, block, pos), (a, b) in scalings.items():
+        p = f"frozen/{m}/" if block is None else f"frozen/{m}/block{block}/"
+        scale, shift = (p + name for name in _FOLDS[pos])
+        w, s, a, b = arrays[scale], arrays[shift], a.data, b.data
+        if not a.shape == b.shape == s.shape == w.shape[:1]:
+            raise ValueError(f"fold_scalings: agent pair {a.shape}/{b.shape} does not match {scale} {w.shape}")
+        arrays[scale], arrays[shift] = w * a.reshape(a.shape + (1,) * (w.ndim - 1)), s * a + b
+    # a fold makes fresh arrays; copy only the entries that no hook folded
+    return DualEncoder(model.cfg, {n: arr.copy() if arr is model.arrays[n] else arr for n, arr in arrays.items()})
 
 
 # ------------------------------------------------------------------

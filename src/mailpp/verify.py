@@ -9,7 +9,7 @@ an enumeration of actually allocated arrays.
 The identity and fusion checks do each piece of work once. The identity
 check draws one input batch per model and runs the frozen passes once,
 then only the hooked passes per coupling mode. The fusion check builds
-the sites' scaling map once; the hooked passes read it and
+the sites' scaling map once; the hooked passes read it and the encoder's
 ``fold_scalings`` folds it, so each site's bridge products are computed
 once per trial.
 
@@ -40,7 +40,6 @@ from .agents import (
     build_scaling_map,
     build_sites,
     flat_views,
-    fold_scalings,
     named_params,
     trainable_param_count,
 )
@@ -51,6 +50,7 @@ from .encoder import (
     DualEncoder,
     EncoderConfig,
     Position,
+    fold_scalings,
     image_forward,
     init_dual_encoder,
     text_forward,
@@ -221,13 +221,12 @@ def check_identity_at_init(
     modes: Iterable[CouplingMode] = tuple(CouplingMode),
     n_inputs: int = 4,
     seed: int = 0,
-    rank: int = 2,
-    d_m: int = 4,
 ) -> CheckReport:
     """Hooked output must equal frozen output bit for bit with fresh sites.
 
     One batch of ``n_inputs`` inputs and one frozen pass per modality serve
-    every mode; each mode runs only its hooked passes.
+    every mode; each mode runs only its hooked passes, on sites of rank 2
+    and d_m 4.
     """
     worst = 0.0
     trials = 0
@@ -239,7 +238,7 @@ def check_identity_at_init(
         plain_v = image_forward(patches, model).data
     for mode in modes:
         sites = build_sites(
-            model.cfg, CouplingMode(mode), rank, d_m, rngmod.derive(seed, "identity-sites", str(mode)), model.dtype
+            model.cfg, CouplingMode(mode), 2, 4, rngmod.derive(seed, "identity-sites", str(mode)), model.dtype
         )
         scalings = build_scaling_map(sites)
         hooked_t = text_forward(tokens, model, scalings).data

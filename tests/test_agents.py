@@ -20,8 +20,6 @@ from mailpp.agents import (
     build_sites,
     flat_views,
     flatten_params,
-    fuse_layernorm,
-    fuse_linear,
     fuse_model,
     named_params,
     site_shapes,
@@ -32,7 +30,16 @@ from mailpp.autodiff import affine as ad_affine
 from mailpp.autodiff import layernorm as ad_layernorm
 from mailpp.autodiff import linear as ad_linear
 from mailpp.config import RunConfig
-from mailpp.encoder import ALL_POSITIONS, BLOCK_POSITIONS, EncoderConfig, image_forward, init_dual_encoder, text_forward
+from mailpp.encoder import (
+    ALL_POSITIONS,
+    BLOCK_POSITIONS,
+    DualEncoder,
+    EncoderConfig,
+    fold_scalings,
+    image_forward,
+    init_dual_encoder,
+    text_forward,
+)
 from mailpp.verify import count_trainable_params, randomize_sites
 
 
@@ -58,6 +65,31 @@ def _scalar_site(mode, a_v, a_t, w_up_v=0.0, w_down_v=0.0, w_up_t=0.0, w_down_t=
         arrays |= _bridge("bridge_t", [[w_down_t]], [[w_up_t]])
         arrays["meta/a_m"] = np.asarray([float(a_m)])
     return CoupledAgentSite(key=SiteKey(None, "5"), mode=mode, bridge_shift=False, arrays=arrays)
+
+
+def _reference_fold_layernorm(gamma, beta, a, b):
+    """A LayerNorm's fold, as a formula of its own: gamma' = gamma * a, beta' = beta * a + b."""
+    return gamma * a, beta * a + b
+
+
+def _reference_fold_linear(w, bias, a, b):
+    """A linear's fold, as a formula of its own: row i of W scales by a[i], bias' = bias * a + b."""
+    return w * a[:, None], bias * a + b
+
+
+# position -> (its fold, the frozen tensors it folds into), per block (1a-3) or once (4, 5)
+_FOLDED = {
+    "1a": (_reference_fold_layernorm, "ln1/gamma", "ln1/beta"),
+    "1b": (_reference_fold_layernorm, "ln2/gamma", "ln2/beta"),
+    "2": (_reference_fold_linear, "attn/o/w", "attn/o/b"),
+    "3": (_reference_fold_linear, "mlp/fc2/w", "mlp/fc2/b"),
+    "4": (_reference_fold_layernorm, "final_ln/gamma", "final_ln/beta"),
+    "5": (_reference_fold_linear, "proj/w", "proj/b"),
+}
+
+_ALL_COUPLINGS = [(mode, False) for mode in CouplingMode] + [
+    (mode, True) for mode in CouplingMode if mode != CouplingMode.IVLU
+]
 
 
 # ------------------------------------------------------------------
@@ -245,18 +277,27 @@ def test_site_shapes_shares_one_table_per_hook_width_pair():
 # folding
 
 
-def test_fuse_layernorm_identity_and_arithmetic():
+def _fold_one(pos, scale, shift, a, b):
+    """``fold_scalings`` of a one-hook map at text ``pos`` (block 0 in a block) on a model of that op's tensors."""
+    block = 0 if pos in BLOCK_POSITIONS else None
+    names = [f"frozen/text/{'' if block is None else 'block0/'}{leaf}" for leaf in _FOLDED[pos][1:]]
+    model = DualEncoder(EncoderConfig(), dict(zip(names, (scale, shift))))
+    fused = fold_scalings(model, {("text", block, pos): (Tensor(a), Tensor(b))})
+    return tuple(fused.arrays[name] for name in names)
+
+
+def test_fold_of_a_layernorm_identity_and_arithmetic():
     gamma = np.asarray([1.0, 1.0])
     beta = np.asarray([0.5, 0.0])
-    g2, b2 = fuse_layernorm(gamma, beta, np.ones(2), np.zeros(2))
+    g2, b2 = _fold_one("4", gamma, beta, np.ones(2), np.zeros(2))
     assert np.array_equal(g2, gamma) and np.array_equal(b2, beta)
 
-    g2, b2 = fuse_layernorm(gamma, beta, np.asarray([2.0, 3.0]), np.asarray([1.0, 1.0]))
+    g2, b2 = _fold_one("4", gamma, beta, np.asarray([2.0, 3.0]), np.asarray([1.0, 1.0]))
     assert g2.tolist() == [2.0, 3.0]
     assert b2.tolist() == [2.0, 1.0]
 
 
-def test_fuse_layernorm_matches_unfused_path():
+def test_fold_of_a_layernorm_matches_unfused_path():
     gen = rng.derive(1, "fuse-ln")
     for _ in range(20):
         d = 6
@@ -266,18 +307,18 @@ def test_fuse_layernorm_matches_unfused_path():
         a = (1.0 + 0.5 * gen.standard_normal(d)).astype(np.float32)
         b = (0.5 * gen.standard_normal(d)).astype(np.float32)
         unfused = ad_affine(ad_layernorm(x, gamma, beta, 1e-5), Tensor(a), Tensor(b)).data
-        g2, b2 = fuse_layernorm(gamma, beta, a, b)
+        g2, b2 = _fold_one("1a", gamma, beta, a, b)
         fused = ad_layernorm(x, g2, b2, 1e-5).data
         assert np.max(np.abs(unfused - fused)) <= 1e-6
 
 
-def test_fuse_linear_identity_and_arithmetic():
+def test_fold_of_a_linear_identity_and_arithmetic():
     w = np.asarray([[1.0, 2.0], [3.0, 4.0]])
     bias = np.asarray([1.0, 1.0])
-    w2, b2 = fuse_linear(w, bias, np.ones(2), np.zeros(2))
+    w2, b2 = _fold_one("2", w, bias, np.ones(2), np.zeros(2))
     assert np.array_equal(w2, w) and np.array_equal(b2, bias)
 
-    w2, b2 = fuse_linear(w, bias, np.asarray([2.0, 0.5]), np.asarray([0.0, 1.0]))
+    w2, b2 = _fold_one("2", w, bias, np.asarray([2.0, 0.5]), np.asarray([0.0, 1.0]))
     assert w2.tolist() == [[2.0, 4.0], [1.5, 2.0]]
     assert b2.tolist() == [2.0, 1.5]
 
@@ -286,13 +327,13 @@ def test_folds_reject_an_agent_pair_of_another_width():
     # a shift of width 1 would broadcast over the channels instead of raising
     gamma, w = np.ones(2), np.ones((2, 3))
     for a, b in ((np.ones(3), np.zeros(3)), (np.ones(2), np.zeros(1)), (np.ones(2), np.zeros(3))):
-        with pytest.raises(ValueError, match="fuse_layernorm: agent pair"):
-            fuse_layernorm(gamma, np.zeros(2), a, b)
-        with pytest.raises(ValueError, match="fuse_linear: agent pair"):
-            fuse_linear(w, np.zeros(2), a, b)
+        with pytest.raises(ValueError, match="fold_scalings: agent pair"):
+            _fold_one("4", gamma, np.zeros(2), a, b)
+        with pytest.raises(ValueError, match="fold_scalings: agent pair"):
+            _fold_one("3", w, np.zeros(2), a, b)
 
 
-def test_fuse_linear_matches_unfused_path():
+def test_fold_of_a_linear_matches_unfused_path():
     gen = rng.derive(2, "fuse-lin")
     for _ in range(20):
         d_out, d_in = 5, 7
@@ -302,18 +343,18 @@ def test_fuse_linear_matches_unfused_path():
         a = (1.0 + 0.5 * gen.standard_normal(d_out)).astype(np.float32)
         b = (0.5 * gen.standard_normal(d_out)).astype(np.float32)
         unfused = ad_affine(ad_linear(x, w, bias), Tensor(a), Tensor(b)).data
-        w2, b2 = fuse_linear(w, bias, a, b)
+        w2, b2 = _fold_one("3", w, bias, a, b)
         fused = ad_linear(x, w2, b2).data
         assert np.max(np.abs(unfused - fused)) <= 1e-6
 
 
-def test_fuse_linear_row_locality():
+def test_fold_of_a_linear_row_locality():
     gen = rng.derive(3, "locality")
     w = gen.standard_normal((5, 4))
     bias = gen.standard_normal(5)
     a_eff = np.ones(5)
     a_eff[2] = 3.5
-    w2, _ = fuse_linear(w, bias, a_eff, np.zeros(5))
+    w2, _ = _fold_one("5", w, bias, a_eff, np.zeros(5))
     changed = np.any(w2 != w, axis=1)
     assert changed.tolist() == [False, False, True, False, False]
 
@@ -403,15 +444,6 @@ def test_the_fused_model_runs_exactly_the_frozen_models_primitives():
     assert hooked - Counter(affine=20) == frozen
 
 
-# the frozen tensors each position folds into, per block (1a-3) or once (4, 5)
-_FOLDED = {
-    "1a": ("ln1/gamma", "ln1/beta"),
-    "1b": ("ln2/gamma", "ln2/beta"),
-    "2": ("attn/o/w", "attn/o/b"),
-    "3": ("mlp/fc2/w", "mlp/fc2/b"),
-    "4": ("final_ln/gamma", "final_ln/beta"),
-    "5": ("proj/w", "proj/b"),
-}
 
 
 @pytest.mark.parametrize("pos", sorted(_FOLDED))
@@ -423,11 +455,37 @@ def test_fuse_model_folds_each_position_into_its_own_tensors(tiny_model, tiny_cf
     fused = fuse_model(tiny_model, sites)
     before = dict(tiny_model.arrays)
     blocks = [f"block{i}/" for i in range(tiny_cfg.L)] if pos in ("1a", "1b", "2", "3") else [""]
-    want = {f"frozen/{m}/{b}{leaf}" for m in ("text", "image") for b in blocks for leaf in _FOLDED[pos]}
+    want = {f"frozen/{m}/{b}{leaf}" for m in ("text", "image") for b in blocks for leaf in _FOLDED[pos][1:]}
     changed = {name for name, arr in fused.arrays.items() if not np.array_equal(arr, before[name])}
     assert changed == want
     assert list(fused.arrays) == list(before)
     assert not any(np.shares_memory(arr, before[name]) for name, arr in fused.arrays.items())
+
+
+def _reference_fuse(model, sites):
+    """Every hook's (a, b) folded by its position's reference formula into a copy of ``model.arrays``."""
+    arrays = dict(model.arrays)
+    for (m, block, pos), (a, b) in build_scaling_map(sites).items():
+        fold, scale, shift = _FOLDED[pos]
+        p = f"frozen/{m}/" if block is None else f"frozen/{m}/block{block}/"
+        arrays[p + scale], arrays[p + shift] = fold(arrays[p + scale], arrays[p + shift], a.data, b.data)
+    return arrays
+
+
+@pytest.mark.parametrize("positions", [ALL_POSITIONS, ("1b", "5")], ids=["all", "1b-5"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "mode,bridge_shift", _ALL_COUPLINGS, ids=[f"{m.value}-shift{int(s)}" for m, s in _ALL_COUPLINGS]
+)
+def test_fuse_model_has_the_bits_of_the_reference_folds(tiny_cfg, mode, bridge_shift, dtype, positions):
+    model = init_dual_encoder(tiny_cfg, rng.derive(24, "m"), dtype)
+    sites = build_sites(tiny_cfg, mode, 2, 4, rng.derive(25, "s"), dtype, bridge_shift, positions)
+    randomize_sites(sites, rng.derive(26, "p"))
+    want = _reference_fuse(model, sites)
+    got = fuse_model(model, sites).arrays
+    assert list(got) == list(want)
+    for name, arr in want.items():
+        assert got[name].dtype == arr.dtype and got[name].tobytes() == arr.tobytes(), name
 
 
 # ------------------------------------------------------------------
@@ -508,6 +566,21 @@ def test_bridge_norm_sign_flip_invariant(tiny_cfg):
     assert bridge_norm(site, "image") == pytest.approx(before, rel=1e-12)
 
 
+def test_bridge_norm_of_a_meta_matrix_is_the_norm_of_the_matmul_chain_term():
+    # a 2-D meta "vector": numpy's gemv path refuses it, ``matmul`` takes it as a matrix, so the term is (4, 4)
+    cfg = EncoderConfig(L=1, d_t=4, d_v=4, n_heads=2, N_t=4, N_v=4)
+    sites = build_sites(cfg, CouplingMode.BIDIRECTIONAL, 2, 3, rng.derive(20, "s"), np.float64)
+    site = next(iter(sites.values()))
+    site.arrays["meta/a_m"] = np.ones((3, 4))
+    for field in ("bridge_v", "bridge_t"):
+        site.set_param(f"{field}/w_up", np.full((4, 2), 0.1))
+    for side, field in (("image", "bridge_v"), ("text", "bridge_t")):
+        w_up, w_down = (Tensor.view(site.arrays[f"{field}/{w}"]) for w in ("w_up", "w_down"))
+        term = ad.matmul(w_up, ad.matmul(w_down, Tensor.view(site.arrays["meta/a_m"]))).data
+        assert term.shape == (4, 4)
+        assert bridge_norm(site, side) == float(100.0 / np.sqrt(4) * np.linalg.norm(term))
+
+
 def test_bridge_norm_requires_bidirectional(tiny_cfg):
     sites = build_sites(tiny_cfg, CouplingMode.IVLU, 2, 4, rng.derive(19, "s"), np.float64)
     with pytest.raises(ValueError, match="bidirectional"):
@@ -549,9 +622,6 @@ def test_counter_matches_enumeration(mode, rank, d_m, positions, shift):
         assert breakdown[str(key)] == sum(a.size for a in site.arrays.values())
 
 
-_ALL_COUPLINGS = [(mode, False) for mode in CouplingMode] + [
-    (mode, True) for mode in CouplingMode if mode != CouplingMode.IVLU
-]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from mailpp import rng
 from mailpp.agents import CouplingMode, build_scaling_map, build_sites
 from mailpp.autodiff import NonFiniteError, Tensor
-from mailpp.encoder import DualEncoder, EncoderConfig, image_forward, init_dual_encoder, text_forward
+from mailpp.encoder import _FOLDS, DualEncoder, EncoderConfig, image_forward, init_dual_encoder, text_forward
 from mailpp.training import _probs
 from mailpp.verify import random_toy_model
 
@@ -16,6 +18,15 @@ def test_config_validation():
         EncoderConfig(d_t=10, n_heads=4)
     with pytest.raises(ValueError, match="positive"):
         EncoderConfig(L=0)
+
+
+def test_readme_fold_table_is_the_encoders():
+    readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8").split())
+    sentence = re.search(r"One table names the tensors each position folds into: (.*?)\. ", readme).group(1)
+    pairs = re.findall(r"`([^`]+)` -> `([^`]+)`", sentence)
+    ops = [(pos, scale.rsplit("/", 1)[0]) for pos, (scale, _) in _FOLDS.items()]
+    assert pairs == ops
+    assert [shift.rsplit("/", 1)[0] for _, shift in _FOLDS.values()] == [op for _, op in ops]  # one op per position
 
 
 def test_output_shapes(tiny_cfg, tiny_model):

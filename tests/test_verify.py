@@ -227,7 +227,8 @@ def test_fusion_check_computes_each_sites_vectors_once(monkeypatch):
 
 @pytest.mark.parametrize("mode,bridge_shift", _COUPLINGS, ids=[f"{m.value}-shift{int(s)}" for m, s in _COUPLINGS])
 def test_fuse_model_is_fold_scalings_of_the_scaling_map(mode, bridge_shift):
-    from mailpp.agents import build_scaling_map, fold_scalings
+    from mailpp.agents import build_scaling_map
+    from mailpp.encoder import fold_scalings
 
     model = random_toy_model(7, np.float64)
     sites = build_sites(model.cfg, mode, 2, 4, rng.derive(13, "s"), np.float64, bridge_shift)
