@@ -13,8 +13,7 @@ import time
 from mailpp import rng
 from mailpp.agents import CouplingMode, bridge_norm
 from mailpp.config import RunConfig
-from mailpp.encoder import init_dual_encoder
-from mailpp.training import evaluate, gen_synthetic, sample_few_shot, train
+from mailpp.training import evaluate, sample_few_shot, train
 
 
 def main():
@@ -24,15 +23,8 @@ def main():
     args = ap.parse_args()
 
     run_cfg = RunConfig()
-    model = init_dual_encoder(run_cfg.encoder, rng.derive(args.seed, "frozen-weights"), run_cfg.dtype)
-    ds = gen_synthetic(
-        C=run_cfg.training.classes,
-        k_pool=run_cfg.data.pool_per_class,
-        noise=run_cfg.data.noise,
-        seed=args.seed,
-        dims=(run_cfg.encoder.N_v, run_cfg.encoder.d_v),
-    )
-    episode = sample_few_shot(ds, run_cfg.training.shots, args.seed)
+    model = run_cfg.model(args.seed)
+    episode = sample_few_shot(run_cfg.dataset(args.seed), run_cfg.training.shots, args.seed)
     frozen = evaluate(model, None, episode.train_images, episode.train_labels, episode.base_tokens)
     print(f"frozen model train accuracy: {frozen:.3f} (chance {1.0 / episode.num_base:.3f})")
     print(f"{'mode':>16}  {'train':>6}  {'base':>6}  {'novel':>6}  {'secs':>5}")

@@ -11,8 +11,7 @@ import dataclasses
 
 from mailpp import rng
 from mailpp.config import RunConfig
-from mailpp.encoder import init_dual_encoder
-from mailpp.training import gen_synthetic, sample_few_shot, train
+from mailpp.training import sample_few_shot, train
 
 
 def main():
@@ -23,18 +22,11 @@ def main():
     args = ap.parse_args()
 
     run_cfg = RunConfig()
-    ds = gen_synthetic(
-        C=run_cfg.training.classes,
-        k_pool=run_cfg.data.pool_per_class,
-        noise=run_cfg.data.noise,
-        seed=args.seed,
-        dims=(run_cfg.encoder.N_v, run_cfg.encoder.d_v),
-    )
-    episode = sample_few_shot(ds, run_cfg.training.shots, args.seed)
+    model = run_cfg.model(args.seed)
+    episode = sample_few_shot(run_cfg.dataset(args.seed), run_cfg.training.shots, args.seed)
 
     print(f"{'lambda':>8}  {'train':>6}  {'drift_img':>9}  {'drift_txt':>9}  {'L_ce final':>10}")
     for lam in args.lambdas:
-        model = init_dual_encoder(run_cfg.encoder, rng.derive(args.seed, "frozen-weights"), run_cfg.dtype)
         tcfg = dataclasses.replace(run_cfg.training, lam=lam, steps=args.steps)
         sites = dataclasses.replace(run_cfg, training=tcfg).sites(rng.derive(args.seed, "sites"))
         state = train(model, sites, tcfg, episode, args.seed)

@@ -48,7 +48,8 @@ of ``ad.add``, so with their bits, and finite-checks each once; an
 uncoupled vector is a view checked by its name, as on the tape. Whatever
 the primitives would refuse (a non-finite value, mixed dtypes, a shape they
 do not take as it is) makes the site replay their chain, which raises the
-error that the tape would.
+error that the tape would. ``bridge_norm`` reads its coupling term from
+``effective`` too, given zero scales, so it meets the same checks.
 
 After training, agents fold exactly into the frozen parameters.
 ``fuse_model`` is the encoder's ``fold_scalings`` of the sites'
@@ -153,11 +154,6 @@ def _add(x: np.ndarray, y: np.ndarray | None) -> np.ndarray | None:
     return x + y if y is not None and x.shape == y.shape else None
 
 
-def _coupling_term(read, matmul, bridge: str, v):
-    """W_up . W_down . v of one bridge (its ``_BRIDGES`` field with its prefix), through ``matmul``."""
-    return matmul(read(f"{bridge}/w_up"), matmul(read(f"{bridge}/w_down"), v))
-
-
 def _has_meta(mode: CouplingMode) -> bool:
     return any(source == "meta" for _, _, source in _BRIDGES[mode])
 
@@ -215,8 +211,9 @@ class CoupledAgentSite:
             meta = read(meta_name) if meta_name in self.arrays else None  # a meta vector exists where a bridge reads it
             vectors = {"image": out[i], "text": out[i + 1], "meta": meta}
             for field, side, source in _BRIDGES[self.mode]:
-                j = i + (side == "text")
-                out[j] = add(out[j], _coupling_term(read, matmul, prefix + field, vectors[source]))
+                j = i + (side == "text")  # out[j] + W_up . W_down . source
+                term = matmul(read(f"{prefix}{field}/w_up"), matmul(read(f"{prefix}{field}/w_down"), vectors[source]))
+                out[j] = add(out[j], term)
         return out
 
     def effective(self, values: Mapping[str, Tensor] | None = None) -> tuple[Tensor, Tensor, Tensor, Tensor]:
@@ -385,14 +382,15 @@ def fuse_model(model: DualEncoder, sites: Mapping[SiteKey, CoupledAgentSite]) ->
 
 
 def bridge_norm(site: CoupledAgentSite, side: Modality) -> float:
-    """Scaled norm (100 / sqrt(d)) * ||W_up . W_down . a_m|| of one side's coupling term."""
+    """Scaled norm (100 / sqrt(d)) * ||W_up . W_down . a_m|| of one side's coupling term.
+
+    The term is that side's ``effective`` scale with zeros given for both ``a``
+    (0 + term is the term), so it is checked, or refused, as ``effective`` checks.
+    """
     if site.mode != CouplingMode.BIDIRECTIONAL:
         raise ValueError("bridge_norm needs a bidirectional site with a meta vector")
-    field = "bridge_v" if side == "image" else "bridge_t"
-    vec = _coupling_term(site.arrays.__getitem__, _gemv, field, site.arrays["meta/a_m"])
-    if vec is None:  # operands that ``_gemv`` does not take as they are: the chain raises its error or computes it
-        views = {n: Tensor.view(x, f"{site.key}/{n}") for n, x in site.arrays.items() if n.startswith((field, "meta"))}
-        vec = _coupling_term(views.__getitem__, ad.matmul, field, views["meta/a_m"]).data
+    zeros = {f"{site.key}/{s}/a": Tensor(np.zeros_like(site.arrays[f"{s}/a"])) for s in ("image", "text")}
+    vec = site.effective(zeros)[side == "text"].data
     return float(100.0 / np.sqrt(vec.shape[0]) * np.linalg.norm(vec))
 
 

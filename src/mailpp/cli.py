@@ -22,13 +22,12 @@ from .agents import CouplingMode, bridge_norm, build_scaling_map, fuse_model
 from .autodiff import NonFiniteError, Tensor
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, write_atomic
 from .config import ConfigError, RunConfig, parse_config
-from .encoder import DualEncoder, image_forward, init_dual_encoder, text_forward
+from .encoder import DualEncoder, image_forward, text_forward
 from .state import pack_dataset, pack_state, unpack_dataset, unpack_state
 from .training import (
     METRICS_HEADER,
     ce_loss,
     evaluate,
-    gen_synthetic,
     reg_losses,
     sample_few_shot,
     total_loss,
@@ -80,10 +79,6 @@ def _load_dataset(path: str, run_cfg: RunConfig):
     return ds
 
 
-def _build_model(run_cfg: RunConfig, seed: int):
-    return init_dual_encoder(run_cfg.encoder, rngmod.derive(seed, "frozen-weights"), run_cfg.dtype)
-
-
 def _write(path: str, text: str) -> None:
     _ensure_parent(path)
     write_atomic(path, text.encode("utf-8"))
@@ -111,15 +106,7 @@ def cmd_gen_data(args) -> int:
     run_cfg = _load_run_config(args.config)
     seed = _resolve_seed(args, run_cfg)
     out = _resolve_out(args, run_cfg, "dataset.bin")
-    ds = gen_synthetic(
-        C=run_cfg.training.classes,
-        k_pool=run_cfg.data.pool_per_class,
-        noise=run_cfg.data.noise,
-        seed=seed,
-        dims=(run_cfg.encoder.N_v, run_cfg.encoder.d_v),
-        text_len=run_cfg.data.text_len,
-        dtype=run_cfg.dtype,
-    )
+    ds = run_cfg.dataset(seed)
     tensors, doc = pack_dataset(ds)
     _ensure_parent(out)
     save_checkpoint(out, tensors, doc)
@@ -132,7 +119,7 @@ def cmd_train(args) -> int:
     seed = _resolve_seed(args, run_cfg)
     ds = _load_dataset(args.data, run_cfg)
     out = _resolve_out(args, run_cfg, "trained.ckpt")
-    model = _build_model(run_cfg, seed)
+    model = run_cfg.model(seed)
     sites = run_cfg.sites(rngmod.derive(seed, "sites"))
     episode = sample_few_shot(ds, run_cfg.training.shots, seed)
     state = train(model, sites, run_cfg.training, episode, seed)
@@ -154,7 +141,7 @@ def cmd_train(args) -> int:
 def cmd_fuse(args) -> int:
     tensors, doc = load_checkpoint(args.ckpt)
     restored = unpack_state(tensors, doc)
-    if restored.fused or restored.sites is None:
+    if restored.sites is None:
         raise CheckpointError("checkpoint is already fused; nothing to fold")
     fused = fuse_model(restored.model, restored.sites)
     tol = FUSION_TOL[restored.run_cfg.precision]
@@ -194,7 +181,7 @@ def _gradcheck_reports(run_cfg: RunConfig, seed: int, frozen: DualEncoder | None
     """Gradient fidelity on the frozen model (built unless given) cast to f64, driven by the full objective."""
     enc = run_cfg.encoder
     t = run_cfg.training
-    model = (_build_model(run_cfg, seed) if frozen is None else frozen).astype(np.float64)
+    model = (run_cfg.model(seed) if frozen is None else frozen).astype(np.float64)
     sites = run_cfg.sites(rngmod.derive(seed, "gradcheck-sites"), np.float64)
     randomize_sites(sites, rngmod.derive(seed, "gradcheck-perturb"))
 
@@ -248,7 +235,7 @@ def cmd_check(args) -> int:
     reports.append(replace(worst, trials=sum(r.trials for r in reps), seed=seed))
 
     # fusion equivalence with randomized agents, both precisions, on one frozen model cast to each
-    frozen = _build_model(run_cfg, seed)
+    frozen = run_cfg.model(seed)
     for label, tol in FUSION_TOL.items():
         model = frozen.astype(replace(run_cfg, precision=label).dtype)
         worst_err = 0.0

@@ -1,4 +1,9 @@
-"""Run configuration: a strict JSON document with defaults.
+"""Run configuration: a strict JSON document with defaults, and the recipe of a run.
+
+``RunConfig`` builds what a run starts from: from the run's seed, the
+frozen model (``model``, drawn from the ``frozen-weights`` stream) and the
+synthetic dataset (``dataset``); from a generator, fresh agent sites
+(``sites``). The CLI and the experiment scripts build runs through these.
 
 The dataclasses are the schema. ``RunConfig`` and its three sections
 (``EncoderConfig``, ``TrainingConfig``, ``DataConfig``) state each
@@ -28,8 +33,9 @@ from typing import Any, Callable, Literal, NamedTuple
 import numpy as np
 
 from .agents import build_sites, site_shapes
-from .encoder import EncoderConfig
-from .training import TrainingConfig
+from .encoder import DualEncoder, EncoderConfig, init_dual_encoder
+from .rng import derive
+from .training import SyntheticDataset, TrainingConfig, gen_synthetic
 
 __all__ = [
     "DataConfig",
@@ -79,6 +85,17 @@ class RunConfig:
         """What places and shapes the agent sites: (encoder, mode, rank, d_m, bridge_shift, positions)."""
         t = self.training
         return self.encoder, t.mode, t.rank, t.d_m, t.bridge_shift, t.positions
+
+    def model(self, seed: int) -> DualEncoder:
+        """The frozen model of run ``seed``, in the run's dtype."""
+        return init_dual_encoder(self.encoder, derive(seed, "frozen-weights"), self.dtype)
+
+    def dataset(self, seed: int) -> SyntheticDataset:
+        """The synthetic dataset of run ``seed``: the config's classes, pool, noise, image shape and text length."""
+        enc, data = self.encoder, self.data
+        return gen_synthetic(
+            self.training.classes, data.pool_per_class, data.noise, seed, (enc.N_v, enc.d_v), data.text_len, self.dtype
+        )
 
     def sites(self, rng: np.random.Generator, dtype=None):
         """Fresh agent sites of this layout, drawn from ``rng``, in ``dtype`` (default: the run's)."""

@@ -63,6 +63,8 @@ def pack_state(
     step: int = 0,
     fused: bool = False,
 ) -> tuple[dict[str, np.ndarray], dict]:
+    if fused != (sites is None):
+        raise ValueError("pack_state: a fused checkpoint carries no sites, and an unfused one needs them")
     tensors = dict(model.arrays)
     if sites is not None:
         for name, arr in named_params(sites):

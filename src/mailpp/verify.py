@@ -47,6 +47,7 @@ from .autodiff import NonFiniteError, Tape, Tensor
 from .encoder import (
     ALL_POSITIONS,
     BLOCK_POSITIONS,
+    FINAL_POSITIONS,
     DualEncoder,
     EncoderConfig,
     Position,
@@ -329,7 +330,7 @@ def count_trainable_params(
     mode = CouplingMode(mode)
     breakdown: dict[str, int] = {}
     keys = [SiteKey(i, p) for i in range(cfg.L) for p in BLOCK_POSITIONS if p in positions]
-    keys += [SiteKey(None, p) for p in ("4", "5") if p in positions]
+    keys += [SiteKey(None, p) for p in FINAL_POSITIONS if p in positions]
     for key in keys:
         w_v = cfg.hook_width("image", key.pos)
         w_t = cfg.hook_width("text", key.pos)

@@ -581,6 +581,26 @@ def test_bridge_norm_of_a_meta_matrix_is_the_norm_of_the_matmul_chain_term():
         assert bridge_norm(site, side) == float(100.0 / np.sqrt(4) * np.linalg.norm(term))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bridge_norm_names_a_non_finite_value_of_its_term_as_effective_does(tiny_cfg, dtype):
+    sites = build_sites(tiny_cfg, CouplingMode.BIDIRECTIONAL, 2, 4, rng.derive(21, "s"), dtype)
+    randomize_sites(sites, rng.derive(22, "p"))
+    site = sites[SiteKey(0, "1a")]
+    for side, field in (("image", "bridge_v"), ("text", "bridge_t")):
+        for local in (f"{field}/w_up", f"{field}/w_down", "meta/a_m"):
+            for poison in (np.nan, np.inf):
+                saved = site.arrays[local].copy()
+                site.arrays[local].flat[0] = poison
+                message = f"^{re.escape(f'block0.1a/{local}: non-finite value in result')}$"
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    for call in (site.effective, lambda: bridge_norm(site, side)):
+                        with pytest.raises(NonFiniteError, match=message):
+                            call()
+                assert not caught, [str(w.message) for w in caught]
+                site.set_param(local, saved)
+
+
 def test_bridge_norm_requires_bidirectional(tiny_cfg):
     sites = build_sites(tiny_cfg, CouplingMode.IVLU, 2, 4, rng.derive(19, "s"), np.float64)
     with pytest.raises(ValueError, match="bidirectional"):

@@ -425,6 +425,17 @@ def test_fused_checkpoint_with_agent_tensors_is_rejected(tmp_path):
         unpack_state(tensors, doc)
 
 
+# sites marked fused: the loader would reject their agent tensors; no sites, not marked fused: it would miss them
+@pytest.mark.parametrize("fused", [True, False], ids=["fused-with-sites", "unfused-without-sites"])
+def test_pack_state_refuses_a_fused_flag_that_contradicts_the_sites(fused):
+    from mailpp.agents import fuse_model
+
+    run_cfg, model, sites, _ = _full_state()
+    message = "pack_state: a fused checkpoint carries no sites, and an unfused one needs them"
+    with pytest.raises(ValueError, match=message):
+        pack_state(fuse_model(model, sites), sites if fused else None, None, run_cfg, seed=1, fused=fused)
+
+
 def test_missing_tensor_is_named(tmp_path):
     run_cfg, model, sites, opt = _full_state()
     tensors, doc = pack_state(model, sites, opt, run_cfg, seed=0)

@@ -634,3 +634,33 @@ def test_no_session_imports_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "ok"
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_gen_data_writes_the_bytes_of_the_configs_dataset(tmp_path, precision):
+    from mailpp.state import pack_dataset
+
+    doc = dict(MICRO_CONFIG, precision=precision, data={"pool_per_class": 5, "noise": 0.2, "text_len": 3})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "data.bin"
+    assert run(["gen-data", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 0
+    expected = tmp_path / "expected.bin"
+    save_checkpoint(expected, *pack_dataset(parse_config_doc(doc).dataset(5)))
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_report_norms_refuses_a_non_finite_bridge_parameter_as_eval_does(trained, tmp_path, capsys):
+    _, data, ckpt = trained
+
+    def nan_in_w_down(tensors, doc):
+        w = tensors["agent/block0.1a/bridge_v/w_down"].copy()
+        w[0, 0] = np.nan
+        tensors["agent/block0.1a/bridge_v/w_down"] = w
+
+    bad = _resaved(ckpt, tmp_path / "nan.ckpt", nan_in_w_down)
+    message = "error: block0.1a/bridge_v/w_down: non-finite value in result\n"
+    for argv in (["report-norms", "--ckpt", bad], ["eval", "--ckpt", bad, "--data", data, "--split", "base"]):
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", message)

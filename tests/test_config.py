@@ -13,8 +13,9 @@ from mailpp.agents import CouplingMode, SiteKey, build_sites, named_params, trai
 from mailpp.checkpoint import config_bytes
 from mailpp.cli import run as cli_run
 from mailpp.config import ConfigError, DEFAULT_CONFIG_DOC, RunConfig, parse_config, parse_config_doc
-from mailpp.encoder import ALL_POSITIONS, EncoderConfig
-from mailpp.training import TrainingConfig
+from mailpp.encoder import ALL_POSITIONS, EncoderConfig, init_dual_encoder
+from mailpp.state import pack_dataset
+from mailpp.training import TrainingConfig, gen_synthetic
 from mailpp.verify import check_counter_agreement
 
 
@@ -453,3 +454,32 @@ def test_sites_are_the_build_sites_of_the_training_fields(override):
     for (name, arr), (name_e, arr_e) in pairs:
         assert name == name_e and arr.dtype == arr_e.dtype and arr.tobytes() == arr_e.tobytes()
     assert cfg.layout == (cfg.encoder, t.mode, t.rank, t.d_m, t.bridge_shift, t.positions)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# the default data section, and one whose text length and pool size are not the defaults
+_RECIPE_DATA = [{}, {"text_len": 3, "pool_per_class": 5, "noise": 0.25}]
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("data", _RECIPE_DATA)
+def test_the_recipe_is_its_expansion(precision, data):
+    encoder = {"L": 1, "d_t": 8, "d_v": 12, "n_heads": 2, "N_t": 6, "N_v": 4, "vocab_size": 16}
+    cfg = parse_config_doc({"precision": precision, "encoder": encoder, "training": {"classes": 6}, "data": data})
+    dtype = np.float32 if precision == "f32" else np.float64
+    expected = init_dual_encoder(cfg.encoder, rng.derive(7, "frozen-weights"), dtype)
+    got = cfg.model(7)
+    assert got.cfg == cfg.encoder and list(got.arrays) == list(expected.arrays)
+    assert all(_same_bits(got.arrays[n], expected.arrays[n]) for n in expected.arrays)
+
+    d = cfg.data
+    ds = cfg.dataset(7)
+    assert ds.images.shape == (6, d.pool_per_class, 4, 12) and ds.images.dtype == dtype
+    assert len(ds.tokens[0]) == d.text_len
+    tensors, doc = pack_dataset(ds)
+    want, want_doc = pack_dataset(gen_synthetic(6, d.pool_per_class, d.noise, 7, (4, 12), d.text_len, dtype))
+    assert doc == want_doc and list(tensors) == list(want)
+    assert all(_same_bits(tensors[n], want[n]) for n in want)
